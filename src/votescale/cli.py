@@ -39,7 +39,6 @@ from .errors import (
 from .records import (
     CostModel,
     answer_support,
-    estimate_distribution,
     group_records,
     load_ground_truth,
     parse_records,
@@ -57,7 +56,7 @@ from .selection import (
     extreme_performance,
     load_scenario,
 )
-from .votemath import check_grid, vote_probability
+from .votemath import check_grid, scaling_curve
 
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
 #: cost examples use this quote.
@@ -154,20 +153,13 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _point_rows(dist: AnswerDistribution, cfg: RunConfig):
-    rows = []
-    root = np.random.SeedSequence(cfg.seed)
-    children = root.spawn(len(cfg.grid))
-    for i, n in enumerate(cfg.grid):
-        vp = vote_probability(
-            dist,
-            n,
-            cfg.method,
-            trials=cfg.trials,
-            seed=children[i],
-            fallback=cfg.fallback,
-        )
-        rows.append([n, _fmt(vp.value), vp.method, "" if vp.stderr is None else _fmt(vp.stderr)])
-    return rows
+    curve = scaling_curve(
+        dist, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
+    )
+    return [
+        [vp.n, _fmt(vp.value), vp.method, "" if vp.stderr is None else _fmt(vp.stderr)]
+        for vp in curve.points
+    ]
 
 
 def _cmd_point(args, command: str) -> int:
@@ -362,10 +354,11 @@ def cmd_analyze(args) -> int:
         )
     )
 
+    dists = {(q.question_id, ds.strategy_id): q.dist for ds in dss for q in ds.questions}
     distribution_rows = []
     for (question_id, strategy_id), samples in groups.items():
         support = answer_support(samples)
-        dist = estimate_distribution(samples, smoothing=args.smoothing)
+        dist = dists[question_id, strategy_id]
         label = classify(dist).kind.value
         for j, answer in enumerate(support):
             distribution_rows.append(

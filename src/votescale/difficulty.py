@@ -25,7 +25,7 @@ from enum import Enum
 
 from .distribution import AnswerDistribution
 from .errors import NoWrongMass
-from .votemath import check_grid, exact_majority_prob, normal_approx_prob
+from .votemath import check_grid, vote_probability
 
 #: Absolute tolerance when testing membership in the modal set.
 TIE_TOLERANCE = 1e-12
@@ -140,8 +140,8 @@ def find_crossover_n(
     grid = check_grid(grid)
     crossover_n = None
     for n in grid:
-        value_b = _exact_or_approx(behind, n, fallback)
-        value_a = _exact_or_approx(ahead, n, fallback)
+        value_b = vote_probability(behind, n, fallback=fallback).value
+        value_a = vote_probability(ahead, n, fallback=fallback).value
         if value_b > value_a:
             crossover_n = n
             break
@@ -150,17 +150,6 @@ def find_crossover_n(
         crossover_n=crossover_n,
         grid=grid,
     )
-
-
-def _exact_or_approx(dist: AnswerDistribution, n: int, fallback: bool) -> float:
-    from .errors import CapExceeded
-
-    try:
-        return exact_majority_prob(dist, n).value
-    except CapExceeded:
-        if not fallback:
-            raise
-        return normal_approx_prob(dist, n).value
 
 
 def kl_to_uniform(dist: AnswerDistribution) -> float:

@@ -12,9 +12,14 @@ computes three oracle curves that bound what smarter sampling could do:
 * dynamic   -- pick the best strategy per question;
 * combined  -- both at once.
 
-Monte Carlo evaluations derive one sub-seed per (strategy, question,
-effective n), so repeated evaluations of the same cell agree and the
-documented dominance relations between curves survive sampling noise.
+Every curve, selection and oracle is a reduction over (strategy, question,
+effective n) cells. Each cell is evaluated once per process and kept in a
+bounded cache, so a selection or oracle that revisits a cell reads it back
+instead of recomputing it. Monte Carlo cells derive their sub-seed from
+(strategy, question position, effective n), so a cell has one value however
+it is reached and the documented dominance relations between curves survive
+sampling noise. A dataset point is tagged with the least exact estimator
+among its cells.
 """
 from __future__ import annotations
 
@@ -22,6 +27,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -109,41 +115,47 @@ class ExtremePerformance(NamedTuple):
     limit_accuracy: float
 
 
-def _point_seed(seed: int, strategy_id: str, q_index: int, n: int):
-    """Stable sub-seed for one Monte Carlo cell.
+#: Bound on the cells :func:`_cell` keeps: a 3-strategy, 300-question,
+#: 7-point report (6,300 cells) fits with room to spare, and the retained
+#: values stay at a few MB.
+_CELL_CACHE_SIZE = 1 << 14
 
-    Keyed by strategy, question position, and the effective sampling time,
-    so the same cell evaluated from different curves (vanilla, adaptive,
-    dynamic) sees the same randomness and oracle dominance is preserved
-    under Monte Carlo.
-    """
-    return np.random.SeedSequence(
-        [seed, zlib.crc32(strategy_id.encode("utf-8")), q_index, n]
-    )
+#: Estimators from most to least exact; a dataset mean is tagged with the
+#: least exact estimator among the cells it averages.
+_EXACTNESS = ("exact", "closed_form", "normal_approx", "monte_carlo")
 
 
-def _evaluate(
+@lru_cache(maxsize=_CELL_CACHE_SIZE)
+def _cell(
     dist: AnswerDistribution,
     n: int,
     method: str,
-    *,
-    strategy_id: str,
-    q_index: int,
     trials: int,
     seed: int,
     fallback: bool,
+    strategy_id: str,
+    q_index: int,
 ) -> VoteProbability:
+    """One (strategy, question, n) cell, evaluated once per process.
+
+    Monte Carlo cells draw from a sub-seed keyed by strategy, question
+    position and effective n, so the same cell reached from different
+    curves (vanilla, adaptive, dynamic) is one evaluation and oracle
+    dominance survives sampling noise. ``dist`` is part of the key, so two
+    datasets that share a strategy id share no cell whose distribution
+    differs.
+    """
+    if method == "monte_carlo":
+        seed = np.random.SeedSequence(
+            [seed, zlib.crc32(strategy_id.encode("utf-8")), q_index, n]
+        )
     return vote_probability(
-        dist,
-        n,
-        method,
-        trials=trials,
-        seed=_point_seed(seed, strategy_id, q_index, n),
-        fallback=fallback,
+        dist, n, method, trials=trials, seed=seed, fallback=fallback
     )
 
 
-def _mean_point(values: list[VoteProbability], n: int, method: str) -> VoteProbability:
+def _mean_point(values: list[VoteProbability], n: int) -> VoteProbability:
+    method = max((v.method for v in values), key=_EXACTNESS.index)
     mean = math.fsum(v.value for v in values) / len(values)
     if method == "monte_carlo":
         stderr = (
@@ -152,6 +164,64 @@ def _mean_point(values: list[VoteProbability], n: int, method: str) -> VoteProba
         )
         return VoteProbability(mean, method, n, stderr=stderr)
     return VoteProbability(mean, method, n)
+
+
+def _shared_order(dss: list[StrategyDataset]) -> list[str]:
+    if not dss:
+        raise ValueError("need at least one strategy dataset")
+    first = dss[0].question_ids
+    reference = set(first)
+    for ds in dss[1:]:
+        if set(ds.question_ids) != reference:
+            raise IdMismatch(
+                f"strategy {ds.strategy_id!r} covers different questions than "
+                f"{dss[0].strategy_id!r}"
+            )
+    return list(first)
+
+
+def _reduce(
+    dss: list[StrategyDataset],
+    ns,
+    method: str,
+    trials: int,
+    seed: int,
+    fallback: bool,
+    *,
+    adaptive: bool,
+    curve_id: str,
+) -> ScalingCurve:
+    """The one reduction behind every dataset curve.
+
+    Per grid point and question (in the first dataset's order), takes the
+    best strategy's cell, at n=1 where ``adaptive`` is set and that
+    strategy finds the question hard, and averages over questions. Ties
+    keep the earliest strategy in the input.
+    """
+    grid = check_grid(ns)
+    method = canonical_method(method)
+    order = _shared_order(dss)
+    if not order:
+        raise ValueError("dataset has no questions")
+    candidates: dict[str, list] = {question_id: [] for question_id in order}
+    for ds in dss:
+        for qi, q in enumerate(ds.questions):
+            hard = adaptive and classify(q.dist).kind is Difficulty.HARD
+            candidates[q.question_id].append((ds.strategy_id, qi, q.dist, hard))
+    points = []
+    for n in grid:
+        values = []
+        for question_id in order:
+            best = None
+            for strategy_id, qi, dist, hard in candidates[question_id]:
+                vp = _cell(
+                    dist, 1 if hard else n, method, trials, seed, fallback, strategy_id, qi
+                )
+                if best is None or vp.value > best.value:
+                    best = vp
+            values.append(best)
+        points.append(_mean_point(values, n))
+    return ScalingCurve(tuple(points), method, curve_id=curve_id)
 
 
 def accuracy_curve(
@@ -166,29 +236,12 @@ def accuracy_curve(
     """Dataset accuracy versus sampling time: per-question estimator, averaged.
 
     Cap overflows in the exact estimator propagate unless ``fallback``
-    substitutes the normal approximation for the offending questions.
+    substitutes the normal approximation for the offending questions; a
+    point is then tagged with the least exact estimator among its cells.
     """
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    if not ds.questions:
-        raise ValueError("dataset has no questions")
-    points = []
-    for n in grid:
-        values = [
-            _evaluate(
-                q.dist,
-                n,
-                method,
-                strategy_id=ds.strategy_id,
-                q_index=qi,
-                trials=trials,
-                seed=seed,
-                fallback=fallback,
-            )
-            for qi, q in enumerate(ds.questions)
-        ]
-        points.append(_mean_point(values, n, method))
-    return ScalingCurve(tuple(points), method, curve_id=ds.strategy_id)
+    return _reduce(
+        [ds], ns, method, trials, seed, fallback, adaptive=False, curve_id=ds.strategy_id
+    )
 
 
 def adaptive_curve(
@@ -208,42 +261,8 @@ def adaptive_curve(
     curve at small n; its advantage is in the tail, where hard questions
     would otherwise decay toward zero.
     """
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    if not ds.questions:
-        raise ValueError("dataset has no questions")
-    hard = [classify(q.dist).kind is Difficulty.HARD for q in ds.questions]
-    points = []
-    for n in grid:
-        values = [
-            _evaluate(
-                q.dist,
-                1 if hard[qi] else n,
-                method,
-                strategy_id=ds.strategy_id,
-                q_index=qi,
-                trials=trials,
-                seed=seed,
-                fallback=fallback,
-            )
-            for qi, q in enumerate(ds.questions)
-        ]
-        points.append(_mean_point(values, n, method))
-    return ScalingCurve(tuple(points), method, curve_id=f"{ds.strategy_id}+adaptive")
-
-
-def _shared_order(dss: list[StrategyDataset]) -> list[str]:
-    if not dss:
-        raise ValueError("need at least one strategy dataset")
-    first = dss[0].question_ids
-    reference = set(first)
-    for ds in dss[1:]:
-        if set(ds.question_ids) != reference:
-            raise IdMismatch(
-                f"strategy {ds.strategy_id!r} covers different questions than "
-                f"{dss[0].strategy_id!r}"
-            )
-    return list(first)
+    curve_id = f"{ds.strategy_id}+adaptive"
+    return _reduce([ds], ns, method, trials, seed, fallback, adaptive=True, curve_id=curve_id)
 
 
 def dynamic_curve(
@@ -261,31 +280,9 @@ def dynamic_curve(
     point, the largest per-strategy estimate wins; the mean over questions
     therefore dominates every single strategy's curve pointwise.
     """
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    order = _shared_order(dss)
-    maps = [(ds, ds.by_id(), {q: i for i, q in enumerate(ds.question_ids)}) for ds in dss]
-    points = []
-    for n in grid:
-        values = []
-        for question_id in order:
-            best = None
-            for ds, by_id, positions in maps:
-                vp = _evaluate(
-                    by_id[question_id].dist,
-                    n,
-                    method,
-                    strategy_id=ds.strategy_id,
-                    q_index=positions[question_id],
-                    trials=trials,
-                    seed=seed,
-                    fallback=fallback,
-                )
-                if best is None or vp.value > best.value:
-                    best = vp
-            values.append(best)
-        points.append(_mean_point(values, n, method))
-    return ScalingCurve(tuple(points), method, curve_id="dynamic")
+    return _reduce(
+        dss, ns, method, trials, seed, fallback, adaptive=False, curve_id="dynamic"
+    )
 
 
 def combined_curve(
@@ -299,39 +296,9 @@ def combined_curve(
 ) -> ScalingCurve:
     """Adaptive and dynamic at once: per strategy, use n=1 where that
     strategy finds the question hard; then take the per-question max."""
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    order = _shared_order(dss)
-    maps = []
-    for ds in dss:
-        by_id = ds.by_id()
-        hard = {
-            q.question_id: classify(q.dist).kind is Difficulty.HARD
-            for q in ds.questions
-        }
-        positions = {q: i for i, q in enumerate(ds.question_ids)}
-        maps.append((ds, by_id, positions, hard))
-    points = []
-    for n in grid:
-        values = []
-        for question_id in order:
-            best = None
-            for ds, by_id, positions, hard in maps:
-                vp = _evaluate(
-                    by_id[question_id].dist,
-                    1 if hard[question_id] else n,
-                    method,
-                    strategy_id=ds.strategy_id,
-                    q_index=positions[question_id],
-                    trials=trials,
-                    seed=seed,
-                    fallback=fallback,
-                )
-                if best is None or vp.value > best.value:
-                    best = vp
-            values.append(best)
-        points.append(_mean_point(values, n, method))
-    return ScalingCurve(tuple(points), method, curve_id="combined")
+    return _reduce(
+        dss, ns, method, trials, seed, fallback, adaptive=True, curve_id="combined"
+    )
 
 
 def extreme_performance(ds: StrategyDataset) -> ExtremePerformance:

@@ -375,6 +375,45 @@ class TestSynthAnalyze:
         for name in ("curves.csv", "difficulty_table.csv", "distributions.csv"):
             assert (report_a / name).read_bytes() == (report_b / name).read_bytes()
 
+    def test_analyze_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
+        import votescale.selection as selection
+
+        data = self.synth(capsys, tmp_path, samples=40)
+        selection._cell.cache_clear()
+        real = selection.vote_probability
+        calls = []
+
+        def counting(dist, n, method, **kwargs):
+            # a Monte Carlo cell's seed entropy is (seed, strategy, question, n)
+            calls.append((dist, n, tuple(kwargs["seed"].entropy)))
+            return real(dist, n, method, **kwargs)
+
+        monkeypatch.setattr(selection, "vote_probability", counting)
+        code, _, err = run(
+            capsys,
+            [
+                "analyze",
+                "--log",
+                str(data / "log.jsonl"),
+                "--truth",
+                str(data / "truth.jsonl"),
+                "--grid",
+                "1,3,5",
+                "--method",
+                "mc",
+                "--trials",
+                "500",
+                "--budget",
+                "1",
+                "--out",
+                str(tmp_path / "report"),
+            ],
+        )
+        assert code == 0, err
+        assert (tmp_path / "report" / "budget_selection.csv").exists()
+        # 2 strategies x 2 questions x 3 grid points, each evaluated once
+        assert len(calls) == len(set(calls)) == 12
+
     def test_analyze_empty_log_exits_2(self, capsys, tmp_path):
         (tmp_path / "log.jsonl").write_text("\n", encoding="utf-8")
         (tmp_path / "truth.jsonl").write_text(

@@ -94,6 +94,30 @@ class TestAccuracyCurve:
         with pytest.raises(ValueError):
             accuracy_curve(StrategyDataset("s", ()), [1])
 
+    def test_fallback_point_is_tagged_with_the_approximation(self):
+        # nine nonzero answers exceed the exact cap of eight
+        wide = AnswerDistribution((0.2,) + (0.1,) * 8)
+        curve = accuracy_curve(dataset("s", [wide]), [5], "exact", fallback=True)
+        assert curve.points[0].method == "normal_approx"
+        assert curve.method == "exact"
+
+    def test_point_tag_is_the_least_exact_cell(self):
+        wide = AnswerDistribution((0.2,) + (0.1,) * 8)
+        mixed = accuracy_curve(dataset("s", [EARLY, wide]), [1, 5], "exact", fallback=True)
+        assert [p.method for p in mixed.points] == ["normal_approx", "normal_approx"]
+        plain = accuracy_curve(dataset("s", [EARLY, LATE]), [1, 5], "exact", fallback=True)
+        assert [p.method for p in plain.points] == ["exact", "exact"]
+        # an oracle point averages the winning cells only
+        loser = AnswerDistribution((0.05, 0.95))
+        wins = dynamic_curve(
+            [dataset("a", [wide, LATE]), dataset("b", [loser, LATE])], [5], fallback=True
+        )
+        assert wins.points[0].method == "normal_approx"
+        loses = dynamic_curve(
+            [dataset("a", [EARLY, LATE]), dataset("b", [wide, LATE])], [5], fallback=True
+        )
+        assert loses.points[0].method == "exact"
+
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
         mc = accuracy_curve(ds, [5], "mc", trials=100_000, seed=3)
