@@ -12,6 +12,13 @@ Six subcommands:
 * ``synth``    -- generate a synthetic log plus ground truth from planted
   distributions (test data; round-trips through ``analyze``).
 
+The three point commands are one command under three names. A report is a
+list of ``(file name, header, rows)`` tables: ``predict`` builds the
+strategy tables (curves, per-n selection, budget selection), ``analyze``
+appends its own, and one writer writes them once every table is computed,
+so a failing run leaves no partial report. Every input file goes through
+one reader that names the file in line errors.
+
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
 floats are formatted with repr-stable precision, rows follow input order,
@@ -67,7 +74,6 @@ DEFAULT_PRICES = (0.15, 0.6)
 class RunConfig:
     """Validated knobs shared by the subcommands."""
 
-    command: str
     grid: tuple[int, ...]
     method: str
     trials: int
@@ -82,9 +88,9 @@ class RunConfig:
             raise ValueError("--trials must be >= 1")
         if self.seed < 0:
             raise ValueError("--seed must be >= 0")
-        if any(p < 0 for p in self.prices):
+        if not all(p >= 0 for p in self.prices):
             raise ValueError("--prices must be >= 0")
-        if self.budget is not None and self.budget < 0:
+        if self.budget is not None and not self.budget >= 0:
             raise ValueError("--budget must be >= 0")
 
     @property
@@ -107,94 +113,80 @@ def _parse_floats(text: str, flag: str, expected: int | None = None) -> tuple[fl
 
 
 def _parse_grid(args) -> tuple[int, ...]:
-    if getattr(args, "grid", None) and getattr(args, "n", None) is not None:
+    if args.grid and args.n is not None:
         raise ValueError("give either --n or --grid, not both")
-    if getattr(args, "grid", None):
+    if args.grid:
         try:
             values = [int(tok) for tok in args.grid.split(",")]
         except ValueError:
             raise ValueError(f"--grid expects comma-separated integers, got {args.grid!r}") from None
         return check_grid(values)
-    if getattr(args, "n", None) is not None:
+    if args.n is not None:
         return check_grid([args.n])
     raise ValueError("one of --n or --grid is required")
 
 
-def _config(args, command: str) -> RunConfig:
+def _config(args) -> RunConfig:
+    prices = getattr(args, "prices", None)
     return RunConfig(
-        command=command,
         grid=_parse_grid(args),
-        method=getattr(args, "method", command if command in ("exact", "approx", "mc") else "approx"),
+        method=args.method,
         trials=getattr(args, "trials", 100_000),
         seed=getattr(args, "seed", 0),
         fallback=getattr(args, "fallback", False),
-        prices=_parse_floats(getattr(args, "prices", None) or "0.15,0.6", "--prices", 2),
+        prices=_parse_floats(prices, "--prices", 2) if prices else DEFAULT_PRICES,
         budget=getattr(args, "budget", None),
-        out=getattr(args, "out", None),
+        out=args.out,
     )
 
 
-def _open_out(path: str | None):
-    if path is None:
-        return sys.stdout, False
-    return open(path, "w", newline="", encoding="utf-8"), True
-
-
-def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _read_lines(path: str) -> list[str]:
+def _read(path: str, parse):
+    """``parse`` applied to the lines of one input file; a malformed line is
+    reported with the file's name."""
     with open(path, encoding="utf-8") as fh:
-        return fh.readlines()
+        lines = fh.readlines()
+    try:
+        return parse(lines)
+    except MalformedLine as exc:
+        raise VoteScaleError(f"{path}: {exc}") from None
 
 
-def _point_rows(dist: AnswerDistribution, cfg: RunConfig):
+def _write_table(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+
+
+def _write_report(out: str, tables) -> None:
+    """Write ``(file name, header, rows)`` tables into the report directory."""
+    os.makedirs(out, exist_ok=True)
+    for name, header, rows in tables:
+        with open(os.path.join(out, name), "w", newline="", encoding="utf-8") as fh:
+            _write_table(fh, header, rows)
+
+
+def cmd_point(args) -> int:
+    cfg = _config(args)
+    dist = AnswerDistribution(_parse_floats(args.dist, "--dist"), args.correct)
     curve = scaling_curve(
         dist, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
     )
-    return [
+    header = ["n", "value", "method", "stderr"]
+    rows = [
         [vp.n, _fmt(vp.value), vp.method, "" if vp.stderr is None else _fmt(vp.stderr)]
         for vp in curve.points
     ]
-
-
-def _cmd_point(args, command: str) -> int:
-    cfg = _config(args, command)
-    dist = AnswerDistribution(_parse_floats(args.dist, "--dist"), args.correct)
-    rows = _point_rows(dist, cfg)
-    handle, owned = _open_out(cfg.out)
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["n", "value", "method", "stderr"])
-        writer.writerows(rows)
-    finally:
-        if owned:
-            handle.close()
+    if cfg.out is None:
+        _write_table(sys.stdout, header, rows)
+    else:
+        with open(cfg.out, "w", newline="", encoding="utf-8") as fh:
+            _write_table(fh, header, rows)
     return 0
 
 
-def cmd_exact(args) -> int:
-    return _cmd_point(args, "exact")
-
-
-def cmd_approx(args) -> int:
-    return _cmd_point(args, "approx")
-
-
-def cmd_mc(args) -> int:
-    return _cmd_point(args, "mc")
-
-
 def _load_scenario_file(path: str) -> list[StrategyDataset]:
-    try:
-        datasets = load_scenario(_read_lines(path))
-    except MalformedLine as exc:
-        raise VoteScaleError(f"{path}: {exc}") from None
-    if not datasets or all(not ds.questions for ds in datasets):
+    datasets = _read(path, load_scenario)
+    if all(not ds.questions for ds in datasets):
         raise VoteScaleError(f"{path}: scenario defines no questions")
     return datasets
 
@@ -207,160 +199,72 @@ def _curve_rows(curves) -> list[list]:
     return rows
 
 
-def _selection_rows(dss, cfg: RunConfig) -> list[list]:
-    rows = []
-    for n in cfg.grid:
-        result = best_for_n(
-            dss, n, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-        rows.append([n, result.chosen_strategy, _fmt(result.predicted_accuracy)])
-    return rows
-
-
-def _budget_rows(dss, cfg: RunConfig) -> list[list]:
-    result = best_under_cost(
-        dss,
-        cfg.budget,
-        cfg.cost_model,
-        cfg.grid,
-        cfg.method,
-        trials=cfg.trials,
-        seed=cfg.seed,
-        fallback=cfg.fallback,
-    )
-    return [
-        [
-            _fmt(cfg.budget),
-            result.chosen_strategy,
-            result.chosen_n,
-            _fmt(result.predicted_accuracy),
-        ]
+def _strategy_tables(dss, cfg: RunConfig) -> list[tuple]:
+    """Per-strategy curves, the best strategy per n and, under a budget, the
+    best (strategy, n) that fits it."""
+    kwargs = dict(trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
+    curves = [accuracy_curve(ds, cfg.grid, cfg.method, **kwargs) for ds in dss]
+    picks = [best_for_n(dss, n, cfg.method, **kwargs) for n in cfg.grid]
+    tables = [
+        ("curves.csv", ["strategy_id", "n", "accuracy", "method"], _curve_rows(curves)),
+        (
+            "selection.csv",
+            ["n", "chosen_strategy", "predicted_accuracy"],
+            [[r.chosen_n, r.chosen_strategy, _fmt(r.predicted_accuracy)] for r in picks],
+        ),
     ]
+    if cfg.budget is not None:
+        r = best_under_cost(
+            dss, cfg.budget, cfg.cost_model, cfg.grid, cfg.method, **kwargs
+        )
+        tables.append(
+            (
+                "budget_selection.csv",
+                ["budget", "chosen_strategy", "chosen_n", "predicted_accuracy"],
+                [[_fmt(cfg.budget), r.chosen_strategy, r.chosen_n, _fmt(r.predicted_accuracy)]],
+            )
+        )
+    return tables
 
 
 def cmd_predict(args) -> int:
-    cfg = _config(args, "predict")
-    if cfg.out is None:
-        raise ValueError("--out DIR is required")
-    dss = _load_scenario_file(args.scenario)
-    curves = [
-        accuracy_curve(
-            ds, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-        for ds in dss
-    ]
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out, "curves.csv"),
-        ["strategy_id", "n", "accuracy", "method"],
-        _curve_rows(curves),
-    )
-    _write_csv(
-        os.path.join(cfg.out, "selection.csv"),
-        ["n", "chosen_strategy", "predicted_accuracy"],
-        _selection_rows(dss, cfg),
-    )
-    if cfg.budget is not None:
-        _write_csv(
-            os.path.join(cfg.out, "budget_selection.csv"),
-            ["budget", "chosen_strategy", "chosen_n", "predicted_accuracy"],
-            _budget_rows(dss, cfg),
-        )
+    cfg = _config(args)
+    _write_report(cfg.out, _strategy_tables(_load_scenario_file(args.scenario), cfg))
     return 0
 
 
-def _parse_log_files(paths: list[str]):
-    records = []
-    for path in paths:
+def _kl_row(ds: StrategyDataset) -> list:
+    divergences = []
+    for q in ds.questions:
         try:
-            records.extend(parse_records(_read_lines(path)))
-        except MalformedLine as exc:
-            raise VoteScaleError(f"{path}: {exc}") from None
-    return records
+            divergences.append(kl_to_uniform(q.dist))
+        except NoWrongMass:
+            continue
+    mean_kl = _fmt(sum(divergences) / len(divergences)) if divergences else ""
+    return [ds.strategy_id, mean_kl, len(divergences)]
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args, "analyze")
-    if cfg.out is None:
-        raise ValueError("--out DIR is required")
-    try:
-        truth = load_ground_truth(_read_lines(args.truth))
-    except MalformedLine as exc:
-        raise VoteScaleError(f"{args.truth}: {exc}") from None
-    records = _parse_log_files(args.log)
+    cfg = _config(args)
+    truth = _read(args.truth, load_ground_truth)
+    records = [record for path in args.log for record in _read(path, parse_records)]
     groups = group_records(records, truth)
     if not groups:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)
-    reference = set(dss[0].question_ids)
-    for ds in dss[1:]:
-        if set(ds.question_ids) != reference:
-            raise VoteScaleError(
-                f"strategy {ds.strategy_id!r} covers different questions than "
-                f"{dss[0].strategy_id!r}; analyze needs one log row set per strategy"
-            )
 
-    curves = [
-        accuracy_curve(
-            ds, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-        for ds in dss
-    ]
-    difficulty_rows = []
-    for ds in dss:
-        xp = extreme_performance(ds)
-        difficulty_rows.append(
-            [
-                ds.strategy_id,
-                _fmt(xp.easy_frac),
-                _fmt(xp.moderate_frac),
-                _fmt(xp.hard_frac),
-                _fmt(xp.limit_accuracy),
-            ]
-        )
-    dominance_rows = []
-    for ds_a in dss:
-        for ds_b in dss:
-            if ds_a.strategy_id == ds_b.strategy_id:
-                continue
-            dominance_rows.append(
-                [ds_a.strategy_id, ds_b.strategy_id, dominance_count(ds_a, ds_b)]
-            )
-    kl_rows = []
-    for ds in dss:
-        divergences = []
-        for q in ds.questions:
-            try:
-                divergences.append(kl_to_uniform(q.dist))
-            except NoWrongMass:
-                continue
-        mean_kl = _fmt(sum(divergences) / len(divergences)) if divergences else ""
-        kl_rows.append([ds.strategy_id, mean_kl, len(divergences)])
-
-    oracle_curves = [
-        adaptive_curve(
-            ds, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-        for ds in dss
-    ]
-    oracle_curves.append(
-        dynamic_curve(
-            dss, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-    )
-    oracle_curves.append(
-        combined_curve(
-            dss, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-        )
-    )
+    tables = _strategy_tables(dss, cfg)
+    kwargs = dict(trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
+    oracle_curves = [adaptive_curve(ds, cfg.grid, cfg.method, **kwargs) for ds in dss]
+    oracle_curves.append(dynamic_curve(dss, cfg.grid, cfg.method, **kwargs))
+    oracle_curves.append(combined_curve(dss, cfg.grid, cfg.method, **kwargs))
 
     dists = {(q.question_id, ds.strategy_id): q.dist for ds in dss for q in ds.questions}
     distribution_rows = []
     for (question_id, strategy_id), samples in groups.items():
-        support = answer_support(samples)
         dist = dists[question_id, strategy_id]
         label = classify(dist).kind.value
-        for j, answer in enumerate(support):
+        for j, answer in enumerate(answer_support(samples)):
             distribution_rows.append(
                 [
                     strategy_id,
@@ -372,54 +276,39 @@ def cmd_analyze(args) -> int:
                 ]
             )
 
-    os.makedirs(cfg.out, exist_ok=True)
-    _write_csv(
-        os.path.join(cfg.out, "curves.csv"),
-        ["strategy_id", "n", "accuracy", "method"],
-        _curve_rows(curves),
-    )
-    _write_csv(
-        os.path.join(cfg.out, "difficulty_table.csv"),
-        ["strategy_id", "easy_frac", "moderate_frac", "hard_frac", "limit_accuracy"],
-        difficulty_rows,
-    )
-    _write_csv(
-        os.path.join(cfg.out, "dominance.csv"),
-        ["overtaker", "overtaken", "count"],
-        dominance_rows,
-    )
-    _write_csv(
-        os.path.join(cfg.out, "kl.csv"),
-        ["strategy_id", "mean_kl", "questions_with_wrong_mass"],
-        kl_rows,
-    )
-    _write_csv(
-        os.path.join(cfg.out, "selection.csv"),
-        ["n", "chosen_strategy", "predicted_accuracy"],
-        _selection_rows(dss, cfg),
-    )
-    _write_csv(
-        os.path.join(cfg.out, "oracles.csv"),
-        ["curve_id", "n", "accuracy", "method"],
-        _curve_rows(oracle_curves),
-    )
-    _write_csv(
-        os.path.join(cfg.out, "distributions.csv"),
-        ["strategy_id", "question_id", "answer", "prob", "is_correct", "difficulty"],
-        distribution_rows,
-    )
-    if cfg.budget is not None:
-        _write_csv(
-            os.path.join(cfg.out, "budget_selection.csv"),
-            ["budget", "chosen_strategy", "chosen_n", "predicted_accuracy"],
-            _budget_rows(dss, cfg),
-        )
+    tables += [
+        (
+            "difficulty_table.csv",
+            ["strategy_id", "easy_frac", "moderate_frac", "hard_frac", "limit_accuracy"],
+            [[ds.strategy_id, *map(_fmt, extreme_performance(ds))] for ds in dss],
+        ),
+        (
+            "dominance.csv",
+            ["overtaker", "overtaken", "count"],
+            [
+                [a.strategy_id, b.strategy_id, dominance_count(a, b)]
+                for a in dss
+                for b in dss
+                if a.strategy_id != b.strategy_id
+            ],
+        ),
+        (
+            "kl.csv",
+            ["strategy_id", "mean_kl", "questions_with_wrong_mass"],
+            [_kl_row(ds) for ds in dss],
+        ),
+        ("oracles.csv", ["curve_id", "n", "accuracy", "method"], _curve_rows(oracle_curves)),
+        (
+            "distributions.csv",
+            ["strategy_id", "question_id", "answer", "prob", "is_correct", "difficulty"],
+            distribution_rows,
+        ),
+    ]
+    _write_report(cfg.out, tables)
     return 0
 
 
 def cmd_synth(args) -> int:
-    if args.out is None:
-        raise ValueError("--out DIR is required")
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
     if args.seed < 0:
@@ -502,26 +391,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p_exact = commands.add_parser("exact", help="exact vote probability for one distribution")
-    _add_dist_flags(p_exact)
-    _add_grid_flags(p_exact)
-    p_exact.add_argument("--fallback", action="store_true", help="fall back to the normal approximation above caps")
-    p_exact.add_argument("--out", help="write CSV here instead of stdout")
-    p_exact.set_defaults(func=cmd_exact, method="exact")
-
-    p_approx = commands.add_parser("approx", help="normal-approximation vote probability")
-    _add_dist_flags(p_approx)
-    _add_grid_flags(p_approx)
-    p_approx.add_argument("--out", help="write CSV here instead of stdout")
-    p_approx.set_defaults(func=cmd_approx, method="approx")
-
-    p_mc = commands.add_parser("mc", help="Monte Carlo vote probability")
-    _add_dist_flags(p_mc)
-    _add_grid_flags(p_mc)
-    p_mc.add_argument("--trials", type=int, default=100_000, help="trials per grid point")
-    p_mc.add_argument("--seed", type=int, default=0, help="random seed")
-    p_mc.add_argument("--out", help="write CSV here instead of stdout")
-    p_mc.set_defaults(func=cmd_mc, method="mc")
+    for name, help_text in (
+        ("exact", "exact vote probability for one distribution"),
+        ("approx", "normal-approximation vote probability"),
+        ("mc", "Monte Carlo vote probability"),
+    ):
+        p_point = commands.add_parser(name, help=help_text)
+        _add_dist_flags(p_point)
+        _add_grid_flags(p_point)
+        if name == "exact":
+            p_point.add_argument(
+                "--fallback",
+                action="store_true",
+                help="fall back to the normal approximation above caps",
+            )
+        if name == "mc":
+            p_point.add_argument("--trials", type=int, default=100_000, help="trials per grid point")
+            p_point.add_argument("--seed", type=int, default=0, help="random seed")
+        p_point.add_argument("--out", help="write CSV here instead of stdout")
+        p_point.set_defaults(func=cmd_point, method=name)
 
     p_predict = commands.add_parser(
         "predict", help="accuracy curves and best strategy per n from a scenario file"

@@ -26,6 +26,7 @@ from .errors import (
     MissingGroundTruth,
     NotEnoughSamples,
 )
+from .votemath import _modal_winners
 
 #: Sentinel stored for unparseable or empty answers.
 UNPARSEABLE = "∅"
@@ -97,7 +98,7 @@ class CostModel:
     completion_price: float
 
     def __post_init__(self):
-        if self.prompt_price < 0 or self.completion_price < 0:
+        if not (self.prompt_price >= 0 and self.completion_price >= 0):
             raise ValueError("prices must be >= 0")
 
     @classmethod
@@ -330,14 +331,10 @@ def replay_majority(
             # the n smallest of i.i.d. uniform keys form a uniform n-subset
             keys = rng.random((size, pool))
             picked = codes[np.argpartition(keys, n - 1, axis=1)[:, :n]]
-        counts = np.zeros((size, m), dtype=np.int64)
-        row = np.arange(size)
-        for j in range(n):
-            counts[row, picked[:, j]] += 1
-        row_max = counts.max(axis=1)
-        modal = counts == row_max[:, None]
-        scores = np.where(modal, rng.random(counts.shape), -1.0)
-        hits += int((scores.argmax(axis=1) == correct_code).sum())
+        # one bincount over codes shifted into per-row blocks of width m
+        offsets = picked + np.arange(size)[:, None] * m
+        counts = np.bincount(offsets.ravel(), minlength=size * m).reshape(size, m)
+        hits += int((_modal_winners(counts, rng) == correct_code).sum())
         done += size
     return hits / trials
 

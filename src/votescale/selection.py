@@ -405,16 +405,20 @@ def best_under_cost(
     smallest n (which is also the cheapest). Note this maximizes accuracy,
     not n: on declining (hard-dominated) datasets a small n can win even
     under a generous budget. Raises :class:`NoFeasibleChoice` when no
-    strategy affords even its smallest grid point.
+    strategy affords even its smallest grid point, and ``ValueError`` for a
+    negative or NaN budget.
     """
     grid = check_grid(ns)
     if not dss:
         raise ValueError("need at least one strategy dataset")
+    if not budget >= 0:
+        raise ValueError("budget must be >= 0")
     best = None
     for ds in dss:
         per_sample = dataset_sample_cost(ds, model)
         for n in grid:
-            if n * per_sample > budget:
+            # written so that a NaN cost (zero tokens at an infinite price) never fits
+            if not n * per_sample <= budget:
                 break
             value = accuracy_curve(
                 ds, [n], method, trials=trials, seed=seed, fallback=fallback
@@ -431,6 +435,11 @@ def best_under_cost(
             f"no strategy fits a dataset-total budget of {budget!r}"
         )
     return best
+
+
+def _is_number(value) -> bool:
+    """A JSON number: int or float, but not a boolean."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
@@ -462,6 +471,8 @@ def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
             raise MalformedLine(line_number, "ids must be strings")
         if not isinstance(obj["probs"], list):
             raise MalformedLine(line_number, "probs must be a list")
+        if not all(_is_number(p) for p in obj["probs"]):
+            raise MalformedLine(line_number, "probs must be numbers")
         if isinstance(obj["correct_index"], bool) or not isinstance(
             obj["correct_index"], int
         ):
@@ -469,12 +480,12 @@ def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
         means = []
         for field_name in ("mean_prompt_tokens", "mean_completion_tokens"):
             value = obj[field_name]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
+            if not _is_number(value) or value < 0:
                 raise MalformedLine(line_number, f"{field_name} must be a nonnegative number")
             means.append(float(value))
         try:
             dist = AnswerDistribution(tuple(obj["probs"]), obj["correct_index"])
-        except (InvalidDistribution, TypeError) as exc:
+        except (InvalidDistribution, OverflowError) as exc:
             raise MalformedLine(line_number, str(exc)) from None
         if (strategy_id, question_id) in seen:
             raise DuplicateKey(

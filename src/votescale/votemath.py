@@ -245,11 +245,16 @@ def simulate_votes(
     for start in range(0, trials, _BLOCK):
         size = min(_BLOCK, trials - start)
         counts = rng.multinomial(n, dist.probs, size=size)
-        row_max = counts.max(axis=1)
-        modal = counts == row_max[:, None]
-        scores = np.where(modal, rng.random(counts.shape), -1.0)
-        winners[start : start + size] = scores.argmax(axis=1)
+        winners[start : start + size] = _modal_winners(counts, rng)
     return winners
+
+
+def _modal_winners(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Per row of occurrence counts, a uniformly random index among the
+    row's maxima: random scores restricted to the modal set, then argmax."""
+    modal = counts == counts.max(axis=1)[:, None]
+    scores = np.where(modal, rng.random(counts.shape), -1.0)
+    return scores.argmax(axis=1)
 
 
 def monte_carlo_majority_prob(

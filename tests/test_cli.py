@@ -123,6 +123,14 @@ class TestPointCommands:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags", [["approx", "--fallback"], ["approx", "--trials", "5"], ["exact", "--seed", "1"]]
+    )
+    def test_point_commands_reject_flags_they_lack(self, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(flags + ["--dist", "0.6,0.4", "--n", "3"])
+        assert exc.value.code == 2
+
 
 class TestPredict:
     def scenario(self, tmp_path):
@@ -208,6 +216,29 @@ class TestPredict:
             ],
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--budget", "nan"], ["--prices", "nan,0.6", "--budget", "1.0"]])
+    def test_nan_budget_or_price_exits_2(self, capsys, tmp_path, flags):
+        out_dir = tmp_path / "r"
+        code, _, err = run(
+            capsys,
+            ["predict", "--scenario", str(self.scenario(tmp_path)), "--grid", "1,3"]
+            + flags
+            + ["--out", str(out_dir)],
+        )
+        assert code == 2
+        assert "must be >= 0" in err
+        assert not out_dir.exists()
+
+    def test_non_numeric_probability_names_the_file(self, capsys, tmp_path):
+        path = tmp_path / "typed.jsonl"
+        write_lines(path, [scenario_line("s", "q0", ("x", 0.5))])
+        code, _, err = run(
+            capsys,
+            ["predict", "--scenario", str(path), "--n", "3", "--out", str(tmp_path / "r")],
+        )
+        assert code == 2
+        assert "typed.jsonl: line 1: probs must be numbers" in err
 
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -477,6 +508,7 @@ class TestSynthAnalyze:
         )
         assert code == 2
         assert "different questions" in err
+        assert not (tmp_path / "r").exists()
 
     def test_analyze_missing_truth_exits_2(self, capsys, tmp_path):
         data = self.synth(capsys, tmp_path, samples=5)

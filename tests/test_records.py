@@ -270,6 +270,17 @@ class TestReplay:
         b = replay_majority(p, 3, 5_000, seed=21)
         assert a == b
 
+    def test_replay_stream_is_pinned(self):
+        """Pinned values: changes to the counting or tie-break code must not
+        change the random stream a seeded replay consumes."""
+        p = pool(list("aabbbcacbd"))
+        got = [
+            replay_majority(p, n, 1000, seed=3, with_replacement=wr)
+            for n in (1, 4, 7)
+            for wr in (False, True)
+        ]
+        assert got == [0.315, 0.32, 0.303, 0.329, 0.286, 0.317]
+
     def test_argument_validation(self):
         p = pool(["a", "b", "c"])
         with pytest.raises(ValueError):

@@ -160,6 +160,19 @@ class TestBudgetSelection:
         with pytest.raises(NoFeasibleChoice):
             best_under_cost([ds], 1e-9, self.MODEL, [1, 3])
 
+    def test_nan_budget_and_price_rejected(self):
+        ds = dataset("s", [EARLY], pt=1000.0, ct=500.0)
+        with pytest.raises(ValueError):
+            best_under_cost([ds], math.nan, self.MODEL, [1, 3])
+        with pytest.raises(ValueError):
+            CostModel(math.nan, 0.0)
+        # an infinite budget stays legal: every grid point fits
+        assert best_under_cost([ds], math.inf, self.MODEL, [1, 3]).chosen_n == 3
+        # zero tokens at an infinite price cost NaN, which fits no budget
+        free_prompt = dataset("s", [EARLY], pt=0.0, ct=500.0)
+        with pytest.raises(NoFeasibleChoice):
+            best_under_cost([free_prompt], 1.0, CostModel(math.inf, 1e-6), [1, 3])
+
     def test_cheap_strategy_buys_more_votes(self):
         cheap = dataset("cheap", [AnswerDistribution((0.7, 0.3))], pt=100.0, ct=50.0)
         pricey = dataset("pricey", [AnswerDistribution((0.85, 0.15))], pt=10_000.0, ct=5_000.0)
@@ -394,6 +407,20 @@ class TestScenarioIO:
             load_scenario([self.line("s", "q", (0.5, 0.6))])
         with pytest.raises(MalformedLine):
             load_scenario([self.line("s", "q", (0.5, 0.5), correct=5)])
+
+    @pytest.mark.parametrize("probs", [["0.5", "0.5"], [True, False], ["x", 0.5]])
+    def test_probabilities_must_be_numbers(self, probs):
+        obj = json.loads(self.line("s", "q", (0.5, 0.5)))
+        obj["probs"] = probs
+        with pytest.raises(MalformedLine, match="probs must be numbers") as err:
+            load_scenario([self.line("s", "q0", (0.5, 0.5)), json.dumps(obj)])
+        assert err.value.line_number == 2
+
+    def test_probability_too_large_for_a_float_is_malformed(self):
+        obj = json.loads(self.line("s", "q", (0.5, 0.5)))
+        obj["probs"] = [10**400, 0]
+        with pytest.raises(MalformedLine):
+            load_scenario([json.dumps(obj)])
 
     def test_bool_fields_rejected(self):
         obj = json.loads(self.line("s", "q", (0.5, 0.5)))

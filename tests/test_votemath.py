@@ -218,6 +218,20 @@ class TestSimulation:
         rate = float((winners == 0).mean())
         assert rate == pytest.approx(0.5, abs=0.01)
 
+    def test_batch_winners_are_pinned(self):
+        """Pinned winners: the multinomial draws and the tie-break scores
+        keep their order in the random stream."""
+        rng = np.random.default_rng(5)
+        winners = simulate_votes(AnswerDistribution((0.4, 0.3, 0.3)), 4, 20, rng)
+        assert winners.tolist() == [
+            1, 0, 1, 2, 1, 0, 1, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1
+        ]
+        rng = np.random.default_rng(9)
+        winners = simulate_votes(AnswerDistribution((0.25,) * 4), 2, 20, rng)
+        assert winners.tolist() == [
+            2, 1, 1, 3, 3, 0, 2, 3, 1, 0, 1, 2, 2, 3, 2, 3, 0, 1, 0, 0
+        ]
+
     def test_monte_carlo_point(self):
         d = AnswerDistribution((0.64, 0.35, 0.01))
         vp = monte_carlo_majority_prob(d, 5, 100_000, seed=42)
