@@ -16,8 +16,9 @@ The three point commands are one command under three names. A report is a
 list of ``(file name, header, rows)`` tables: ``predict`` builds the
 strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
-so a failing run leaves no partial report. Every input file goes through
-one reader that names the file in line errors.
+so a failing run leaves no partial report. All tables of a run read one
+cell table, so each cell is evaluated once. Every input file goes through
+one reader that names the file and line in parse and UTF-8 errors.
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -140,13 +142,23 @@ def _config(args) -> RunConfig:
     )
 
 
+def _lines(path: str) -> list[str]:
+    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r; bad UTF-8 is a MalformedLine."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise MalformedLine(head.count(b"\n") + 1, "not valid UTF-8") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def _read(path: str, parse):
     """``parse`` applied to the lines of one input file; a malformed line is
     reported with the file's name."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.readlines()
     try:
-        return parse(lines)
+        return parse(_lines(path))
     except MalformedLine as exc:
         raise VoteScaleError(f"{path}: {exc}") from None
 
@@ -199,12 +211,16 @@ def _curve_rows(curves) -> list[list]:
     return rows
 
 
-def _strategy_tables(dss, cfg: RunConfig) -> list[tuple]:
+def _evaluation(cfg: RunConfig) -> dict:
+    """Estimator keywords for one run, with the run's one cell table."""
+    return dict(method=cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback, cells={})
+
+
+def _strategy_tables(dss, cfg: RunConfig, evaluation: dict) -> list[tuple]:
     """Per-strategy curves, the best strategy per n and, under a budget, the
     best (strategy, n) that fits it."""
-    kwargs = dict(trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
-    curves = [accuracy_curve(ds, cfg.grid, cfg.method, **kwargs) for ds in dss]
-    picks = [best_for_n(dss, n, cfg.method, **kwargs) for n in cfg.grid]
+    curves = [accuracy_curve(ds, cfg.grid, **evaluation) for ds in dss]
+    picks = [best_for_n(dss, n, **evaluation) for n in cfg.grid]
     tables = [
         ("curves.csv", ["strategy_id", "n", "accuracy", "method"], _curve_rows(curves)),
         (
@@ -214,9 +230,7 @@ def _strategy_tables(dss, cfg: RunConfig) -> list[tuple]:
         ),
     ]
     if cfg.budget is not None:
-        r = best_under_cost(
-            dss, cfg.budget, cfg.cost_model, cfg.grid, cfg.method, **kwargs
-        )
+        r = best_under_cost(dss, cfg.budget, cfg.cost_model, cfg.grid, **evaluation)
         tables.append(
             (
                 "budget_selection.csv",
@@ -229,7 +243,8 @@ def _strategy_tables(dss, cfg: RunConfig) -> list[tuple]:
 
 def cmd_predict(args) -> int:
     cfg = _config(args)
-    _write_report(cfg.out, _strategy_tables(_load_scenario_file(args.scenario), cfg))
+    dss = _load_scenario_file(args.scenario)
+    _write_report(cfg.out, _strategy_tables(dss, cfg, _evaluation(cfg)))
     return 0
 
 
@@ -246,6 +261,8 @@ def _kl_row(ds: StrategyDataset) -> list:
 
 def cmd_analyze(args) -> int:
     cfg = _config(args)
+    if not 0 <= args.smoothing < math.inf:
+        raise ValueError("--smoothing must be a finite number >= 0")
     truth = _read(args.truth, load_ground_truth)
     records = [record for path in args.log for record in _read(path, parse_records)]
     groups = group_records(records, truth)
@@ -253,11 +270,11 @@ def cmd_analyze(args) -> int:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)
 
-    tables = _strategy_tables(dss, cfg)
-    kwargs = dict(trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
-    oracle_curves = [adaptive_curve(ds, cfg.grid, cfg.method, **kwargs) for ds in dss]
-    oracle_curves.append(dynamic_curve(dss, cfg.grid, cfg.method, **kwargs))
-    oracle_curves.append(combined_curve(dss, cfg.grid, cfg.method, **kwargs))
+    evaluation = _evaluation(cfg)
+    tables = _strategy_tables(dss, cfg, evaluation)
+    oracle_curves = [adaptive_curve(ds, cfg.grid, **evaluation) for ds in dss]
+    oracle_curves.append(dynamic_curve(dss, cfg.grid, **evaluation))
+    oracle_curves.append(combined_curve(dss, cfg.grid, **evaluation))
 
     dists = {(q.question_id, ds.strategy_id): q.dist for ds in dss for q in ds.questions}
     distribution_rows = []
@@ -427,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--truth", required=True, help="ground-truth file")
     _add_grid_flags(p_analyze)
     _add_eval_flags(p_analyze, default_method="exact")
-    p_analyze.add_argument("--smoothing", type=float, default=0.0, help="pseudo-count per answer in estimation")
+    p_analyze.add_argument("--smoothing", type=float, default=0.0, help="finite pseudo-count >= 0 per answer")
     p_analyze.add_argument("--prices", help="PROMPT,COMPLETION currency per 1M tokens")
     p_analyze.add_argument("--budget", type=float, help="also select under this dataset-total cost")
     p_analyze.add_argument("--out", required=True, help="report directory")

@@ -15,8 +15,9 @@ from .errors import InvalidDistribution
 #: Absolute slack allowed on the sum-to-one invariant.
 SUM_TOLERANCE = 1e-9
 
-#: Per-vote-probability methods a VoteProbability may be tagged with.
-METHODS = ("exact", "closed_form", "monte_carlo", "normal_approx")
+#: Per-vote-probability methods a VoteProbability may be tagged with, from
+#: most to least exact (a dataset mean takes its least exact value's tag).
+METHODS = ("exact", "closed_form", "normal_approx", "monte_carlo")
 
 
 @dataclass(frozen=True)

@@ -270,13 +270,13 @@ def estimate_distribution(
     Each distinct answer gets count/total; the correct answer is appended
     with probability zero when never sampled, so the result always carries
     a valid correct_index. ``smoothing`` adds that many pseudo-counts to
-    every answer in the support (add-one smoothing at 1.0); the default is
-    the plain empirical estimator.
+    every answer in the support (add-one smoothing at 1.0) and must be
+    finite and >= 0; the default is the plain empirical estimator.
     """
     if not samples.answers:
         raise ValueError("cannot estimate a distribution from zero samples")
-    if smoothing < 0:
-        raise ValueError("smoothing must be >= 0")
+    if not 0 <= smoothing < math.inf:
+        raise ValueError("smoothing must be a finite number >= 0")
     support = answer_support(samples)
     counts = {answer: 0 for answer in support}
     for answer in samples.answers:

@@ -13,26 +13,26 @@ computes three oracle curves that bound what smarter sampling could do:
 * combined  -- both at once.
 
 Every curve, selection and oracle is a reduction over (strategy, question,
-effective n) cells. Each cell is evaluated once per process and kept in a
-bounded cache, so a selection or oracle that revisits a cell reads it back
-instead of recomputing it. Monte Carlo cells derive their sub-seed from
-(strategy, question position, effective n), so a cell has one value however
-it is reached and the documented dominance relations between curves survive
-sampling noise. A dataset point is tagged with the least exact estimator
-among its cells.
+effective n) cells kept in a cell table, a dict the caller owns: one table
+passed as ``cells=`` to every reduction of a run evaluates each cell once,
+and a call without one keeps nothing. Monte Carlo cells derive their
+sub-seed from (strategy, question position, effective n), so a cell has one
+value however it is reached and the documented dominance relations between
+curves survive sampling noise. A dataset point is tagged with the least
+exact estimator among its cells.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .distribution import AnswerDistribution, VoteProbability
+from .distribution import METHODS, AnswerDistribution, VoteProbability
 from .difficulty import Difficulty, classify, crossover_condition, limit_prob
 from .errors import (
     DuplicateKey,
@@ -115,47 +115,24 @@ class ExtremePerformance(NamedTuple):
     limit_accuracy: float
 
 
-#: Bound on the cells :func:`_cell` keeps: a 3-strategy, 300-question,
-#: 7-point report (6,300 cells) fits with room to spare, and the retained
-#: values stay at a few MB.
-_CELL_CACHE_SIZE = 1 << 14
-
-#: Estimators from most to least exact; a dataset mean is tagged with the
-#: least exact estimator among the cells it averages.
-_EXACTNESS = ("exact", "closed_form", "normal_approx", "monte_carlo")
-
-
-@lru_cache(maxsize=_CELL_CACHE_SIZE)
-def _cell(
-    dist: AnswerDistribution,
-    n: int,
-    method: str,
-    trials: int,
-    seed: int,
-    fallback: bool,
-    strategy_id: str,
-    q_index: int,
-) -> VoteProbability:
-    """One (strategy, question, n) cell, evaluated once per process.
-
-    Monte Carlo cells draw from a sub-seed keyed by strategy, question
-    position and effective n, so the same cell reached from different
-    curves (vanilla, adaptive, dynamic) is one evaluation and oracle
-    dominance survives sampling noise. ``dist`` is part of the key, so two
-    datasets that share a strategy id share no cell whose distribution
-    differs.
-    """
-    if method == "monte_carlo":
-        seed = np.random.SeedSequence(
-            [seed, zlib.crc32(strategy_id.encode("utf-8")), q_index, n]
+def _cell(cells: dict, key: tuple) -> VoteProbability:
+    """One cell, read from the table ``cells`` or evaluated into it. ``key``
+    is the cell's full identity: (distribution, effective n, method, trials,
+    seed, fallback, strategy id, question position), so a shared table never
+    mixes settings or distributions."""
+    vp = cells.get(key)
+    if vp is None:
+        dist, n, method, trials, seed, fallback, strategy_id, qi = key
+        if method == "monte_carlo":
+            seed = np.random.SeedSequence([seed, zlib.crc32(strategy_id.encode("utf-8")), qi, n])
+        vp = cells[key] = vote_probability(
+            dist, n, method, trials=trials, seed=seed, fallback=fallback
         )
-    return vote_probability(
-        dist, n, method, trials=trials, seed=seed, fallback=fallback
-    )
+    return vp
 
 
 def _mean_point(values: list[VoteProbability], n: int) -> VoteProbability:
-    method = max((v.method for v in values), key=_EXACTNESS.index)
+    method = max((v.method for v in values), key=METHODS.index)
     mean = math.fsum(v.value for v in values) / len(values)
     if method == "monte_carlo":
         stderr = (
@@ -187,6 +164,7 @@ def _reduce(
     trials: int,
     seed: int,
     fallback: bool,
+    cells: dict | None,
     *,
     adaptive: bool,
     curve_id: str,
@@ -203,6 +181,7 @@ def _reduce(
     order = _shared_order(dss)
     if not order:
         raise ValueError("dataset has no questions")
+    cells = {} if cells is None else cells
     candidates: dict[str, list] = {question_id: [] for question_id in order}
     for ds in dss:
         for qi, q in enumerate(ds.questions):
@@ -212,14 +191,11 @@ def _reduce(
     for n in grid:
         values = []
         for question_id in order:
-            best = None
-            for strategy_id, qi, dist, hard in candidates[question_id]:
-                vp = _cell(
-                    dist, 1 if hard else n, method, trials, seed, fallback, strategy_id, qi
-                )
-                if best is None or vp.value > best.value:
-                    best = vp
-            values.append(best)
+            row = [
+                _cell(cells, (dist, 1 if hard else n, method, trials, seed, fallback, sid, qi))
+                for sid, qi, dist, hard in candidates[question_id]
+            ]
+            values.append(max(row, key=lambda vp: vp.value))  # first maximum wins ties
         points.append(_mean_point(values, n))
     return ScalingCurve(tuple(points), method, curve_id=curve_id)
 
@@ -232,15 +208,19 @@ def accuracy_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> ScalingCurve:
     """Dataset accuracy versus sampling time: per-question estimator, averaged.
 
     Cap overflows in the exact estimator propagate unless ``fallback``
     substitutes the normal approximation for the offending questions; a
     point is then tagged with the least exact estimator among its cells.
+    ``cells`` is the run's cell table (a dict, filled in place); pass the
+    same one to every reduction of a run so that each cell is evaluated
+    once. Without it the call uses a fresh table.
     """
     return _reduce(
-        [ds], ns, method, trials, seed, fallback, adaptive=False, curve_id=ds.strategy_id
+        [ds], ns, method, trials, seed, fallback, cells, adaptive=False, curve_id=ds.strategy_id
     )
 
 
@@ -252,6 +232,7 @@ def adaptive_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> ScalingCurve:
     """Oracle curve that refuses to scale on hard questions.
 
@@ -259,10 +240,13 @@ def adaptive_curve(
     (one sample, no vote); the rest scale normally. This needs the true
     difficulty label, hence "oracle". Not pointwise above the vanilla
     curve at small n; its advantage is in the tail, where hard questions
-    would otherwise decay toward zero.
+    would otherwise decay toward zero. ``cells`` as in
+    :func:`accuracy_curve`.
     """
     curve_id = f"{ds.strategy_id}+adaptive"
-    return _reduce([ds], ns, method, trials, seed, fallback, adaptive=True, curve_id=curve_id)
+    return _reduce(
+        [ds], ns, method, trials, seed, fallback, cells, adaptive=True, curve_id=curve_id
+    )
 
 
 def dynamic_curve(
@@ -273,15 +257,17 @@ def dynamic_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> ScalingCurve:
     """Oracle curve that picks the best strategy per question.
 
     All datasets must cover the same question ids. Per question and grid
     point, the largest per-strategy estimate wins; the mean over questions
-    therefore dominates every single strategy's curve pointwise.
+    therefore dominates every single strategy's curve pointwise. ``cells``
+    as in :func:`accuracy_curve`.
     """
     return _reduce(
-        dss, ns, method, trials, seed, fallback, adaptive=False, curve_id="dynamic"
+        dss, ns, method, trials, seed, fallback, cells, adaptive=False, curve_id="dynamic"
     )
 
 
@@ -293,11 +279,13 @@ def combined_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> ScalingCurve:
     """Adaptive and dynamic at once: per strategy, use n=1 where that
-    strategy finds the question hard; then take the per-question max."""
+    strategy finds the question hard; then take the per-question max.
+    ``cells`` as in :func:`accuracy_curve`."""
     return _reduce(
-        dss, ns, method, trials, seed, fallback, adaptive=True, curve_id="combined"
+        dss, ns, method, trials, seed, fallback, cells, adaptive=True, curve_id="combined"
     )
 
 
@@ -352,6 +340,20 @@ def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
     )
 
 
+def _best(candidates, budget, method, trials, seed, fallback, cells) -> SelectionResult | None:
+    """The argmax behind both selections: the (dataset, n) candidate of highest
+    predicted accuracy, the earliest on ties; None without candidates."""
+    kwargs = dict(trials=trials, seed=seed, fallback=fallback, cells=cells)
+    scored = [
+        (accuracy_curve(ds, [n], method, **kwargs).points[0].value, ds.strategy_id, n)
+        for ds, n in candidates
+    ]
+    if not scored:
+        return None
+    value, strategy_id, n = max(scored, key=lambda score: score[0])
+    return SelectionResult(budget, strategy_id, n, value)
+
+
 def best_for_n(
     dss: list[StrategyDataset],
     n: int,
@@ -360,23 +362,14 @@ def best_for_n(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> SelectionResult:
-    """Best strategy at a fixed sampling time; ties keep the earliest input."""
+    """Best strategy at a fixed sampling time; ties keep the earliest input.
+    ``cells`` as in :func:`accuracy_curve`."""
     if not dss:
         raise ValueError("need at least one strategy dataset")
-    best = None
-    for ds in dss:
-        value = accuracy_curve(
-            ds, [n], method, trials=trials, seed=seed, fallback=fallback
-        ).points[0].value
-        if best is None or value > best.predicted_accuracy:
-            best = SelectionResult(
-                budget=("samples", float(n)),
-                chosen_strategy=ds.strategy_id,
-                chosen_n=n,
-                predicted_accuracy=value,
-            )
-    return best
+    candidates = [(ds, n) for ds in dss]
+    return _best(candidates, ("samples", float(n)), method, trials, seed, fallback, cells)
 
 
 def dataset_sample_cost(ds: StrategyDataset, model: CostModel) -> float:
@@ -397,6 +390,7 @@ def best_under_cost(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
+    cells: dict | None = None,
 ) -> SelectionResult:
     """Best (strategy, n) whose dataset-total cost fits the budget.
 
@@ -406,34 +400,19 @@ def best_under_cost(
     not n: on declining (hard-dominated) datasets a small n can win even
     under a generous budget. Raises :class:`NoFeasibleChoice` when no
     strategy affords even its smallest grid point, and ``ValueError`` for a
-    negative or NaN budget.
+    negative or NaN budget. ``cells`` as in :func:`accuracy_curve`.
     """
     grid = check_grid(ns)
     if not dss:
         raise ValueError("need at least one strategy dataset")
     if not budget >= 0:
         raise ValueError("budget must be >= 0")
-    best = None
-    for ds in dss:
-        per_sample = dataset_sample_cost(ds, model)
-        for n in grid:
-            # written so that a NaN cost (zero tokens at an infinite price) never fits
-            if not n * per_sample <= budget:
-                break
-            value = accuracy_curve(
-                ds, [n], method, trials=trials, seed=seed, fallback=fallback
-            ).points[0].value
-            if best is None or value > best.predicted_accuracy:
-                best = SelectionResult(
-                    budget=("cost", float(budget)),
-                    chosen_strategy=ds.strategy_id,
-                    chosen_n=n,
-                    predicted_accuracy=value,
-                )
+    costs = [dataset_sample_cost(ds, model) for ds in dss]
+    # a NaN cost (zero tokens at an infinite price) fits no budget
+    candidates = [(ds, n) for ds, cost in zip(dss, costs) for n in grid if n * cost <= budget]
+    best = _best(candidates, ("cost", float(budget)), method, trials, seed, fallback, cells)
     if best is None:
-        raise NoFeasibleChoice(
-            f"no strategy fits a dataset-total budget of {budget!r}"
-        )
+        raise NoFeasibleChoice(f"no strategy fits a dataset-total budget of {budget!r}")
     return best
 
 
@@ -480,8 +459,9 @@ def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
         means = []
         for field_name in ("mean_prompt_tokens", "mean_completion_tokens"):
             value = obj[field_name]
-            if not _is_number(value) or value < 0:
-                raise MalformedLine(line_number, f"{field_name} must be a nonnegative number")
+            # NaN, inf and ints too large for a double all fail the bounds
+            if not _is_number(value) or not 0 <= value <= sys.float_info.max:
+                raise MalformedLine(line_number, f"{field_name} must be a finite number >= 0")
             means.append(float(value))
         try:
             dist = AnswerDistribution(tuple(obj["probs"]), obj["correct_index"])

@@ -240,6 +240,20 @@ class TestPredict:
         assert code == 2
         assert "typed.jsonl: line 1: probs must be numbers" in err
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_line_ends_and_non_utf8_bytes(self, capsys, tmp_path, newline):
+        lines = [scenario_line("s", f"q{i}", (0.6, 0.4)).encode() for i in range(3)]
+        path = tmp_path / "scenario.jsonl"
+        path.write_bytes(newline.join(lines) + newline)
+        argv = ["predict", "--scenario", str(path), "--n", "3", "--out", str(tmp_path / "r")]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        assert len(read_csv(tmp_path / "r" / "curves.csv")) == 2
+        path.write_bytes(newline.join(lines[:2] + [b"\xff" + lines[2]]) + newline)
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert f"{path}: line 3: not valid UTF-8" in err
+
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text("not json\n", encoding="utf-8")
@@ -249,6 +263,60 @@ class TestPredict:
         )
         assert code == 2
         assert "bad.jsonl" in err
+
+    def test_report_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
+        import votescale.selection as selection
+
+        path = tmp_path / "large.jsonl"
+        write_lines(
+            path,
+            [
+                scenario_line(f"s{s}", f"q{q}", (0.4 + 0.01 * s, 0.35, 0.25 - 0.01 * s))
+                for s in range(3)
+                for q in range(1000)
+            ],
+        )
+        real = selection.vote_probability
+        calls = []
+
+        def counting(dist, n, method, **kwargs):
+            calls.append(n)
+            return real(dist, n, method, **kwargs)
+
+        monkeypatch.setattr(selection, "vote_probability", counting)
+        code, _, err = run(
+            capsys,
+            [
+                "predict",
+                "--scenario",
+                str(path),
+                "--method",
+                "approx",
+                "--grid",
+                "1,3,5,9,15,31",
+                "--out",
+                str(tmp_path / "report"),
+            ],
+        )
+        assert code == 0, err
+        # 3 strategies x 1,000 questions x 6 grid points, each evaluated once
+        assert len(calls) == 18_000
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("command", ["predict", "synth"])
+    def test_non_finite_token_mean_names_the_line(self, capsys, tmp_path, command, value):
+        path = tmp_path / "tokens.jsonl"
+        write_lines(
+            path,
+            [scenario_line("s", "q0", (0.6, 0.4)), scenario_line("s", "q1", (0.6, 0.4), pt=value)],
+        )
+        flags = ["--n", "3", "--budget", "5"] if command == "predict" else ["--samples", "3"]
+        code, _, err = run(
+            capsys, [command, "--scenario", str(path), *flags, "--out", str(tmp_path / "r")]
+        )
+        assert code == 2
+        assert "tokens.jsonl: line 2: mean_prompt_tokens must be a finite number >= 0" in err
+        assert not (tmp_path / "r").exists()
 
     def test_empty_scenario_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.jsonl"
@@ -410,7 +478,6 @@ class TestSynthAnalyze:
         import votescale.selection as selection
 
         data = self.synth(capsys, tmp_path, samples=40)
-        selection._cell.cache_clear()
         real = selection.vote_probability
         calls = []
 
@@ -444,6 +511,51 @@ class TestSynthAnalyze:
         assert (tmp_path / "report" / "budget_selection.csv").exists()
         # 2 strategies x 2 questions x 3 grid points, each evaluated once
         assert len(calls) == len(set(calls)) == 12
+
+    @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
+    def test_analyze_rejects_bad_smoothing(self, capsys, tmp_path, smoothing):
+        data = self.synth(capsys, tmp_path, samples=10)
+        code, _, err = run(
+            capsys,
+            [
+                "analyze",
+                "--log",
+                str(data / "log.jsonl"),
+                "--truth",
+                str(data / "truth.jsonl"),
+                "--n",
+                "3",
+                "--smoothing",
+                smoothing,
+                "--out",
+                str(tmp_path / "report"),
+            ],
+        )
+        assert code == 2
+        assert "--smoothing must be a finite number >= 0" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_analyze_non_utf8_log_names_file_and_line(self, capsys, tmp_path):
+        data = self.synth(capsys, tmp_path, samples=10)
+        log = data / "log.jsonl"
+        lines = log.read_bytes().splitlines(keepends=True)
+        log.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        code, _, err = run(
+            capsys,
+            [
+                "analyze",
+                "--log",
+                str(log),
+                "--truth",
+                str(data / "truth.jsonl"),
+                "--n",
+                "3",
+                "--out",
+                str(tmp_path / "report"),
+            ],
+        )
+        assert code == 2
+        assert f"{log}: line 3: not valid UTF-8" in err
 
     def test_analyze_empty_log_exits_2(self, capsys, tmp_path):
         (tmp_path / "log.jsonl").write_text("\n", encoding="utf-8")

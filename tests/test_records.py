@@ -216,6 +216,11 @@ class TestEstimateDistribution:
         with pytest.raises(ValueError):
             estimate_distribution(pool(["a"]), smoothing=-0.1)
 
+    @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
+    def test_non_finite_smoothing_rejected(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing must be a finite number >= 0"):
+            estimate_distribution(pool(["a", "b"]), smoothing=smoothing)
+
     def test_empty_pool(self):
         with pytest.raises(ValueError):
             estimate_distribution(pool([]))

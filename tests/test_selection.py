@@ -61,6 +61,21 @@ class TestDatasets:
             SelectionResult(("samples", 1.0), "s", 1, 1.5)
 
 
+def counted_cells(monkeypatch):
+    """Record the (dist, n) of every vote_probability call made by selection."""
+    import votescale.selection as selection
+
+    real = selection.vote_probability
+    calls = []
+
+    def counting(dist, n, method, **kwargs):
+        calls.append((dist, n))
+        return real(dist, n, method, **kwargs)
+
+    monkeypatch.setattr(selection, "vote_probability", counting)
+    return calls
+
+
 class TestAccuracyCurve:
     def test_single_question_equals_pointwise_estimates(self):
         curve = accuracy_curve(dataset("s", [EARLY]), [1, 3, 5])
@@ -117,6 +132,52 @@ class TestAccuracyCurve:
             [dataset("a", [EARLY, LATE]), dataset("b", [wide, LATE])], [5], fallback=True
         )
         assert loses.points[0].method == "exact"
+
+    def test_plain_calls_keep_no_state(self, monkeypatch):
+        calls = counted_cells(monkeypatch)
+        ds = dataset("s", [EARLY, LATE])
+        first = accuracy_curve(ds, [1, 3, 5])
+        assert len(calls) == 6
+        assert accuracy_curve(ds, [1, 3, 5]) == first
+        # the second call evaluates its cells again: nothing was kept
+        assert len(calls) == 12
+
+    def test_shared_table_evaluates_each_cell_once(self, monkeypatch):
+        calls = counted_cells(monkeypatch)
+        hard = AnswerDistribution((0.3, 0.6, 0.1))
+        dss = [dataset("early", [EARLY, hard]), dataset("late", [LATE, EARLY])]
+        model = CostModel.from_per_million(0.15, 0.60)
+        cells = {}
+        for ds in dss:
+            accuracy_curve(ds, [1, 3, 5], cells=cells)
+        assert len(calls) == len(cells) == 12
+        for n in (1, 3, 5):
+            best_for_n(dss, n, cells=cells)
+        best_under_cost(dss, math.inf, model, [1, 3, 5], cells=cells)
+        dynamic_curve(dss, [1, 3, 5], cells=cells)
+        assert len(calls) == 12
+        # the oracles read hard questions from the n=1 column, already there
+        combined_curve(dss, [1, 3, 5], cells=cells)
+        adaptive_curve(dss[0], [1, 3, 5], cells=cells)
+        assert len(calls) == 12
+
+    def test_shared_table_keeps_settings_apart(self):
+        ds = dataset("s", [EARLY, LATE])
+        cells = {}
+        exact = accuracy_curve(ds, [5], cells=cells)
+        approx = accuracy_curve(ds, [5], "approx", cells=cells)
+        mc = accuracy_curve(ds, [5], "mc", trials=2000, seed=1, cells=cells)
+        other_seed = accuracy_curve(ds, [5], "mc", trials=2000, seed=2, cells=cells)
+        assert approx == accuracy_curve(ds, [5], "approx")
+        assert mc == accuracy_curve(ds, [5], "mc", trials=2000, seed=1)
+        assert other_seed == accuracy_curve(ds, [5], "mc", trials=2000, seed=2)
+        assert exact.points[0].method == "exact"
+        assert approx.points[0].method == "normal_approx"
+        assert mc.values != other_seed.values
+        # another distribution under the same strategy id and position is a new cell
+        moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], cells=cells)
+        assert moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5])
+        assert len(cells) == 10
 
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
@@ -421,6 +482,16 @@ class TestScenarioIO:
         obj["probs"] = [10**400, 0]
         with pytest.raises(MalformedLine):
             load_scenario([json.dumps(obj)])
+
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, 10**400], ids=["nan", "inf", "int-too-large"]
+    )
+    def test_token_means_must_be_finite(self, value):
+        obj = json.loads(self.line("s", "q", (0.5, 0.5)))
+        obj["mean_completion_tokens"] = value
+        with pytest.raises(MalformedLine, match="mean_completion_tokens must be a finite") as err:
+            load_scenario([self.line("s", "q0", (0.5, 0.5)), json.dumps(obj)])
+        assert err.value.line_number == 2
 
     def test_bool_fields_rejected(self):
         obj = json.loads(self.line("s", "q", (0.5, 0.5)))
