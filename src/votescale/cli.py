@@ -18,7 +18,7 @@ strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
 so a failing run leaves no partial report. All tables of a run read one
 cell table, so each cell is evaluated once. Every input file goes through
-one reader that names the file and line in parse and UTF-8 errors.
+one reader that names the file and line of each bad or repeated line.
 
 Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -41,6 +41,7 @@ from .difficulty import classify, kl_to_uniform
 from .distribution import AnswerDistribution
 from .errors import (
     CapExceeded,
+    DuplicateKey,
     MalformedLine,
     NoWrongMass,
     VoteScaleError,
@@ -155,11 +156,11 @@ def _lines(path: str) -> list[str]:
 
 
 def _read(path: str, parse):
-    """``parse`` applied to the lines of one input file; a malformed line is
-    reported with the file's name."""
+    """``parse`` applied to the lines of one input file; a malformed or
+    repeated line is reported with the file's name."""
     try:
         return parse(_lines(path))
-    except MalformedLine as exc:
+    except (MalformedLine, DuplicateKey) as exc:
         raise VoteScaleError(f"{path}: {exc}") from None
 
 

@@ -34,7 +34,13 @@ class MalformedLine(VoteScaleError):
 
 
 class DuplicateKey(VoteScaleError):
-    """Two records share a (question_id, strategy_id, sample_index) key."""
+    """Two records share a (question_id, strategy_id, sample_index) key, or
+    an input line repeats the key of an earlier one; then it carries that
+    line's 1-based number."""
+
+    def __init__(self, message: str, line_number: int | None = None):
+        super().__init__(message if line_number is None else f"line {line_number}: {message}")
+        self.line_number = line_number
 
 
 class MissingGroundTruth(VoteScaleError):

@@ -8,14 +8,17 @@ that (trimming, case-folding, numeric cleanup) is the caller's business and
 can be injected as a ``canonicalize`` hook. Empty or null answers become
 the sentinel :data:`UNPARSEABLE`, which never equals a correct answer, so
 unparseable outputs count as wrong votes instead of silently inflating
-accuracy.
+accuracy. Logs, ground truth and the scenario files of
+:mod:`votescale.selection` all go through this module's one line reader and
+typed field checks, so every bad line raises an error carrying its number.
 """
 from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -110,61 +113,78 @@ class CostModel:
         return prompt_tokens * self.prompt_price + completion_tokens * self.completion_price
 
 
-def _parse_json_line(line_number: int, line: str, expected: frozenset) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from None
-    if not isinstance(obj, dict):
-        raise MalformedLine(line_number, "record must be a JSON object")
-    missing = expected - obj.keys()
-    extra = obj.keys() - expected
-    if missing:
-        raise MalformedLine(line_number, f"missing fields: {', '.join(sorted(missing))}")
-    if extra:
-        raise MalformedLine(line_number, f"unexpected fields: {', '.join(sorted(extra))}")
-    return obj
+def _json_lines(lines: Iterable[str], fields: frozenset) -> Iterator[tuple[int, dict]]:
+    """The one reader of line-delimited JSON input: ``(line number, object)``
+    for each nonblank line that holds one JSON object with exactly
+    ``fields``; anything else is a :class:`MalformedLine`."""
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except RecursionError:
+            raise MalformedLine(line_number, "invalid JSON: nested too deeply") from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer too long to read
+            raise MalformedLine(line_number, f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+        if not isinstance(obj, dict):
+            raise MalformedLine(line_number, "record must be a JSON object")
+        if obj.keys() != fields:
+            missing, extra = fields - obj.keys(), obj.keys() - fields
+            kind, names = ("missing", missing) if missing else ("unexpected", extra)
+            raise MalformedLine(line_number, f"{kind} fields: {', '.join(sorted(names))}")
+        yield line_number, obj
 
 
-def _require_str(line_number: int, obj: dict, field: str) -> str:
+def _text(line_number: int, obj: dict, field: str) -> str:
+    """A string field that encodes as UTF-8 (JSON admits lone surrogates)."""
     value = obj[field]
     if not isinstance(value, str):
         raise MalformedLine(line_number, f"{field} must be a string")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedLine(line_number, f"{field} holds a lone surrogate, not UTF-8") from None
     return value
 
 
-def _require_count(line_number: int, obj: dict, field: str) -> int:
+def _count(line_number: int, obj: dict, field: str) -> int:
+    """An integer field in [0, sys.float_info.max]."""
     value = obj[field]
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise MalformedLine(line_number, f"{field} must be a nonnegative integer")
+    if type(value) is not int or not 0 <= value <= sys.float_info.max:
+        raise MalformedLine(line_number, f"{field} must be an integer from 0 to the largest double")
     return value
+
+
+def _number(line_number: int, obj: dict, field: str) -> float:
+    """A finite number field >= 0, as a float."""
+    value = obj[field]
+    # NaN, inf and ints too large for a double all fail the bounds
+    if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+        raise MalformedLine(line_number, f"{field} must be a finite number >= 0")
+    return float(value)
 
 
 def parse_records(lines: Iterable[str]) -> list[SampleRecord]:
     """Parse log lines into records; blank lines are skipped.
 
     Raises :class:`MalformedLine` (with the 1-based line number) on invalid
-    JSON, a wrong field set, or wrong field types. Null or empty answers
-    become :data:`UNPARSEABLE`.
+    or too deeply nested JSON, a wrong field set, a wrong field type, text
+    that is not UTF-8, or a token count or sample index outside
+    [0, sys.float_info.max]. A null answer becomes :data:`UNPARSEABLE`; an
+    empty one stays empty until :func:`group_records` maps it.
     """
     records = []
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        obj = _parse_json_line(line_number, line, _RECORD_FIELDS)
-        answer = obj["answer"]
-        if answer is None:
-            answer = UNPARSEABLE
-        elif not isinstance(answer, str):
+    for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+        if obj["answer"] is not None and not isinstance(obj["answer"], str):
             raise MalformedLine(line_number, "answer must be a string or null")
         records.append(
             SampleRecord(
-                question_id=_require_str(line_number, obj, "question_id"),
-                strategy_id=_require_str(line_number, obj, "strategy_id"),
-                sample_index=_require_count(line_number, obj, "sample_index"),
-                answer=answer,
-                prompt_tokens=_require_count(line_number, obj, "prompt_tokens"),
-                completion_tokens=_require_count(line_number, obj, "completion_tokens"),
+                question_id=_text(line_number, obj, "question_id"),
+                strategy_id=_text(line_number, obj, "strategy_id"),
+                sample_index=_count(line_number, obj, "sample_index"),
+                answer=UNPARSEABLE if obj["answer"] is None else _text(line_number, obj, "answer"),
+                prompt_tokens=_count(line_number, obj, "prompt_tokens"),
+                completion_tokens=_count(line_number, obj, "completion_tokens"),
             )
         )
     return records
@@ -173,23 +193,21 @@ def parse_records(lines: Iterable[str]) -> list[SampleRecord]:
 def load_ground_truth(lines: Iterable[str]) -> dict[str, str]:
     """Parse a ground-truth file into question_id -> correct_answer.
 
-    A correct answer may not be empty or the sentinel (both would collide
-    with the encoding of unparseable samples). Repeated question_ids raise
-    :class:`DuplicateKey`.
+    Line errors are those of :func:`parse_records`. A correct answer may not
+    be empty or the sentinel (both would collide with the encoding of
+    unparseable samples). A repeated question_id raises :class:`DuplicateKey`
+    with the repeating line's number.
     """
     truth: dict[str, str] = {}
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        obj = _parse_json_line(line_number, line, _TRUTH_FIELDS)
-        question_id = _require_str(line_number, obj, "question_id")
-        correct = _require_str(line_number, obj, "correct_answer")
+    for line_number, obj in _json_lines(lines, _TRUTH_FIELDS):
+        question_id = _text(line_number, obj, "question_id")
+        correct = _text(line_number, obj, "correct_answer")
         if correct in ("", UNPARSEABLE):
             raise MalformedLine(
                 line_number, "correct_answer must be a nonempty non-sentinel string"
             )
         if question_id in truth:
-            raise DuplicateKey(f"ground truth repeats question_id {question_id!r}")
+            raise DuplicateKey(f"ground truth repeats question_id {question_id!r}", line_number)
         truth[question_id] = correct
     return truth
 
@@ -203,25 +221,18 @@ def group_records(
     """Group records by (question, strategy), ordered by sample_index.
 
     ``canonicalize`` is applied to recorded and correct answers alike (the
-    sentinel passes through untouched); an answer that canonicalizes to the
-    empty string becomes the sentinel. Duplicate (question, strategy,
+    sentinel passes through untouched); an answer that is empty, after the
+    hook when one is given, becomes the sentinel. Duplicate (question, strategy,
     sample_index) keys and questions without ground truth are errors.
     """
 
     def canon(answer: str) -> str:
-        if canonicalize is None or answer == UNPARSEABLE:
-            return answer
-        return canonicalize(answer) or UNPARSEABLE
+        if canonicalize is not None and answer != UNPARSEABLE:
+            answer = canonicalize(answer)
+        return answer or UNPARSEABLE
 
     by_group: dict[tuple[str, str], list[SampleRecord]] = {}
-    seen: set[tuple[str, str, int]] = set()
     for record in records:
-        if record.key in seen:
-            raise DuplicateKey(
-                "duplicate (question_id, strategy_id, sample_index): "
-                f"{record.key!r}"
-            )
-        seen.add(record.key)
         by_group.setdefault((record.question_id, record.strategy_id), []).append(record)
 
     groups: dict[tuple[str, str], QuestionSamples] = {}
@@ -229,13 +240,20 @@ def group_records(
         if question_id not in ground_truth:
             raise MissingGroundTruth(f"no correct answer for question {question_id!r}")
         members.sort(key=lambda r: r.sample_index)
+        for before, record in zip(members, members[1:]):
+            if before.sample_index == record.sample_index:
+                raise DuplicateKey(
+                    "duplicate (question_id, strategy_id, sample_index): "
+                    f"{record.key!r}"
+                )
         groups[(question_id, strategy_id)] = QuestionSamples(
             question_id=question_id,
             strategy_id=strategy_id,
             correct_answer=canon(ground_truth[question_id]),
             answers=tuple(canon(r.answer) for r in members),
-            mean_prompt_tokens=float(np.mean([r.prompt_tokens for r in members])),
-            mean_completion_tokens=float(np.mean([r.completion_tokens for r in members])),
+            # exact integer sums, one rounding each
+            mean_prompt_tokens=sum(r.prompt_tokens for r in members) / len(members),
+            mean_completion_tokens=sum(r.completion_tokens for r in members) / len(members),
         )
     return groups
 

@@ -23,9 +23,7 @@ exact estimator among its cells.
 """
 from __future__ import annotations
 
-import json
 import math
-import sys
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -42,6 +40,7 @@ from .errors import (
     NoFeasibleChoice,
 )
 from .records import CostModel, QuestionSamples, estimate_distribution
+from .records import _json_lines, _number, _text
 from .votemath import ScalingCurve, canonical_method, check_grid, vote_probability
 
 _SCENARIO_FIELDS = frozenset(
@@ -416,65 +415,43 @@ def best_under_cost(
     return best
 
 
-def _is_number(value) -> bool:
-    """A JSON number: int or float, but not a boolean."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
     """Parse an analytic scenario file into strategy datasets.
 
     Line-delimited JSON objects {strategy_id, question_id, probs,
-    correct_index, mean_prompt_tokens, mean_completion_tokens}. Strategies
-    and questions keep first-appearance order; a repeated (strategy,
-    question) pair is an error.
+    correct_index, mean_prompt_tokens, mean_completion_tokens}, read and
+    checked by :mod:`votescale.records`' line reader; token means are finite
+    numbers >= 0. Strategies and questions keep first-appearance order; a
+    repeated (strategy, question) pair raises :class:`DuplicateKey` with the
+    repeating line's number.
     """
     by_strategy: dict[str, list[QuestionEntry]] = {}
     seen: set[tuple[str, str]] = set()
-    for line_number, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise MalformedLine(line_number, f"invalid JSON: {exc.msg}") from None
-        if not isinstance(obj, dict) or set(obj) != _SCENARIO_FIELDS:
-            raise MalformedLine(
-                line_number,
-                "expected fields strategy_id, question_id, probs, correct_index, "
-                "mean_prompt_tokens, mean_completion_tokens",
-            )
-        strategy_id = obj["strategy_id"]
-        question_id = obj["question_id"]
-        if not isinstance(strategy_id, str) or not isinstance(question_id, str):
-            raise MalformedLine(line_number, "ids must be strings")
-        if not isinstance(obj["probs"], list):
+    for line_number, obj in _json_lines(lines, _SCENARIO_FIELDS):
+        strategy_id = _text(line_number, obj, "strategy_id")
+        question_id = _text(line_number, obj, "question_id")
+        probs = obj["probs"]
+        if not isinstance(probs, list):
             raise MalformedLine(line_number, "probs must be a list")
-        if not all(_is_number(p) for p in obj["probs"]):
+        if not all(type(p) in (int, float) for p in probs):  # bools are not numbers
             raise MalformedLine(line_number, "probs must be numbers")
-        if isinstance(obj["correct_index"], bool) or not isinstance(
-            obj["correct_index"], int
-        ):
+        if type(obj["correct_index"]) is not int:
             raise MalformedLine(line_number, "correct_index must be an integer")
-        means = []
-        for field_name in ("mean_prompt_tokens", "mean_completion_tokens"):
-            value = obj[field_name]
-            # NaN, inf and ints too large for a double all fail the bounds
-            if not _is_number(value) or not 0 <= value <= sys.float_info.max:
-                raise MalformedLine(line_number, f"{field_name} must be a finite number >= 0")
-            means.append(float(value))
+        prompt = _number(line_number, obj, "mean_prompt_tokens")
+        completion = _number(line_number, obj, "mean_completion_tokens")
         try:
-            dist = AnswerDistribution(tuple(obj["probs"]), obj["correct_index"])
+            dist = AnswerDistribution(tuple(probs), obj["correct_index"])
         except (InvalidDistribution, OverflowError) as exc:
             raise MalformedLine(line_number, str(exc)) from None
         if (strategy_id, question_id) in seen:
             raise DuplicateKey(
                 f"scenario repeats (strategy_id, question_id) = "
-                f"({strategy_id!r}, {question_id!r})"
+                f"({strategy_id!r}, {question_id!r})",
+                line_number,
             )
         seen.add((strategy_id, question_id))
         by_strategy.setdefault(strategy_id, []).append(
-            QuestionEntry(question_id, dist, means[0], means[1])
+            QuestionEntry(question_id, dist, prompt, completion)
         )
     return [
         StrategyDataset(strategy_id, tuple(questions))

@@ -214,18 +214,9 @@ def closed_form_majority_prob(dist: AnswerDistribution, n: int) -> VoteProbabili
 def simulate_vote(
     dist: AnswerDistribution, n: int, rng: np.random.Generator
 ) -> int:
-    """One majority vote: draw ``n`` answers, return the winning index.
-
-    Forms the occurrence vector of ``n`` i.i.d. draws, finds the modal set,
-    and picks a uniformly random member. Consumes ``rng`` deterministically.
-    """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
-    counts = rng.multinomial(n, dist.probs)
-    modal = np.flatnonzero(counts == counts.max())
-    if len(modal) == 1:
-        return int(modal[0])
-    return int(modal[rng.integers(len(modal))])
+    """One majority vote: the winning index of a one-trial
+    :func:`simulate_votes` run. Consumes ``rng`` deterministically."""
+    return int(simulate_votes(dist, n, 1, rng)[0])
 
 
 def simulate_votes(
@@ -233,9 +224,8 @@ def simulate_votes(
 ) -> np.ndarray:
     """Vectorized batch of independent majority votes; winning index per trial.
 
-    Equal in distribution to ``trials`` calls of :func:`simulate_vote`: the
-    occurrence vectors are multinomial draws and ties are broken uniformly
-    (via random scores restricted to the modal set).
+    The occurrence vectors are multinomial draws and ties are broken
+    uniformly (via random scores restricted to the modal set).
     """
     if n < 1:
         raise ValueError("sampling time n must be >= 1")

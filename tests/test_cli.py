@@ -32,6 +32,23 @@ def scenario_line(sid, qid, probs, correct=0, pt=100.0, ct=50.0):
     )
 
 
+def log_line(qid, sid, idx, answer="a0", pt=10, ct=5):
+    return json.dumps(
+        {
+            "question_id": qid,
+            "strategy_id": sid,
+            "sample_index": idx,
+            "answer": answer,
+            "prompt_tokens": pt,
+            "completion_tokens": ct,
+        }
+    )
+
+
+def truth_line(qid, answer="a0"):
+    return json.dumps({"question_id": qid, "correct_answer": answer})
+
+
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -581,29 +598,11 @@ class TestSynthAnalyze:
         assert "no records" in err
 
     def test_analyze_mismatched_strategies_exit_2(self, capsys, tmp_path):
-        def log_line(qid, sid, idx):
-            return json.dumps(
-                {
-                    "question_id": qid,
-                    "strategy_id": sid,
-                    "sample_index": idx,
-                    "answer": "a0",
-                    "prompt_tokens": 10,
-                    "completion_tokens": 5,
-                }
-            )
-
         write_lines(
             tmp_path / "log.jsonl",
             [log_line("q0", "s1", 0), log_line("q1", "s1", 0), log_line("q0", "s2", 0)],
         )
-        write_lines(
-            tmp_path / "truth.jsonl",
-            [
-                json.dumps({"question_id": "q0", "correct_answer": "a0"}),
-                json.dumps({"question_id": "q1", "correct_answer": "a0"}),
-            ],
-        )
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0"), truth_line("q1")])
         code, _, err = run(
             capsys,
             [
@@ -643,6 +642,80 @@ class TestSynthAnalyze:
             ],
         )
         assert code == 2
+
+
+DEEP = "[" * 100_000 + "]" * 100_000
+SURROGATE = json.dumps("\ud800")  # the six characters "\ud800", quoted
+
+
+class TestBadLines:
+    """A bad line in a log, a ground-truth or a scenario file exits 2 naming
+    the file and line, before any report is written."""
+
+    def argv(self, tmp_path, name):
+        out = ["--n", "3", "--out", str(tmp_path / "report")]
+        if name == "scenario.jsonl":
+            return ["predict", "--scenario", str(tmp_path / name), *out]
+        log, truth = tmp_path / "log.jsonl", tmp_path / "truth.jsonl"
+        return ["analyze", "--log", str(log), "--truth", str(truth), *out]
+
+    def run_with_line_2(self, capsys, tmp_path, name, change):
+        """Write valid inputs, replace line 2 of ``name`` by ``change(line 2)``
+        and run the command that reads it."""
+        write_lines(tmp_path / "log.jsonl", [log_line(f"q{q}", "s1", i) for q in range(2) for i in range(3)])
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0"), truth_line("q1")])
+        write_lines(tmp_path / "scenario.jsonl", [scenario_line("s1", f"q{q}", (0.6, 0.4)) for q in range(3)])
+        path = tmp_path / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1] = change(lines)
+        write_lines(path, lines)
+        code, _, err = run(capsys, self.argv(tmp_path, name))
+        assert code == 2
+        assert not (tmp_path / "report").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "name, field, kind",
+        [
+            ("log.jsonl", "question_id", "surrogate"),
+            ("log.jsonl", "strategy_id", "surrogate"),
+            ("log.jsonl", "answer", "surrogate"),
+            ("truth.jsonl", "question_id", "surrogate"),
+            ("truth.jsonl", "correct_answer", "surrogate"),
+            ("scenario.jsonl", "strategy_id", "surrogate"),
+            ("scenario.jsonl", "question_id", "surrogate"),
+            ("log.jsonl", "answer", "deep"),
+            ("truth.jsonl", "correct_answer", "deep"),
+            ("scenario.jsonl", "probs", "deep"),
+            ("log.jsonl", "prompt_tokens", "huge"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, capsys, tmp_path, name, field, kind):
+        text, message = {
+            "surrogate": (SURROGATE, f"{field} holds a lone surrogate"),
+            "deep": (DEEP, "invalid JSON: nested too deeply"),
+            "huge": (str(10**400), f"{field} must be an integer"),
+        }[kind]
+
+        def change(lines):
+            fields = json.loads(lines[1])
+            fields[field] = None
+            return json.dumps(fields).replace(f'"{field}": null', f'"{field}": {text}')
+
+        err = self.run_with_line_2(capsys, tmp_path, name, change)
+        assert f"{tmp_path / name}: line 2: {message}" in err
+
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("truth.jsonl", "ground truth repeats question_id 'q0'"),
+            ("scenario.jsonl", "scenario repeats (strategy_id, question_id) = ('s1', 'q0')"),
+        ],
+        ids=["truth", "scenario"],
+    )
+    def test_repeated_key_names_file_and_line(self, capsys, tmp_path, name, message):
+        err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: lines[0])
+        assert f"{tmp_path / name}: line 2: {message}" in err
 
 
 class TestDeterminism:

@@ -161,6 +161,9 @@ class TestGrouping:
         lines = [record_line(idx=0), record_line(idx=0)]
         with pytest.raises(DuplicateKey):
             parse_log(lines, self.TRUTH)
+        lines = [record_line(idx=0), record_line(idx=1), record_line(idx=0)]
+        with pytest.raises(DuplicateKey, match="'q1', 's1', 0"):
+            parse_log(lines, self.TRUTH)
 
     def test_missing_ground_truth(self):
         with pytest.raises(MissingGroundTruth, match="q9"):
@@ -186,6 +189,23 @@ class TestGrouping:
         lines = [record_line(idx=0, answer="")]
         groups = parse_log(lines, self.TRUTH, canonicalize=str.strip)
         assert groups[("q1", "s1")].answers == (UNPARSEABLE,)
+
+    def test_null_and_empty_answers_group_to_one_sentinel_without_a_hook(self):
+        answers = [None, "", "x", "x", None, ""]
+        lines = [record_line(idx=i, answer=a) for i, a in enumerate(answers)]
+        g = parse_log(lines, {"q1": "x"})[("q1", "s1")]
+        assert g.answers == (UNPARSEABLE, UNPARSEABLE, "x", "x", UNPARSEABLE, UNPARSEABLE)
+        dist = estimate_distribution(g)
+        assert dist.probs == pytest.approx((2 / 3, 1 / 3))
+        assert dist.correct_index == 1
+        assert classify(dist).kind is Difficulty.HARD
+
+    def test_token_means_are_exact_integer_sums(self):
+        big = 2**53
+        lines = [record_line(idx=0, pt=big, ct=0), record_line(idx=1, pt=1), record_line(idx=2, pt=1)]
+        g = parse_log(lines, self.TRUTH)[("q1", "s1")]
+        assert g.mean_prompt_tokens == (big + 2) / 3  # a float sum loses both 1s
+        assert g.mean_completion_tokens == 100 / 3
 
 
 class TestEstimateDistribution:

@@ -197,6 +197,12 @@ class TestSimulation:
         rng2 = np.random.default_rng(7)
         assert winners == [simulate_vote(d, 5, rng2) for _ in range(50)]
 
+    def test_single_vote_is_a_one_trial_batch(self):
+        d = AnswerDistribution((0.4, 0.3, 0.3))
+        rng, batch_rng = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (1, 2, 4, 7):
+            assert simulate_vote(d, n, rng) == simulate_votes(d, n, 1, batch_rng)[0]
+
     def test_batch_matches_scalar_rate(self):
         """The vectorized voter must be equal in distribution to the scalar
         one: success rates agree within Monte Carlo noise."""
