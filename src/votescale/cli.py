@@ -18,9 +18,11 @@ strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
 so a failing run leaves no partial report. All tables of a run read one
 cell table, so each cell is evaluated once. Every input file goes through
-one reader that names the file and line of each bad or repeated line.
+one reader that names the file and line of each bad or repeated line; a
+record key repeated across log lines or files is located by rescanning the
+logs once grouping has found it.
 
-Exit codes: 0 success, 2 invalid input, 3 enumeration cap exceeded without
+Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
 floats are formatted with repr-stable precision, rows follow input order,
 and CSV line endings are fixed.
@@ -53,6 +55,7 @@ from .records import (
     load_ground_truth,
     parse_records,
 )
+from .records import _RECORD_FIELDS, _json_lines
 from .selection import (
     StrategyDataset,
     accuracy_curve,
@@ -164,6 +167,24 @@ def _read(path: str, parse):
         raise VoteScaleError(f"{path}: {exc}") from None
 
 
+def _repeated_key(paths) -> str | None:
+    """The first log line, in reading order, that repeats an earlier record
+    key, named with its file and line and those of the earlier record.
+    Called only after grouping has found a duplicate, so a clean read keeps
+    no per-record origin."""
+    seen = {}
+    for path in paths:
+        for line_number, obj in _json_lines(_lines(path), _RECORD_FIELDS):
+            key = (obj["question_id"], obj["strategy_id"], obj["sample_index"])
+            if key in seen:
+                return (
+                    f"{path}: line {line_number}: duplicate (question_id, strategy_id, "
+                    f"sample_index): {key!r} (first at {seen[key]})"
+                )
+            seen[key] = f"{path}: line {line_number}"
+    return None
+
+
 def _write_table(fh, header: list[str], rows) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
@@ -266,7 +287,10 @@ def cmd_analyze(args) -> int:
         raise ValueError("--smoothing must be a finite number >= 0")
     truth = _read(args.truth, load_ground_truth)
     records = [record for path in args.log for record in _read(path, parse_records)]
-    groups = group_records(records, truth)
+    try:
+        groups = group_records(records, truth)
+    except DuplicateKey as exc:
+        raise VoteScaleError(_repeated_key(args.log) or str(exc)) from None
     if not groups:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)

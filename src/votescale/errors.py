@@ -10,7 +10,8 @@ class InvalidDistribution(VoteScaleError):
 
 
 class CapExceeded(VoteScaleError):
-    """Exact enumeration was requested beyond the supported size caps.
+    """The exact estimator was asked for a size beyond its caps (nonzero
+    answers, ``n``, or the count of answer-count compositions).
 
     Callers should fall back to the normal approximation or Monte Carlo.
     """

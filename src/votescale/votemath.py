@@ -9,10 +9,13 @@ of interest is the probability that the returned answer is the correct one.
 
 Four estimators are provided:
 
-* :func:`exact_majority_prob` sums the multinomial pmf over every
-  composition of ``n`` into the nonzero-probability answers. An outcome
+* :func:`exact_majority_prob` gives the exact value: every count outcome
   where the correct count ties the maximum with ``t`` other answers
-  contributes its probability divided by ``t + 1`` (the uniform tie-break).
+  contributes its multinomial probability divided by ``t + 1`` (the uniform
+  tie-break). Levin's Poisson representation of the multinomial turns that
+  sum into, per correct count ``k``, one coefficient of a product of
+  truncated Poisson polynomials, so time and memory are polynomial in ``n``
+  and the number of answers.
 * :func:`closed_form_majority_prob` evaluates the degree-3/degree-5
   polynomials available for three-answer spaces at ``n`` in {3, 5}.
 * :func:`monte_carlo_majority_prob` simulates complete votes with a seeded
@@ -21,13 +24,13 @@ Four estimators are provided:
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
 
-Enumeration tables (compositions, multinomial coefficients via
-log-factorials, tie weights) depend only on ``(n, m)`` and are cached, so
-sweeping many distributions over a grid of ``n`` reuses the expensive part.
+The exact kernel's plan (correct-count range, roots of unity, extraction
+and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
+cache, so sweeping many distributions over a grid of ``n`` reuses it.
+Nothing is cached per distribution.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -37,7 +40,9 @@ import numpy as np
 from .distribution import AnswerDistribution, VoteProbability
 from .errors import CapExceeded, WrongArity
 
-#: Default caps for the exact enumeration path.
+#: Default caps for the exact path: nonzero answers, ``n``, and the count of
+#: answer-count compositions C(n+m-1, m-1) (kept as a public cap, though
+#: nothing enumerates the compositions).
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60
 EXACT_MAX_TERMS = 10**7
@@ -104,42 +109,54 @@ class ScalingCurve:
         raise KeyError(f"no point at n={n}")
 
 
-@lru_cache(maxsize=64)
-def _enumeration_tables(n: int, m: int):
-    """Cached per-(n, m) tables for the exact sum, correct answer in column 0.
+@dataclass(frozen=True)
+class _KernelPlan:
+    """Distribution-free arrays of the exact kernel for one ``(n, m)``.
 
-    Returns ``(counts, log_coef, win_weight)`` over all C(n+m-1, m-1)
-    compositions of ``n`` into ``m`` nonnegative parts:
-
-    * ``counts``     float64 (R, m), the occurrence vectors;
-    * ``log_coef``   float64 (R,), log multinomial coefficients from a
-      precomputed log-factorial table;
-    * ``win_weight`` float64 (R,), 1/(size of the modal set) when column 0
-      attains the row maximum, else 0 -- the uniform tie-break share.
+    A wrong answer's factor for correct count ``k`` is evaluated at the
+    roots of unity ``x = w^f`` from prefix sums of ``q(c) w^(f c)`` over
+    ``c``. Counts ``k <= n/2`` are *tied*: a wrong answer can also reach
+    ``k`` within degree ``n - k``, so their factor depends on ``y``. Larger
+    counts are *untied* and their factor is one prefix sum.
     """
-    rows = math.comb(n + m - 1, m - 1)
-    if m == 1:
-        counts = np.array([[n]], dtype=np.int64)
-    else:
-        bars = np.fromiter(
-            itertools.chain.from_iterable(
-                itertools.combinations(range(n + m - 1), m - 1)
-            ),
-            dtype=np.int64,
-            count=rows * (m - 1),
-        ).reshape(rows, m - 1)
-        counts = np.empty((rows, m), dtype=np.int64)
-        counts[:, 0] = bars[:, 0]
-        if m > 2:
-            counts[:, 1:-1] = bars[:, 1:] - bars[:, :-1] - 1
-        counts[:, -1] = (n + m - 2) - bars[:, -1]
 
-    log_fact = np.array([math.lgamma(i + 1) for i in range(n + 1)])
-    log_coef = log_fact[n] - log_fact[counts].sum(axis=1)
-    row_max = counts.max(axis=1)
-    ties = (counts == row_max[:, None]).sum(axis=1)
-    win_weight = np.where(counts[:, 0] == row_max, 1.0 / ties, 0.0)
-    return counts.astype(np.float64), log_coef, win_weight
+    powers: np.ndarray  # (3, n + 1) rows c, -1, -log c!: log-pmf = (log lam, lam, 1) @ powers
+    roots: np.ndarray  # (F, n//2 + 1) w^(f c) for f = 0..L/2
+    nodes: np.ndarray  # (G, 1, 1, 1) Gauss-Legendre nodes y on [0, 1]
+    tied: np.ndarray  # (G, F, n//2 - k0 + 1) node weight times the x^(n-k) weight at w^f
+    untied: np.ndarray  # (F, n - n//2) the x^(n-k) weight at w^f
+    k0: int  # smallest correct count that can be modal: ceil(n / m)
+    prefactor: float  # n! / (n^n e^-n)
+
+
+@lru_cache(maxsize=128)
+def _kernel_plan(n: int, m: int) -> _KernelPlan:
+    """Build (and cache) the kernel plan for ``n >= 2`` samples and ``m >= 2``
+    nonzero answers. The plan does not depend on the distribution."""
+    k0, half = -(-n // m), n // 2  # below ceil(n/m) the correct answer is never modal
+    # L exceeds every coefficient index n - k, and the product's degree
+    # (m - 1) * min(k, n - k) stays below n - k + L: x^(n-k) never aliases
+    size = 2
+    while size <= n - k0 or 2 * size <= (m - 2) * n:
+        size *= 2
+    freq = np.arange(size // 2 + 1)
+    turn = 2j * np.pi / size
+    # real coefficients: the Hermitian half-spectrum counts every inner
+    # frequency twice
+    scale = np.full(freq.size, 2.0 / size)
+    scale[0] = scale[-1] = 1.0 / size
+    extract = scale[:, None] * np.exp(-turn * (np.outer(freq, n - np.arange(k0, n + 1)) % size))
+    nodes, weights = np.polynomial.legendre.leggauss(-(-m // 2))
+    log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    return _KernelPlan(
+        powers=np.stack([np.arange(n + 1.0), -np.ones(n + 1), -log_fact]),
+        roots=np.exp(turn * (np.outer(freq, np.arange(half + 1)) % size)),
+        nodes=((nodes + 1.0) / 2.0).reshape(-1, 1, 1, 1).astype(complex),
+        tied=(weights / 2.0)[:, None, None] * extract[:, : half + 1 - k0],
+        untied=extract[:, half + 1 - k0 :].copy(),
+        k0=k0,
+        prefactor=math.exp(log_fact[n] - n * math.log(n) + n),
+    )
 
 
 def exact_majority_prob(
@@ -152,10 +169,23 @@ def exact_majority_prob(
 ) -> VoteProbability:
     """Exact probability that an ``n``-sample majority vote is correct.
 
-    Zero-probability answers cannot occur and are dropped before
-    enumeration; the caps apply to the number of remaining answers, to
-    ``n``, and to the total composition count. Raises :class:`CapExceeded`
+    Zero-probability answers cannot occur and are dropped first; the caps
+    apply to the number of remaining answers, to ``n``, and to the count of
+    answer-count compositions C(n+m-1, m-1). Raises :class:`CapExceeded`
     beyond them, signalling the caller to switch estimator.
+
+    The value comes from Levin's Poisson representation of the multinomial:
+    with ``q_j(c)`` the Poisson(n p_j) pmf and the correct answer first,
+
+        P = n! / (n^n e^-n) * sum_k q_1(k) [x^(n-k)] int_0^1 prod_j
+            (sum_{c<k} q_j(c) x^c + y q_j(k) x^k) dy,
+
+    where ``y`` marks a wrong answer tied at ``k`` and the integral of
+    ``y^t`` is the tie-break share 1/(t+1). The coefficient is read off the
+    product's values at roots of unity, and the integral is exact at
+    ceil(m/2) Gauss-Legendre nodes, so time and memory are polynomial in
+    ``n`` and ``m``. The value is accurate to about 1e-14 in absolute terms;
+    values far below that carry no relative accuracy.
     """
     if n < 1:
         raise ValueError("sampling time n must be >= 1")
@@ -176,16 +206,25 @@ def exact_majority_prob(
     terms = math.comb(n + m_eff - 1, m_eff - 1)
     if terms > max_terms:
         raise CapExceeded(f"{terms} compositions exceed the cap of {max_terms}")
+    if n == 1:
+        # one sample is the vote
+        return VoteProbability(p_correct, "exact", n)
 
-    counts, log_coef, win_weight = _enumeration_tables(n, m_eff)
-    log_p = np.log(np.asarray(support))
-    total = 0.0
-    for start in range(0, counts.shape[0], _BLOCK):
-        block = slice(start, start + _BLOCK)
-        total += float(
-            win_weight[block] @ np.exp(log_coef[block] + counts[block] @ log_p)
-        )
-    return VoteProbability(min(max(total, 0.0), 1.0), "exact", n)
+    plan = _kernel_plan(n, m_eff)
+    rates = np.array([(math.log(n * p), n * p, 1.0) for p in support])
+    pmf = np.exp(rates @ plan.powers)  # Poisson(n p_j) over c = 0..n, correct answer first
+    waves = pmf[1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
+    prefix = np.cumsum(waves, axis=2)
+    half, k0 = n // 2, plan.k0
+    # k > n/2: the factor is the sum over c <= n - k, the same at every y
+    untied = prefix[:, :, n - half - 1 :: -1].prod(axis=0)
+    total = (plan.untied * pmf[0, half + 1 :]).ravel() @ untied.ravel()
+    if k0 <= half:
+        # k <= n/2: the sum over c < k plus y times the tie at k
+        tied = prefix[:, :, k0 - 1 : half] + plan.nodes * waves[:, :, k0 : half + 1]
+        total += (plan.tied * pmf[0, k0 : half + 1]).ravel() @ tied.prod(axis=1).ravel()
+    value = plan.prefactor * float(total.real)
+    return VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
 
 
 def closed_form_majority_prob(dist: AnswerDistribution, n: int) -> VoteProbability:

@@ -717,6 +717,32 @@ class TestBadLines:
         err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: lines[0])
         assert f"{tmp_path / name}: line 2: {message}" in err
 
+    def test_repeated_record_key_names_both_lines(self, capsys, tmp_path):
+        log = tmp_path / "log.jsonl"
+        write_lines(log, [log_line("q0", "s1", 0), log_line("q0", "s1", 1), log_line("q0", "s1", 0, "a1")])
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0")])
+        code, _, err = run(capsys, self.argv(tmp_path, "log.jsonl"))
+        assert code == 2
+        assert not (tmp_path / "report").exists()
+        assert (
+            f"{log}: line 3: duplicate (question_id, strategy_id, sample_index): "
+            f"('q0', 's1', 0) (first at {log}: line 1)"
+        ) in err
+
+    def test_log_passed_twice_names_both_lines(self, capsys, tmp_path):
+        log = tmp_path / "log.jsonl"
+        write_lines(log, ["", log_line("q0", "s1", 0), log_line("q0", "s1", 1)])
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0")])
+        argv = self.argv(tmp_path, "log.jsonl")
+        argv[argv.index("--log") : argv.index("--log")] = ["--log", str(log)]
+        code, _, err = run(capsys, argv)
+        assert code == 2
+        assert not (tmp_path / "report").exists()
+        assert (
+            f"{log}: line 2: duplicate (question_id, strategy_id, sample_index): "
+            f"('q0', 's1', 0) (first at {log}: line 2)"
+        ) in err
+
 
 class TestDeterminism:
     def test_point_commands_repeat_byte_identical(self, capsys):

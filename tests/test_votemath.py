@@ -1,11 +1,12 @@
 """Estimator correctness against an independent sequence-enumeration oracle."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_vote_prob, random_easy
+from conftest import brute_force_vote_prob, constructed_moderate, random_easy
 from votescale import (
     AnswerDistribution,
     CapExceeded,
@@ -159,6 +160,86 @@ class TestExactCaps:
             vote_probability(d, 99, "exact")
         vp = vote_probability(d, 99, "exact", fallback=True)
         assert vp.method == "normal_approx"
+
+
+def direct_dp_vote_prob(dist: AnswerDistribution, n: int) -> float:
+    """Vote success probability by a direct DP over (correct count k, wrong
+    samples used, wrong answers tied at k), with multinomial weights
+    n! prod p^c / c!. Slow; shares nothing with the Poisson kernel."""
+    p_correct = dist.correct_prob
+    wrong = [p for j, p in enumerate(dist.probs) if j != dist.correct_index and p > 0.0]
+    shares = 1.0 / np.arange(1, len(wrong) + 2)
+    total = 0.0
+    for k in range(1, n + 1):
+        rest = n - k
+        dp = np.zeros((rest + 1, len(wrong) + 1))
+        dp[0, 0] = 1.0
+        for p in wrong:
+            grown = np.zeros_like(dp)
+            for c in range(min(k, rest) + 1):
+                weight = p**c / math.factorial(c)
+                if c < k:
+                    grown[c:] += weight * dp[: rest + 1 - c]
+                else:
+                    grown[c:, 1:] += weight * dp[: rest + 1 - c, :-1]
+            dp = grown
+        total += math.factorial(n) * p_correct**k / math.factorial(k) * float(dp[rest] @ shares)
+    return total
+
+
+def random_case(rng: np.random.Generator, max_m: int, max_n: int):
+    """A random distribution and n; about one case in three has an exact
+    float tie between the correct answer and one or two wrong answers."""
+    m = int(rng.integers(2, max_m + 1))
+    n = int(rng.integers(1, max_n + 1))
+    if rng.random() < 1 / 3:
+        dist = constructed_moderate(rng, m, int(rng.integers(2, min(m, 3) + 1)))
+    else:
+        dist = AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))), int(rng.integers(m)))
+    return dist, n
+
+
+class TestPoissonKernel:
+    """The exact estimator against judges that share none of its code."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_sequence_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(10):
+            dist, n = random_case(rng, 6, 6)
+            got = exact_majority_prob(dist, n).value
+            assert got == pytest.approx(brute_force_vote_prob(dist, n), abs=1e-12)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_direct_dp_with_raised_caps(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(10):
+            dist, n = random_case(rng, 8, 40)
+            got = exact_majority_prob(dist, n, max_n=40, max_terms=10**12).value
+            assert got == pytest.approx(direct_dp_vote_prob(dist, n), abs=1e-12)
+
+    def test_large_n(self):
+        value = exact_majority_prob(AnswerDistribution((0.36, 0.34, 0.30)), 1000, max_n=1000).value
+        assert value == pytest.approx(0.7728315102, abs=1e-9)
+
+    def test_one_sample_is_the_correct_probability(self):
+        for probs, correct in [((0.3, 0.45, 0.25), 1), ((0.1, 0.0, 0.9), 0), ((0.2,) * 5, 3)]:
+            dist = AnswerDistribution(probs, correct)
+            assert exact_majority_prob(dist, 1).value == dist.correct_prob
+
+    def test_one_sample_still_respects_the_answer_cap(self):
+        with pytest.raises(CapExceeded):
+            exact_majority_prob(AnswerDistribution((0.2,) + (0.1,) * 8), 1)
+
+    def test_memory_is_bounded(self):
+        dist = AnswerDistribution((0.3,) + (0.1,) * 7)
+        tracemalloc.start()
+        try:
+            exact_majority_prob(dist, 21)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestClosedForms:
