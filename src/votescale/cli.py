@@ -17,10 +17,11 @@ list of ``(file name, header, rows)`` tables: ``predict`` builds the
 strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
 so a failing run leaves no partial report. All tables of a run read one
-cell table, so each cell is evaluated once. Every input file goes through
-one reader that names the file and line of each bad or repeated line; a
-record key repeated across log lines or files is located by rescanning the
-logs once grouping has found it.
+cell table, so each cell is evaluated once. Every input file is streamed
+a block at a time through one reader that names the file and line of the
+first bad or repeated line in reading order. A record key repeated across
+log lines or files, and a logged question without ground truth, are located
+by rescanning the logs once grouping has failed.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -35,7 +36,10 @@ import json
 import math
 import os
 import sys
+from contextlib import closing
 from dataclasses import dataclass
+from functools import partial
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -45,6 +49,7 @@ from .errors import (
     CapExceeded,
     DuplicateKey,
     MalformedLine,
+    MissingGroundTruth,
     NoWrongMass,
     VoteScaleError,
 )
@@ -74,6 +79,10 @@ from .votemath import check_grid, scaling_curve
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
 #: cost examples use this quote.
 DEFAULT_PRICES = (0.15, 0.6)
+
+#: Bytes read from an input file at a time. Small enough to stay in cache:
+#: 64 KiB blocks split a log faster than 1 MiB ones and peak lower.
+_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,42 +155,74 @@ def _config(args) -> RunConfig:
     )
 
 
-def _lines(path: str) -> list[str]:
-    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r; bad UTF-8 is a MalformedLine."""
+def _lines(path: str) -> Iterator[str]:
+    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, read a block at a time.
+
+    Bad UTF-8 is a MalformedLine, raised after the lines before it. Close
+    the generator (``contextlib.closing``) to close the file when a reader
+    stops early.
+    """
     with open(path, "rb") as fh:
-        data = fh.read()
+        line_number = 1
+        tail = []  # bytes read since the last line break
+        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
+            # split after the last line break; a \r ending the block may start a \r\n
+            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+            if cut:
+                line_number, _ = yield from _split(b"".join(tail) + block[:cut], line_number)
+                tail = []
+            tail.append(block[cut:])
+        _, rest = yield from _split(b"".join(tail), line_number)
+        yield rest
+
+
+def _split(data: bytes, line_number: int) -> Generator[str, None, tuple[int, str]]:
+    """Yield the lines of ``data``, which starts at ``line_number``, up to its
+    last line break, and return the number and text of the line after it.
+    Bad UTF-8 is a MalformedLine, raised after the lines before it."""
     try:
-        text = data.decode("utf-8")
+        text, bad = data.decode("utf-8"), False
     except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        raise MalformedLine(head.count(b"\n") + 1, "not valid UTF-8") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        text, bad = data[: exc.start].decode("utf-8"), True
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    rest = lines.pop()
+    yield from lines
+    line_number += len(lines)
+    if bad:
+        raise MalformedLine(line_number, "not valid UTF-8")
+    return line_number, rest
 
 
 def _read(path: str, parse):
     """``parse`` applied to the lines of one input file; a malformed or
     repeated line is reported with the file's name."""
     try:
-        return parse(_lines(path))
+        with closing(_lines(path)) as lines:
+            return parse(lines)
     except (MalformedLine, DuplicateKey) as exc:
         raise VoteScaleError(f"{path}: {exc}") from None
 
 
-def _repeated_key(paths) -> str | None:
-    """The first log line, in reading order, that repeats an earlier record
-    key, named with its file and line and those of the earlier record.
-    Called only after grouping has found a duplicate, so a clean read keeps
-    no per-record origin."""
+def _bad_record(logs, truth_path: str, truth: dict[str, str]) -> str | None:
+    """The first log line, in reading order, whose question has no ground
+    truth or whose record key repeats an earlier one, named with its file
+    and line (and those of the earlier record). Called only after grouping
+    has failed, so a clean read keeps no per-record origin."""
     seen = {}
-    for path in paths:
-        for line_number, obj in _json_lines(_lines(path), _RECORD_FIELDS):
-            key = (obj["question_id"], obj["strategy_id"], obj["sample_index"])
-            if key in seen:
-                return (
-                    f"{path}: line {line_number}: duplicate (question_id, strategy_id, "
-                    f"sample_index): {key!r} (first at {seen[key]})"
-                )
-            seen[key] = f"{path}: line {line_number}"
+    for path in logs:
+        with closing(_lines(path)) as lines:
+            for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+                where = f"{path}: line {line_number}"
+                question_id = obj["question_id"]
+                if question_id not in truth:
+                    return f"{where}: no correct answer for question {question_id!r} in {truth_path}"
+                key = (question_id, obj["strategy_id"], obj["sample_index"])
+                if key in seen:
+                    return (
+                        f"{where}: duplicate (question_id, strategy_id, "
+                        f"sample_index): {key!r} (first at {seen[key]})"
+                    )
+                seen[key] = where
     return None
 
 
@@ -289,8 +330,8 @@ def cmd_analyze(args) -> int:
     records = [record for path in args.log for record in _read(path, parse_records)]
     try:
         groups = group_records(records, truth)
-    except DuplicateKey as exc:
-        raise VoteScaleError(_repeated_key(args.log) or str(exc)) from None
+    except (DuplicateKey, MissingGroundTruth) as exc:
+        raise VoteScaleError(_bad_record(args.log, args.truth, truth) or str(exc)) from None
     if not groups:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)

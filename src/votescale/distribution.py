@@ -26,7 +26,7 @@ class AnswerDistribution:
 
     Invariants, enforced at construction:
 
-    * every entry is >= 0,
+    * every entry is finite and >= 0,
     * the entries sum to 1 within ``SUM_TOLERANCE``,
     * ``correct_index`` addresses a valid entry.
     """
@@ -39,6 +39,9 @@ class AnswerDistribution:
         object.__setattr__(self, "probs", probs)
         if len(probs) < 1:
             raise InvalidDistribution("need at least one answer")
+        non_finite = [f"probs[{j}] = {p!r}" for j, p in enumerate(probs) if not math.isfinite(p)]
+        if non_finite:
+            raise InvalidDistribution(f"non-finite probability: {', '.join(non_finite)}")
         if any(p < 0.0 for p in probs):
             raise InvalidDistribution(f"negative probability in {probs}")
         total = math.fsum(probs)

@@ -11,6 +11,12 @@ unparseable outputs count as wrong votes instead of silently inflating
 accuracy. Logs, ground truth and the scenario files of
 :mod:`votescale.selection` all go through this module's one line reader and
 typed field checks, so every bad line raises an error carrying its number.
+
+Logs are the large input, so :func:`parse_records` reads them a chunk of
+lines at a time: one ``json.loads`` per chunk and one check per column.
+A chunk that fails any check goes back through the line reader, so records
+and errors are those of a line-by-line parse. Ids and answers that repeat
+share one string object.
 """
 from __future__ import annotations
 
@@ -18,6 +24,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -28,6 +36,7 @@ from .errors import (
     MalformedLine,
     MissingGroundTruth,
     NotEnoughSamples,
+    VoteScaleError,
 )
 from .votemath import _modal_winners
 
@@ -45,6 +54,13 @@ _RECORD_FIELDS = frozenset(
     }
 )
 _TRUTH_FIELDS = frozenset({"question_id", "correct_answer"})
+#: A log object's fields in SampleRecord order.
+_RECORD_COLUMNS = itemgetter(
+    "question_id", "strategy_id", "sample_index", "answer", "prompt_tokens", "completion_tokens"
+)
+#: Log lines parsed as one JSON array. Small, so that the chunk's text and
+#: objects stay a small share of peak memory next to the records.
+_CHUNK_LINES = 256
 
 #: Upper bound on cells (rows x pool) materialized per block during replay.
 #: Fixed: the block layout is part of the deterministic random stream.
@@ -113,11 +129,14 @@ class CostModel:
         return prompt_tokens * self.prompt_price + completion_tokens * self.completion_price
 
 
-def _json_lines(lines: Iterable[str], fields: frozenset) -> Iterator[tuple[int, dict]]:
+def _json_lines(
+    lines: Iterable[str], fields: frozenset, start: int = 1
+) -> Iterator[tuple[int, dict]]:
     """The one reader of line-delimited JSON input: ``(line number, object)``
     for each nonblank line that holds one JSON object with exactly
-    ``fields``; anything else is a :class:`MalformedLine`."""
-    for line_number, line in enumerate(lines, start=1):
+    ``fields``; anything else is a :class:`MalformedLine`. Lines are
+    numbered from ``start``."""
+    for line_number, line in enumerate(lines, start=start):
         if not line.strip():
             continue
         try:
@@ -171,23 +190,114 @@ def parse_records(lines: Iterable[str]) -> list[SampleRecord]:
     or too deeply nested JSON, a wrong field set, a wrong field type, text
     that is not UTF-8, or a token count or sample index outside
     [0, sys.float_info.max]. A null answer becomes :data:`UNPARSEABLE`; an
-    empty one stays empty until :func:`group_records` maps it.
+    empty one stays empty until :func:`group_records` maps it. When reading
+    ``lines`` itself raises a :class:`VoteScaleError`, the lines read before
+    it are checked first.
     """
+    # one object per distinct id and answer string; a null answer maps to the sentinel
+    strings: dict[str | None, str] = {None: UNPARSEABLE}
+    intern = strings.setdefault
     records = []
-    for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
-        if obj["answer"] is not None and not isinstance(obj["answer"], str):
-            raise MalformedLine(line_number, "answer must be a string or null")
-        records.append(
-            SampleRecord(
-                question_id=_text(line_number, obj, "question_id"),
-                strategy_id=_text(line_number, obj, "strategy_id"),
-                sample_index=_count(line_number, obj, "sample_index"),
-                answer=UNPARSEABLE if obj["answer"] is None else _text(line_number, obj, "answer"),
-                prompt_tokens=_count(line_number, obj, "prompt_tokens"),
-                completion_tokens=_count(line_number, obj, "completion_tokens"),
-            )
-        )
+    start = 1
+    for chunk in _chunks(lines, _CHUNK_LINES):
+        rows = _chunk_rows(chunk)
+        if rows is None:
+            rows = [_record_row(n, obj) for n, obj in _json_lines(chunk, _RECORD_FIELDS, start)]
+        records += [
+            SampleRecord(intern(q, q), intern(s, s), i, intern(a, a), p, c)
+            for q, s, i, a, p, c in rows
+        ]
+        start += len(chunk)
     return records
+
+
+def _chunks(lines: Iterable[str], size: int) -> Iterator[list[str]]:
+    """``lines`` in lists of ``size``. When reading them fails, the lines
+    read before the failure come first, so an earlier bad line is reported
+    before the failure."""
+    it = iter(lines)
+    while True:
+        chunk = []
+        try:
+            for line in islice(it, size):
+                chunk.append(line)
+        except VoteScaleError:
+            if chunk:
+                yield chunk
+            raise
+        if not chunk:
+            return
+        yield chunk
+
+
+def _record_row(line_number: int, obj: dict) -> tuple:
+    """The checked fields of one log object, in :class:`SampleRecord` order;
+    a null answer stays ``None``."""
+    answer = obj["answer"]
+    if answer is not None and not isinstance(answer, str):
+        raise MalformedLine(line_number, "answer must be a string or null")
+    return (
+        _text(line_number, obj, "question_id"),
+        _text(line_number, obj, "strategy_id"),
+        _count(line_number, obj, "sample_index"),
+        None if answer is None else _text(line_number, obj, "answer"),
+        _count(line_number, obj, "prompt_tokens"),
+        _count(line_number, obj, "completion_tokens"),
+    )
+
+
+def _chunk_rows(lines: list[str]) -> list[tuple] | None:
+    """The rows of :func:`_record_row` for a chunk of log lines, parsed as one
+    JSON array and checked a column at a time; ``None`` when some line needs
+    the line-by-line reader.
+
+    The nonblank lines are joined as given (a stripped copy could drop
+    characters JSON rejects), with separators that hold a newline. JSON
+    strings cannot hold a raw newline, and every value of an accepted
+    element is a scalar, so an element cannot span two lines; with one
+    element per line and each line running from ``{`` to ``}``, every line
+    parses to the object it would parse to alone.
+    """
+    nonblank = []
+    for line in lines:
+        text = line.strip()
+        if text:
+            if text[0] != "{" or text[-1] != "}":
+                return None
+            nonblank.append(line)
+    if not nonblank:
+        return []
+    try:
+        objs = json.loads("[" + ",\n".join(nonblank) + "]")
+    except (ValueError, RecursionError):
+        return None
+    if (
+        len(objs) != len(nonblank)
+        or not set(map(type, objs)) <= {dict}
+        or set(map(len, objs)) != {len(_RECORD_FIELDS)}
+    ):
+        return None
+    try:  # with the right size, an object holding every field holds no other
+        rows = list(map(_RECORD_COLUMNS, objs))
+    except KeyError:
+        return None
+    qids, sids, indices, answers, prompts, completions = zip(*rows)
+    if not (
+        {*map(type, qids), *map(type, sids)} <= {str}
+        and set(map(type, answers)) <= {str, type(None)}
+        and {*map(type, indices), *map(type, prompts), *map(type, completions)} <= {int}
+    ):
+        return None
+    counts = (*indices, *prompts, *completions)
+    if min(counts) < 0 or max(counts) > sys.float_info.max:
+        return None
+    texts = {*qids, *sids, *answers}
+    texts.discard(None)
+    try:
+        "".join(texts).encode("utf-8")  # JSON admits lone surrogates
+    except UnicodeEncodeError:
+        return None
+    return rows
 
 
 def load_ground_truth(lines: Iterable[str]) -> dict[str, str]:

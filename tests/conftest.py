@@ -1,8 +1,8 @@
 """Shared test helpers: an independent brute-force oracle and panel generators.
 
 The oracle enumerates raw answer sequences with itertools.product, so it
-shares no code path with the composition-based estimator under test (no
-multinomial coefficients, no tie-weight tables).
+shares no code path with the Poisson-representation estimator under test
+(no multinomial coefficients, no polynomial products, no quadrature).
 """
 from __future__ import annotations
 

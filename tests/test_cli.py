@@ -114,6 +114,13 @@ class TestPointCommands:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_probability_is_named(self, capsys, value):
+        code, out, err = run(capsys, ["exact", "--dist", f"0.5,{value}", "--grid", "3"])
+        assert code == 2
+        assert out == ""
+        assert f"error: non-finite probability: probs[1] = {value}" in err
+
     def test_grid_flag_conflicts_exit_2(self, capsys):
         code, _, _ = run(
             capsys, ["exact", "--dist", "0.6,0.4", "--n", "3", "--grid", "1,3"]
@@ -659,9 +666,9 @@ class TestBadLines:
         log, truth = tmp_path / "log.jsonl", tmp_path / "truth.jsonl"
         return ["analyze", "--log", str(log), "--truth", str(truth), *out]
 
-    def run_with_line_2(self, capsys, tmp_path, name, change):
-        """Write valid inputs, replace line 2 of ``name`` by ``change(line 2)``
-        and run the command that reads it."""
+    def run_with_line_2(self, capsys, tmp_path, name, change, after=b""):
+        """Write valid inputs, replace line 2 of ``name`` by ``change(line 2)``,
+        append the bytes ``after`` and run the command that reads it."""
         write_lines(tmp_path / "log.jsonl", [log_line(f"q{q}", "s1", i) for q in range(2) for i in range(3)])
         write_lines(tmp_path / "truth.jsonl", [truth_line("q0"), truth_line("q1")])
         write_lines(tmp_path / "scenario.jsonl", [scenario_line("s1", f"q{q}", (0.6, 0.4)) for q in range(3)])
@@ -669,6 +676,8 @@ class TestBadLines:
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1] = change(lines)
         write_lines(path, lines)
+        with open(path, "ab") as fh:
+            fh.write(after)
         code, _, err = run(capsys, self.argv(tmp_path, name))
         assert code == 2
         assert not (tmp_path / "report").exists()
@@ -717,6 +726,11 @@ class TestBadLines:
         err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: lines[0])
         assert f"{tmp_path / name}: line 2: {message}" in err
 
+    @pytest.mark.parametrize("name", ["log.jsonl", "truth.jsonl", "scenario.jsonl"])
+    def test_bad_line_outranks_later_bad_utf8(self, capsys, tmp_path, name):
+        err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: "{", after=b"\xff\n")
+        assert f"{tmp_path / name}: line 2: invalid JSON" in err
+
     def test_repeated_record_key_names_both_lines(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"
         write_lines(log, [log_line("q0", "s1", 0), log_line("q0", "s1", 1), log_line("q0", "s1", 0, "a1")])
@@ -742,6 +756,24 @@ class TestBadLines:
             f"{log}: line 2: duplicate (question_id, strategy_id, sample_index): "
             f"('q0', 's1', 0) (first at {log}: line 2)"
         ) in err
+
+    def test_question_without_ground_truth_names_log_line_and_truth_file(self, capsys, tmp_path):
+        log, truth = tmp_path / "log.jsonl", tmp_path / "truth.jsonl"
+        write_lines(log, [log_line("q0", "s1", 0), "", log_line("q9", "s1", 0), log_line("q9", "s1", 1)])
+        write_lines(truth, [truth_line("q0")])
+        code, _, err = run(capsys, self.argv(tmp_path, "log.jsonl"))
+        assert code == 2
+        assert not (tmp_path / "report").exists()
+        assert f"error: {log}: line 3: no correct answer for question 'q9' in {truth}\n" == err
+
+    def test_first_bad_record_in_reading_order_is_reported(self, capsys, tmp_path):
+        """Grouping meets the repeated key of line 3 first; line 2 comes first."""
+        log, truth = tmp_path / "log.jsonl", tmp_path / "truth.jsonl"
+        write_lines(log, [log_line("q0", "s1", 0), log_line("q9", "s1", 0), log_line("q0", "s1", 0)])
+        write_lines(truth, [truth_line("q0")])
+        code, _, err = run(capsys, self.argv(tmp_path, "log.jsonl"))
+        assert code == 2
+        assert f"{log}: line 2: no correct answer for question 'q9' in {truth}" in err
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Validation behavior of the core value types."""
 import math
+import re
 
 import pytest
 
@@ -35,6 +36,18 @@ class TestAnswerDistribution:
     def test_rejects_negative_entries(self):
         with pytest.raises(InvalidDistribution):
             AnswerDistribution((1.1, -0.1), 0)
+
+    @pytest.mark.parametrize(
+        "probs, named",
+        [
+            ((0.5, math.nan), "probs[1] = nan"),
+            ((math.inf, 0.5), "probs[0] = inf"),
+            ((math.nan, -math.inf, 1.0), "probs[0] = nan, probs[1] = -inf"),
+        ],
+    )
+    def test_rejects_non_finite_entries_by_name(self, probs, named):
+        with pytest.raises(InvalidDistribution, match=f"non-finite probability: {re.escape(named)}$"):
+            AnswerDistribution(probs, 0)
 
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidDistribution):

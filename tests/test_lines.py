@@ -1,18 +1,25 @@
 """The one line reader behind logs, ground truth and scenarios: a bad line in
-any of the three formats raises a VoteScaleError carrying its line number."""
+any of the three formats raises a VoteScaleError carrying its line number.
+The chunked log parser agrees with a line-by-line parse, and input files
+streamed a block at a time split into the lines of one whole-file read."""
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from votescale import (
+    UNPARSEABLE,
     DuplicateKey,
     MalformedLine,
+    SampleRecord,
     VoteScaleError,
+    cli,
     load_ground_truth,
     load_scenario,
     parse_records,
 )
+from votescale.records import _CHUNK_LINES, _RECORD_FIELDS, _count, _json_lines, _text
 
 RECORD = {
     "question_id": "q",
@@ -176,3 +183,196 @@ def test_repeated_key_names_the_line(loader):
     with pytest.raises(DuplicateKey, match="^line 4: .* repeats") as err:
         loader(lines)
     assert err.value.line_number == 4
+
+
+def line_by_line_records(lines) -> list[SampleRecord]:
+    """parse_records as one loop over the lines: one json.loads and one set
+    of field checks per line. The chunked parser must agree with it."""
+    records = []
+    for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+        if obj["answer"] is not None and not isinstance(obj["answer"], str):
+            raise MalformedLine(line_number, "answer must be a string or null")
+        records.append(
+            SampleRecord(
+                question_id=_text(line_number, obj, "question_id"),
+                strategy_id=_text(line_number, obj, "strategy_id"),
+                sample_index=_count(line_number, obj, "sample_index"),
+                answer=UNPARSEABLE if obj["answer"] is None else _text(line_number, obj, "answer"),
+                prompt_tokens=_count(line_number, obj, "prompt_tokens"),
+                completion_tokens=_count(line_number, obj, "completion_tokens"),
+            )
+        )
+    return records
+
+
+def outcome(parse, lines):
+    """The records ``parse`` returns, or the type, line number and message
+    of the error it raises."""
+    try:
+        return parse(lines)
+    except VoteScaleError as exc:
+        return type(exc), exc.line_number, str(exc)
+
+
+#: JSON whitespace, and characters that str.strip removes but JSON rejects
+PADDING = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=2)
+RECORDS = st.fixed_dictionaries(
+    {
+        "question_id": TEXT,
+        "strategy_id": st.sampled_from(["s", "t"]),
+        "sample_index": st.integers(-1, 2**64),
+        "answer": st.none() | TEXT,
+        "prompt_tokens": st.integers(0, 10**6) | st.booleans(),
+        "completion_tokens": st.integers(0, 10**6) | st.floats(0, 10),
+    }
+).map(json.dumps)
+FILLER = valid_lines(RECORD, 3 * _CHUNK_LINES)
+
+
+@st.composite
+def logs(draw) -> list[str]:
+    """Valid lines spanning up to three chunks, with drawn lines inserted:
+    blank, padded, arbitrary records, two records and mutated records."""
+    lines = FILLER[: draw(st.integers(0, len(FILLER)))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["blank", "padded", "record", "two records", "mutated"]))
+        if kind == "blank":
+            line = draw(PADDING)
+        elif kind == "padded":
+            line = draw(PADDING) + draw(RECORDS) + draw(PADDING)
+        elif kind == "record":
+            line = draw(RECORDS)
+        elif kind == "two records":
+            line = draw(RECORDS) + ", " + draw(RECORDS)
+        else:
+            line = draw(mutated_lines(RECORD))
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    return lines
+
+
+def with_line(position: int, line: str) -> list[str]:
+    """Valid lines with ``line`` as line number ``position``."""
+    return FILLER[: position - 1] + [line] + FILLER[position - 1 : position + 5]
+
+
+#: One valid object over two lines, and one over two lines that both run
+#: from "{" to "}": joined with ",\n" each parses as one array element.
+SPLIT = json.dumps(RECORD).split(", ", 1)
+SPLIT_IN_VALUE = raw_line(RECORD, "question_id", '[{"x": 1},\n{"y": 2}]').split(",\n")
+TWO_ON_ONE_LINE = f"{FILLER[3]}, {FILLER[4]}"
+#: Two lines from "{" to "}" that a separator without a newline would join
+#: into one object with the question id "},{".
+SPLIT_IN_STRING = ['{"question_id": "}', '{"' + json.dumps(RECORD).split('"q"', 1)[1]]
+
+
+class TestChunkedRecords:
+    """parse_records reads chunks of lines as one JSON array and falls back to
+    the line reader for a chunk it cannot vouch for; either way its records
+    and errors are those of a line-by-line parse."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(lines=logs())
+    # a record split across two lines and two records on one line
+    @example(lines=FILLER[:3] + SPLIT + [TWO_ON_ONE_LINE] + FILLER[5:9])
+    @example(lines=FILLER[:3] + SPLIT_IN_VALUE + [TWO_ON_ONE_LINE] + FILLER[5:9])
+    @example(lines=FILLER[:3] + SPLIT_IN_STRING + [TWO_ON_ONE_LINE] + FILLER[5:9])
+    @example(lines=FILLER[:2] + ['{"x": [1', '2]}'] + FILLER[2:4])
+    @example(lines=FILLER[:2] + ["\x0c" + FILLER[2]] + FILLER[3:5])
+    @example(lines=with_line(_CHUNK_LINES - 1, "not json"))
+    @example(lines=with_line(_CHUNK_LINES, SURROGATE))
+    @example(lines=with_line(_CHUNK_LINES + 1, raw_line(RECORD, "answer", DEEP)))
+    def test_matches_line_by_line_parse(self, lines):
+        assert outcome(parse_records, lines) == outcome(line_by_line_records, lines)
+
+    def test_identical_strings_share_one_object(self):
+        records = parse_records(valid_lines(RECORD, 3) * 2)
+        assert records[0].strategy_id is records[5].strategy_id
+        assert records[1].question_id is records[4].question_id
+
+    def test_an_earlier_bad_line_outranks_a_failing_reader(self):
+        def lines():
+            yield from FILLER[:3]
+            yield "not json"
+            yield from FILLER[3:6]
+            raise MalformedLine(8, "not valid UTF-8")
+
+        with pytest.raises(MalformedLine, match="line 4: invalid JSON"):
+            parse_records(lines())
+        with pytest.raises(MalformedLine, match="line 8: not valid UTF-8"):
+            parse_records(line for line in lines() if line != "not json")
+
+
+def whole_file_lines(path) -> list[str] | int:
+    """The file's lines from one read, decode and split, or the number of
+    the first line that is not UTF-8: the reader that _lines streams."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        return head.count(b"\n") + 1
+    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
+def streamed_lines(path) -> list[str] | int:
+    """What _lines yields, or the line number of the error that ends it."""
+    lines = []
+    try:
+        for line in cli._lines(str(path)):
+            lines.append(line)
+    except MalformedLine as exc:
+        assert lines == whole_file_lines_before(path, exc.line_number)
+        return exc.line_number
+    return lines
+
+
+def whole_file_lines_before(path, line_number: int) -> list[str]:
+    """The lines of one whole-file read that come before ``line_number``."""
+    data = path.read_bytes().decode("utf-8", errors="replace")
+    return data.replace("\r\n", "\n").replace("\r", "\n").split("\n")[: line_number - 1]
+
+
+class TestStreamedLines:
+    """cli._lines reads fixed-size blocks and yields the lines, and raises the
+    errors, of one whole-file read."""
+
+    def test_blocks_split_inside_characters_and_line_breaks(self, tmp_path):
+        block = cli._BLOCK_BYTES
+        first = b"x" * (block - 1) + "€".encode() + b"\n"  # "€" straddles the first boundary
+        second = b"y" * (2 * block - 1 - len(first)) + b"\r\n"  # so does this "\r\n"
+        path = tmp_path / "big.jsonl"
+        path.write_bytes(first + second + b"z\rlast")
+        assert len(path.read_bytes()) > 2 * block
+        assert streamed_lines(path) == whole_file_lines(path)
+        assert streamed_lines(path)[-3:] == ["y" * len(second[:-2]), "z", "last"]
+        bad = first + b"ok\n" + b"\xff" * 3 + second
+        path.write_bytes(bad)
+        assert streamed_lines(path) == whole_file_lines(path) == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(st.sampled_from([b"a", b"{", b"\n", b"\r", b"\r\n", "é€".encode(), b"\xff"])),
+        block=st.integers(1, 9),
+    )
+    def test_small_blocks_match_one_read(self, tmp_path_factory, pieces, block):
+        path = tmp_path_factory.mktemp("lines") / "f"
+        path.write_bytes(b"".join(pieces))
+        with mock.patch.object(cli, "_BLOCK_BYTES", block):
+            assert streamed_lines(path) == whole_file_lines(path)
+
+    def test_read_closes_the_file_when_the_parser_stops_early(self, tmp_path, monkeypatch):
+        path = tmp_path / "f"
+        path.write_bytes(b"a\nb\n")
+        opened, kept = [], []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        def first_line(lines):
+            kept.append(lines)  # alive after the call, so only closing it closes the file
+            return next(lines)
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        assert cli._read(str(path), first_line) == "a"
+        assert opened[0].closed

@@ -33,7 +33,7 @@ def simplex3(draw_floats):
 
 
 class TestExactAgainstBruteForce:
-    """The composition-table estimator must match raw sequence enumeration."""
+    """The exact estimator must match raw sequence enumeration."""
 
     CASES = [
         ((0.64, 0.35, 0.01), 0),
@@ -221,6 +221,13 @@ class TestPoissonKernel:
     def test_large_n(self):
         value = exact_majority_prob(AnswerDistribution((0.36, 0.34, 0.30)), 1000, max_n=1000).value
         assert value == pytest.approx(0.7728315102, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [21, 40])
+    def test_tiny_values_keep_their_absolute_accuracy(self, n):
+        """True values near 1e-126 and 1e-230 come out as noise, but within
+        the documented absolute accuracy of 0."""
+        dist = AnswerDistribution((1e-12, 0.999999999998, 1e-12), 2)
+        assert abs(exact_majority_prob(dist, n).value) <= 1e-13
 
     def test_one_sample_is_the_correct_probability(self):
         for probs, correct in [((0.3, 0.45, 0.25), 1), ((0.1, 0.0, 0.9), 0), ((0.2,) * 5, 3)]:
