@@ -8,6 +8,7 @@ taxonomy in :mod:`votescale.difficulty`.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 from .errors import InvalidDistribution
@@ -18,6 +19,18 @@ SUM_TOLERANCE = 1e-9
 #: Per-vote-probability methods a VoteProbability may be tagged with, from
 #: most to least exact (a dataset mean takes its least exact value's tag).
 METHODS = ("exact", "closed_form", "normal_approx", "monte_carlo")
+
+
+def check_sampling_time(n, name: str = "sampling time n") -> int:
+    """``n`` as an int if it is a Python or numpy integer >= 1, else ValueError;
+    ``name`` heads the message for values below 1."""
+    try:
+        value = operator.index(n)
+    except TypeError:
+        raise ValueError(f"sampling times must be integers, got {n!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -47,6 +60,10 @@ class AnswerDistribution:
         total = math.fsum(probs)
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
+        try:
+            object.__setattr__(self, "correct_index", operator.index(self.correct_index))
+        except TypeError:
+            raise InvalidDistribution(f"correct_index {self.correct_index!r} is not an integer") from None
         if not 0 <= self.correct_index < len(probs):
             raise InvalidDistribution(
                 f"correct_index {self.correct_index} out of range for {len(probs)} answers"
@@ -94,7 +111,6 @@ class VoteProbability:
             raise ValueError(f"unknown method {self.method!r}")
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"probability {self.value!r} outside [0, 1]")
-        if self.n < 1:
-            raise ValueError("sampling time n must be >= 1")
+        object.__setattr__(self, "n", check_sampling_time(self.n))
         if (self.stderr is not None) != (self.method == "monte_carlo"):
             raise ValueError("stderr is present iff method is monte_carlo")

@@ -10,8 +10,7 @@ class InvalidDistribution(VoteScaleError):
 
 
 class CapExceeded(VoteScaleError):
-    """The exact estimator was asked for a size beyond its caps (nonzero
-    answers, ``n``, or the count of answer-count compositions).
+    """The exact estimator was asked for a size beyond its caps (nonzero answers or ``n``).
 
     Callers should fall back to the normal approximation or Monte Carlo.
     """

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .distribution import AnswerDistribution
+from .distribution import AnswerDistribution, check_sampling_time
 from .errors import (
     DuplicateKey,
     MalformedLine,
@@ -374,7 +374,7 @@ def parse_log(
     *,
     canonicalize: Callable[[str], str] | None = None,
 ) -> dict[tuple[str, str], QuestionSamples]:
-    """Parse and group a whole log stream in one pass."""
+    """:func:`group_records` over :func:`parse_records` of a whole log stream."""
     return group_records(
         parse_records(lines), ground_truth, canonicalize=canonicalize
     )
@@ -431,8 +431,7 @@ def replay_majority(
     ``with_replacement`` switches to a bootstrap draw instead, which may
     ask for more samples than the pool holds.
     """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
+    n = check_sampling_time(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     pool = samples.pool_size
@@ -473,8 +472,7 @@ def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
     Linear in n; only valid for strategies whose per-sample context does
     not grow with the round number.
     """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
+    n = check_sampling_time(n)
     return n * model.sample_cost(
         samples.mean_prompt_tokens, samples.mean_completion_tokens
     )

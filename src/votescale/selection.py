@@ -148,10 +148,14 @@ def _shared_order(dss: list[StrategyDataset]) -> list[str]:
     first = dss[0].question_ids
     reference = set(first)
     for ds in dss[1:]:
-        if set(ds.question_ids) != reference:
+        ids = set(ds.question_ids)
+        if ids != reference:
+            # dss[0]'s questions in reading order, then ds's
+            question_id = next(q for q in first + ds.question_ids if (q in ids) != (q in reference))
+            lacking = ds if question_id in reference else dss[0]
             raise IdMismatch(
                 f"strategy {ds.strategy_id!r} covers different questions than "
-                f"{dss[0].strategy_id!r}"
+                f"{dss[0].strategy_id!r}: {lacking.strategy_id!r} lacks question {question_id!r}"
             )
     return list(first)
 

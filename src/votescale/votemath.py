@@ -37,15 +37,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distribution import AnswerDistribution, VoteProbability
+from .distribution import AnswerDistribution, VoteProbability, check_sampling_time
 from .errors import CapExceeded, WrongArity
 
-#: Default caps for the exact path: nonzero answers, ``n``, and the count of
-#: answer-count compositions C(n+m-1, m-1) (kept as a public cap, though
-#: nothing enumerates the compositions).
+#: Exact-path caps on nonzero answers and (by default) ``n``; they bound the kernel's memory.
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60
-EXACT_MAX_TERMS = 10**7
 
 #: Rows processed per block in vectorized loops (fixed: part of the
 #: deterministic random stream for Monte Carlo).
@@ -160,19 +157,14 @@ def _kernel_plan(n: int, m: int) -> _KernelPlan:
 
 
 def exact_majority_prob(
-    dist: AnswerDistribution,
-    n: int,
-    *,
-    max_answers: int = EXACT_MAX_ANSWERS,
-    max_n: int = EXACT_MAX_N,
-    max_terms: int = EXACT_MAX_TERMS,
+    dist: AnswerDistribution, n: int, *, max_n: int = EXACT_MAX_N
 ) -> VoteProbability:
     """Exact probability that an ``n``-sample majority vote is correct.
 
     Zero-probability answers cannot occur and are dropped first; the caps
-    apply to the number of remaining answers, to ``n``, and to the count of
-    answer-count compositions C(n+m-1, m-1). Raises :class:`CapExceeded`
-    beyond them, signalling the caller to switch estimator.
+    apply to the number of remaining answers (``EXACT_MAX_ANSWERS``) and to
+    ``n`` (``max_n``). Raises :class:`CapExceeded` beyond them, signalling
+    the caller to switch estimator.
 
     The value comes from Levin's Poisson representation of the multinomial:
     with ``q_j(c)`` the Poisson(n p_j) pmf and the correct answer first,
@@ -187,8 +179,7 @@ def exact_majority_prob(
     ``n`` and ``m``. The value is accurate to about 1e-14 in absolute terms;
     values far below that carry no relative accuracy.
     """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
+    n = check_sampling_time(n)
     p_correct = dist.correct_prob
     if p_correct == 0.0:
         # the correct answer is never sampled, so it can never reach the modal set
@@ -199,13 +190,10 @@ def exact_majority_prob(
     m_eff = len(support)
     if m_eff == 1:
         return VoteProbability(1.0, "exact", n)
-    if m_eff > max_answers:
-        raise CapExceeded(f"{m_eff} nonzero answers exceed the cap of {max_answers}")
+    if m_eff > EXACT_MAX_ANSWERS:
+        raise CapExceeded(f"{m_eff} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}")
     if n > max_n:
         raise CapExceeded(f"n={n} exceeds the exact cap of {max_n}")
-    terms = math.comb(n + m_eff - 1, m_eff - 1)
-    if terms > max_terms:
-        raise CapExceeded(f"{terms} compositions exceed the cap of {max_terms}")
     if n == 1:
         # one sample is the vote
         return VoteProbability(p_correct, "exact", n)
@@ -266,8 +254,7 @@ def simulate_votes(
     The occurrence vectors are multinomial draws and ties are broken
     uniformly (via random scores restricted to the modal set).
     """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
+    n = check_sampling_time(n)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     winners = np.empty(trials, dtype=np.int64)
@@ -295,8 +282,6 @@ def monte_carlo_majority_prob(
     fraction and ``stderr`` is sqrt(v*(1-v)/trials). Deterministic for a
     fixed seed.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     winners = simulate_votes(dist, n, trials, rng)
     value = float((winners == dist.correct_index).mean())
@@ -320,8 +305,7 @@ def normal_approx_prob(dist: AnswerDistribution, n: int) -> VoteProbability:
     true large-n limit for a tie among |S| answers is 1/|S| (see
     :func:`votescale.difficulty.limit_prob`).
     """
-    if n < 1:
-        raise ValueError("sampling time n must be >= 1")
+    n = check_sampling_time(n)
     if dist.m == 1:
         return VoteProbability(1.0, "normal_approx", n)
     p1 = dist.correct_prob
@@ -366,12 +350,10 @@ def vote_probability(
 
 
 def check_grid(ns) -> tuple[int, ...]:
-    """Validate a grid of sampling times: nonempty, strictly increasing, >= 1."""
-    grid = tuple(int(n) for n in ns)
+    """Validate a grid of sampling times: nonempty, strictly increasing ints >= 1."""
+    grid = tuple(check_sampling_time(n, "sampling times") for n in ns)
     if not grid:
         raise ValueError("grid of sampling times must be nonempty")
-    if grid[0] < 1:
-        raise ValueError("sampling times must be >= 1")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     return grid

@@ -141,6 +141,13 @@ class TestPointCommands:
         assert code == 0
         assert list(csv.reader(out.splitlines()))[1][2] == "normal_approx"
 
+    def test_eight_answers_at_the_n_cap_are_exact(self, capsys):
+        code, out, _ = run(
+            capsys, ["exact", "--dist", "0.3,0.1,0.1,0.1,0.1,0.1,0.1,0.1", "--n", "60"]
+        )
+        assert code == 0
+        assert out.splitlines()[1] == "60,0.973575931758,exact,"
+
     def test_bad_correct_index(self, capsys):
         code, _, _ = run(
             capsys, ["exact", "--dist", "0.6,0.4", "--correct", "5", "--n", "3"]
@@ -627,6 +634,34 @@ class TestSynthAnalyze:
         assert code == 2
         assert "different questions" in err
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize(
+        "questions, message",
+        [
+            ({"s0": ["q0", "q1", "q2"], "s1": ["q0", "q2"]}, "'s1' lacks question 'q1'"),
+            ({"s0": ["q0"], "s1": ["q2", "q0", "q1"]}, "'s0' lacks question 'q2'"),
+        ],
+    )
+    def test_analyze_names_a_question_one_strategy_lacks(self, capsys, tmp_path, questions, message):
+        log = [log_line(q, s, 0) for s, qs in questions.items() for q in qs]
+        write_lines(tmp_path / "log.jsonl", log)
+        write_lines(tmp_path / "truth.jsonl", [truth_line(f"q{q}") for q in range(3)])
+        code, _, err = run(
+            capsys,
+            [
+                "analyze",
+                "--log",
+                str(tmp_path / "log.jsonl"),
+                "--truth",
+                str(tmp_path / "truth.jsonl"),
+                "--n",
+                "1",
+                "--out",
+                str(tmp_path / "r"),
+            ],
+        )
+        assert code == 2
+        assert err == f"error: strategy 's1' covers different questions than 's0': {message}\n"
 
     def test_analyze_missing_truth_exits_2(self, capsys, tmp_path):
         data = self.synth(capsys, tmp_path, samples=5)

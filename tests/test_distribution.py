@@ -2,6 +2,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from votescale import AnswerDistribution, InvalidDistribution, VoteProbability
@@ -54,6 +55,9 @@ class TestAnswerDistribution:
             AnswerDistribution((0.5, 0.5), 2)
         with pytest.raises(InvalidDistribution):
             AnswerDistribution((0.5, 0.5), -1)
+        with pytest.raises(InvalidDistribution, match="correct_index 1.0 is not an integer"):
+            AnswerDistribution((0.6, 0.4), 1.0)
+        assert AnswerDistribution((0.6, 0.4), np.int64(1)).correct_prob == 0.4
 
     def test_rejects_empty(self):
         with pytest.raises(InvalidDistribution):

@@ -386,7 +386,7 @@ class TestDynamicCurve:
     def test_question_sets_must_match(self):
         a = StrategyDataset("a", (QuestionEntry("q0", EARLY),))
         b = StrategyDataset("b", (QuestionEntry("q1", LATE),))
-        with pytest.raises(IdMismatch):
+        with pytest.raises(IdMismatch, match="'b' lacks question 'q0'"):
             dynamic_curve([a, b], [1, 3])
 
 

@@ -10,19 +10,24 @@ from conftest import brute_force_vote_prob, constructed_moderate, random_easy
 from votescale import (
     AnswerDistribution,
     CapExceeded,
+    CostModel,
+    QuestionSamples,
     ScalingCurve,
     VoteProbability,
     WrongArity,
     closed_form_majority_prob,
+    cost_of,
     exact_majority_prob,
     monte_carlo_majority_prob,
     normal_approx_prob,
+    replay_majority,
     scaling_curve,
     simulate_vote,
     simulate_votes,
     standard_normal_cdf,
     vote_probability,
 )
+from votescale.votemath import check_grid
 
 
 def simplex3(draw_floats):
@@ -143,10 +148,11 @@ class TestExactCaps:
         value = exact_majority_prob(d, 101, max_n=101).value
         assert 0.97 < value < 1.0
 
-    def test_term_budget(self):
-        probs = (0.3,) + (0.1,) * 7
-        with pytest.raises(CapExceeded):
-            exact_majority_prob(AnswerDistribution(probs), 60)
+    def test_eight_answers_at_the_n_cap(self):
+        dist = AnswerDistribution((0.3,) + (0.1,) * 7)
+        vp = exact_majority_prob(dist, 60)
+        assert vp.method == "exact"
+        assert vp.value == pytest.approx(direct_dp_vote_prob(dist, 60), abs=1e-12)
 
     def test_zero_prob_answers_do_not_count_against_cap(self):
         probs = tuple([0.5, 0.5] + [0.0] * 10)
@@ -214,8 +220,8 @@ class TestPoissonKernel:
     def test_matches_direct_dp_with_raised_caps(self, seed):
         rng = np.random.default_rng(100 + seed)
         for _ in range(10):
-            dist, n = random_case(rng, 8, 40)
-            got = exact_majority_prob(dist, n, max_n=40, max_terms=10**12).value
+            dist, n = random_case(rng, 8, 60)
+            got = exact_majority_prob(dist, n).value
             assert got == pytest.approx(direct_dp_vote_prob(dist, n), abs=1e-12)
 
     def test_large_n(self):
@@ -238,11 +244,12 @@ class TestPoissonKernel:
         with pytest.raises(CapExceeded):
             exact_majority_prob(AnswerDistribution((0.2,) + (0.1,) * 8), 1)
 
-    def test_memory_is_bounded(self):
+    @pytest.mark.parametrize("n", [21, 60])
+    def test_memory_is_bounded(self, n):
         dist = AnswerDistribution((0.3,) + (0.1,) * 7)
         tracemalloc.start()
         try:
-            exact_majority_prob(dist, 21)
+            exact_majority_prob(dist, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -442,3 +449,33 @@ class TestScalingCurve:
         assert curve.value_at(3) == curve.values[1]
         with pytest.raises(KeyError):
             curve.value_at(7)
+
+
+_D = AnswerDistribution((0.5, 0.3, 0.2))
+_POOL = QuestionSamples("q0", "s0", "a", ("a", "b", "a", "c"), 10.0, 5.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: exact_majority_prob(_D, n),
+        lambda n: normal_approx_prob(_D, n),
+        lambda n: monte_carlo_majority_prob(_D, n, 100, 0),
+        lambda n: simulate_votes(_D, n, 100, np.random.default_rng(0)).tolist(),
+        lambda n: scaling_curve(_D, [1, n]),
+        lambda n: check_grid([n]),
+        lambda n: VoteProbability(0.5, "exact", n),
+        lambda n: replay_majority(_POOL, n, 100, 0),
+        lambda n: cost_of(_POOL, n, CostModel(1.0, 2.0)),
+    ],
+    ids=["exact", "approx", "mc", "simulate", "curve", "grid", "point", "replay", "cost"],
+)
+def test_sampling_times_must_be_integers(call):
+    """Python and numpy integers give the same result; other numbers are
+    rejected instead of truncated or passed through."""
+    assert call(np.int64(3)) == call(3)
+    for n in (2.5, np.float64(3.0), "3"):
+        with pytest.raises(ValueError, match="sampling times must be integers"):
+            call(n)
+    with pytest.raises(ValueError, match=" must be >= 1"):
+        call(0)
