@@ -38,8 +38,7 @@ import os
 import sys
 from contextlib import closing
 from dataclasses import dataclass
-from functools import partial
-from typing import Generator, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -79,10 +78,6 @@ from .votemath import check_grid, scaling_curve
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
 #: cost examples use this quote.
 DEFAULT_PRICES = (0.15, 0.6)
-
-#: Bytes read from an input file at a time. Small enough to stay in cache:
-#: 64 KiB blocks split a log faster than 1 MiB ones and peak lower.
-_BLOCK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -156,41 +151,25 @@ def _config(args) -> RunConfig:
 
 
 def _lines(path: str) -> Iterator[str]:
-    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, read a block at a time.
+    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, as ``str.split``
+    gives them (a final line break ends the file with an empty line).
 
-    Bad UTF-8 is a MalformedLine, raised after the lines before it. Close
-    the generator (``contextlib.closing``) to close the file when a reader
-    stops early.
+    Bad UTF-8 is a MalformedLine, raised after the lines before it: bad
+    bytes decode to lone surrogates, which valid UTF-8 never decodes to.
+    Close the generator (``contextlib.closing``) to close the file when a
+    reader stops early.
     """
-    with open(path, "rb") as fh:
-        line_number = 1
-        tail = []  # bytes read since the last line break
-        for block in iter(partial(fh.read, _BLOCK_BYTES), b""):
-            # split after the last line break; a \r ending the block may start a \r\n
-            cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-            if cut:
-                line_number, _ = yield from _split(b"".join(tail) + block[:cut], line_number)
-                tail = []
-            tail.append(block[cut:])
-        _, rest = yield from _split(b"".join(tail), line_number)
-        yield rest
-
-
-def _split(data: bytes, line_number: int) -> Generator[str, None, tuple[int, str]]:
-    """Yield the lines of ``data``, which starts at ``line_number``, up to its
-    last line break, and return the number and text of the line after it.
-    Bad UTF-8 is a MalformedLine, raised after the lines before it."""
-    try:
-        text, bad = data.decode("utf-8"), False
-    except UnicodeDecodeError as exc:
-        text, bad = data[: exc.start].decode("utf-8"), True
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-    rest = lines.pop()
-    yield from lines
-    line_number += len(lines)
-    if bad:
-        raise MalformedLine(line_number, "not valid UTF-8")
-    return line_number, rest
+    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
+        line = "\n"  # an empty file is one empty line
+        for line_number, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise MalformedLine(line_number, "not valid UTF-8") from None
+            yield line.removesuffix("\n")
+        if line.endswith("\n"):
+            yield ""
 
 
 def _read(path: str, parse):

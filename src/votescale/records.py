@@ -4,13 +4,14 @@ A log is line-delimited UTF-8, one JSON object per line with exactly the
 fields of :class:`SampleRecord`. Ground truth lives in a separate
 line-delimited file of ``{question_id, correct_answer}`` objects. Answers
 arrive already extracted from raw model output; any normalization beyond
-that (trimming, case-folding, numeric cleanup) is the caller's business and
-can be injected as a ``canonicalize`` hook. Empty or null answers become
-the sentinel :data:`UNPARSEABLE`, which never equals a correct answer, so
-unparseable outputs count as wrong votes instead of silently inflating
-accuracy. Logs, ground truth and the scenario files of
-:mod:`votescale.selection` all go through this module's one line reader and
-typed field checks, so every bad line raises an error carrying its number.
+that (trimming, case-folding, numeric cleanup) is the caller's business,
+done on the records before they are grouped. Empty or null answers become
+the sentinel :data:`UNPARSEABLE`, which never equals a correct answer (an
+empty or sentinel correct answer is rejected), so unparseable outputs count
+as wrong votes instead of silently inflating accuracy. Logs, ground truth
+and the scenario files of :mod:`votescale.selection` all go through this
+module's one line reader and typed field checks, so every bad line raises
+an error carrying its number.
 
 Logs are the large input, so :func:`parse_records` reads them a chunk of
 lines at a time: one ``json.loads`` per chunk and one check per column.
@@ -26,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .errors import (
     NotEnoughSamples,
     VoteScaleError,
 )
-from .votemath import _modal_winners
+from .votemath import _modal_winners, check_trials
 
 #: Sentinel stored for unparseable or empty answers.
 UNPARSEABLE = "∅"
@@ -323,24 +324,15 @@ def load_ground_truth(lines: Iterable[str]) -> dict[str, str]:
 
 
 def group_records(
-    records: Iterable[SampleRecord],
-    ground_truth: dict[str, str],
-    *,
-    canonicalize: Callable[[str], str] | None = None,
+    records: Iterable[SampleRecord], ground_truth: dict[str, str]
 ) -> dict[tuple[str, str], QuestionSamples]:
     """Group records by (question, strategy), ordered by sample_index.
 
-    ``canonicalize`` is applied to recorded and correct answers alike (the
-    sentinel passes through untouched); an answer that is empty, after the
-    hook when one is given, becomes the sentinel. Duplicate (question, strategy,
-    sample_index) keys and questions without ground truth are errors.
+    An empty answer becomes the sentinel. Duplicate (question, strategy,
+    sample_index) keys, questions without ground truth and an empty or
+    sentinel correct answer (which would score unparseable samples as
+    correct) are errors.
     """
-
-    def canon(answer: str) -> str:
-        if canonicalize is not None and answer != UNPARSEABLE:
-            answer = canonicalize(answer)
-        return answer or UNPARSEABLE
-
     by_group: dict[tuple[str, str], list[SampleRecord]] = {}
     for record in records:
         by_group.setdefault((record.question_id, record.strategy_id), []).append(record)
@@ -349,6 +341,11 @@ def group_records(
     for (question_id, strategy_id), members in by_group.items():
         if question_id not in ground_truth:
             raise MissingGroundTruth(f"no correct answer for question {question_id!r}")
+        correct = ground_truth[question_id]
+        if correct in ("", UNPARSEABLE):
+            raise MissingGroundTruth(
+                f"correct answer {correct!r} for question {question_id!r} is empty or the sentinel"
+            )
         members.sort(key=lambda r: r.sample_index)
         for before, record in zip(members, members[1:]):
             if before.sample_index == record.sample_index:
@@ -359,8 +356,8 @@ def group_records(
         groups[(question_id, strategy_id)] = QuestionSamples(
             question_id=question_id,
             strategy_id=strategy_id,
-            correct_answer=canon(ground_truth[question_id]),
-            answers=tuple(canon(r.answer) for r in members),
+            correct_answer=correct,
+            answers=tuple(r.answer or UNPARSEABLE for r in members),
             # exact integer sums, one rounding each
             mean_prompt_tokens=sum(r.prompt_tokens for r in members) / len(members),
             mean_completion_tokens=sum(r.completion_tokens for r in members) / len(members),
@@ -369,15 +366,10 @@ def group_records(
 
 
 def parse_log(
-    lines: Iterable[str],
-    ground_truth: dict[str, str],
-    *,
-    canonicalize: Callable[[str], str] | None = None,
+    lines: Iterable[str], ground_truth: dict[str, str]
 ) -> dict[tuple[str, str], QuestionSamples]:
     """:func:`group_records` over :func:`parse_records` of a whole log stream."""
-    return group_records(
-        parse_records(lines), ground_truth, canonicalize=canonicalize
-    )
+    return group_records(parse_records(lines), ground_truth)
 
 
 def answer_support(samples: QuestionSamples) -> tuple[str, ...]:
@@ -414,30 +406,21 @@ def estimate_distribution(
     return AnswerDistribution(probs, support.index(samples.correct_answer))
 
 
-def replay_majority(
-    samples: QuestionSamples,
-    n: int,
-    trials: int,
-    seed,
-    *,
-    with_replacement: bool = False,
-) -> float:
+def replay_majority(samples: QuestionSamples, n: int, trials: int, seed) -> float:
     """Accuracy of an n-sample majority vote replayed from the recorded pool.
 
     Each trial subsamples n answers uniformly without replacement (a fresh
     subsample per trial; trials are not disjoint), majority-votes with
     uniform tie-breaking, and scores against the correct answer. Returns
-    the success fraction over trials; deterministic for a fixed seed.
-    ``with_replacement`` switches to a bootstrap draw instead, which may
-    ask for more samples than the pool holds.
+    the success fraction over trials; deterministic for a fixed seed. A
+    draw with replacement is a vote over the pool's plug-in distribution,
+    whose exact value is
+    ``exact_majority_prob(estimate_distribution(samples), n)``.
     """
     n = check_sampling_time(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_trials(trials)
     pool = samples.pool_size
-    if pool < 1:
-        raise NotEnoughSamples("pool is empty")
-    if pool < n and not with_replacement:
+    if pool < n:
         raise NotEnoughSamples(f"pool has {pool} samples, vote needs {n}")
 
     support = answer_support(samples)
@@ -452,12 +435,9 @@ def replay_majority(
     done = 0
     while done < trials:
         size = min(block_rows, trials - done)
-        if with_replacement:
-            picked = codes[rng.integers(0, pool, size=(size, n))]
-        else:
-            # the n smallest of i.i.d. uniform keys form a uniform n-subset
-            keys = rng.random((size, pool))
-            picked = codes[np.argpartition(keys, n - 1, axis=1)[:, :n]]
+        # the n smallest of i.i.d. uniform keys form a uniform n-subset
+        keys = rng.random((size, pool))
+        picked = codes[np.argpartition(keys, n - 1, axis=1)[:, :n]]
         # one bincount over codes shifted into per-row blocks of width m
         offsets = picked + np.arange(size)[:, None] * m
         counts = np.bincount(offsets.ravel(), minlength=size * m).reshape(size, m)
@@ -483,8 +463,6 @@ def mean_replay_accuracy(
     n: int,
     trials: int,
     seed,
-    *,
-    with_replacement: bool = False,
 ) -> float:
     """Mean replayed accuracy over a collection of (question, strategy) pools.
 
@@ -496,8 +474,5 @@ def mean_replay_accuracy(
         raise ValueError("no sample pools to replay")
     root = np.random.SeedSequence(seed)
     children = root.spawn(len(groups))
-    values = [
-        replay_majority(g, n, trials, children[i], with_replacement=with_replacement)
-        for i, g in enumerate(groups)
-    ]
+    values = [replay_majority(g, n, trials, children[i]) for i, g in enumerate(groups)]
     return float(math.fsum(values) / len(values))

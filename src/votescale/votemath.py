@@ -32,6 +32,7 @@ Nothing is cached per distribution.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -238,12 +239,15 @@ def closed_form_majority_prob(dist: AnswerDistribution, n: int) -> VoteProbabili
     return VoteProbability(min(max(value, 0.0), 1.0), "closed_form", n)
 
 
-def simulate_vote(
-    dist: AnswerDistribution, n: int, rng: np.random.Generator
-) -> int:
-    """One majority vote: the winning index of a one-trial
-    :func:`simulate_votes` run. Consumes ``rng`` deterministically."""
-    return int(simulate_votes(dist, n, 1, rng)[0])
+def check_trials(trials) -> int:
+    """``trials`` as an int if it is a Python or numpy integer >= 1, else ValueError."""
+    try:
+        value = operator.index(trials)
+    except TypeError:
+        raise ValueError(f"trials must be an integer, got {trials!r}") from None
+    if value < 1:
+        raise ValueError("trials must be >= 1")
+    return value
 
 
 def simulate_votes(
@@ -255,8 +259,7 @@ def simulate_votes(
     uniformly (via random scores restricted to the modal set).
     """
     n = check_sampling_time(n)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    trials = check_trials(trials)
     winners = np.empty(trials, dtype=np.int64)
     for start in range(0, trials, _BLOCK):
         size = min(_BLOCK, trials - start)

@@ -1,9 +1,10 @@
 """The one line reader behind logs, ground truth and scenarios: a bad line in
 any of the three formats raises a VoteScaleError carrying its line number.
 The chunked log parser agrees with a line-by-line parse, and input files
-streamed a block at a time split into the lines of one whole-file read."""
+streamed through the buffered reader split into the lines of one whole-file
+read."""
+import io
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -333,11 +334,11 @@ def whole_file_lines_before(path, line_number: int) -> list[str]:
 
 
 class TestStreamedLines:
-    """cli._lines reads fixed-size blocks and yields the lines, and raises the
-    errors, of one whole-file read."""
+    """cli._lines reads the file in buffered chunks and yields the lines, and
+    raises the errors, of one whole-file read."""
 
     def test_blocks_split_inside_characters_and_line_breaks(self, tmp_path):
-        block = cli._BLOCK_BYTES
+        block = io.DEFAULT_BUFFER_SIZE
         first = b"x" * (block - 1) + "€".encode() + b"\n"  # "€" straddles the first boundary
         second = b"y" * (2 * block - 1 - len(first)) + b"\r\n"  # so does this "\r\n"
         path = tmp_path / "big.jsonl"
@@ -352,13 +353,13 @@ class TestStreamedLines:
     @settings(max_examples=300, deadline=None)
     @given(
         pieces=st.lists(st.sampled_from([b"a", b"{", b"\n", b"\r", b"\r\n", "é€".encode(), b"\xff"])),
-        block=st.integers(1, 9),
+        shift=st.integers(1, 9),
     )
-    def test_small_blocks_match_one_read(self, tmp_path_factory, pieces, block):
+    def test_small_blocks_match_one_read(self, tmp_path_factory, pieces, shift):
+        # the pieces start just before the end of the first buffered chunk
         path = tmp_path_factory.mktemp("lines") / "f"
-        path.write_bytes(b"".join(pieces))
-        with mock.patch.object(cli, "_BLOCK_BYTES", block):
-            assert streamed_lines(path) == whole_file_lines(path)
+        path.write_bytes(b"x" * (io.DEFAULT_BUFFER_SIZE - shift) + b"".join(pieces))
+        assert streamed_lines(path) == whole_file_lines(path)
 
     def test_read_closes_the_file_when_the_parser_stops_early(self, tmp_path, monkeypatch):
         path = tmp_path / "f"

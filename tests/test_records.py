@@ -23,6 +23,7 @@ from votescale import (
     group_records,
     load_ground_truth,
     mean_replay_accuracy,
+    monte_carlo_majority_prob,
     parse_log,
     parse_records,
     replay_majority,
@@ -169,25 +170,18 @@ class TestGrouping:
         with pytest.raises(MissingGroundTruth, match="q9"):
             parse_log([record_line(qid="q9")], self.TRUTH)
 
-    def test_canonicalize_hook(self):
-        lines = [
-            record_line(idx=0, answer=" 42 "),
-            record_line(idx=1, answer="42"),
-            record_line(idx=2, answer="  "),
-        ]
-        groups = parse_log(lines, self.TRUTH, canonicalize=str.strip)
-        g = groups[("q1", "s1")]
-        assert g.answers == ("42", "42", UNPARSEABLE)
-        assert g.correct_answer == "42"
-
-    def test_sentinel_bypasses_canonicalize(self):
-        lines = [record_line(idx=0, answer=None)]
-        groups = parse_log(lines, self.TRUTH, canonicalize=lambda s: "X")
-        assert groups[("q1", "s1")].answers == (UNPARSEABLE,)
+    @pytest.mark.parametrize("correct", ["", UNPARSEABLE])
+    def test_empty_or_sentinel_correct_rejected(self, correct):
+        """Either value would score the unparseable samples as correct."""
+        lines = [record_line(idx=i, answer=a) for i, a in enumerate(["", "a", ""])]
+        with pytest.raises(MissingGroundTruth, match="question 'q1'"):
+            parse_log(lines, {"q1": correct})
+        with pytest.raises(MissingGroundTruth, match="question 'q1'"):
+            group_records(parse_records(lines), {"q1": correct})
 
     def test_empty_answer_groups_to_sentinel(self):
         lines = [record_line(idx=0, answer="")]
-        groups = parse_log(lines, self.TRUTH, canonicalize=str.strip)
+        groups = parse_log(lines, self.TRUTH)
         assert groups[("q1", "s1")].answers == (UNPARSEABLE,)
 
     def test_null_and_empty_answers_group_to_one_sentinel_without_a_hook(self):
@@ -283,12 +277,6 @@ class TestReplay:
         got = replay_majority(p, 5, 40_000, seed=13)
         assert got == pytest.approx(want, abs=0.02)
 
-    def test_with_replacement_can_exceed_pool(self):
-        p = pool(["a", "a", "b"])
-        value = replay_majority(p, 9, 5_000, seed=5, with_replacement=True)
-        exact = exact_majority_prob(estimate_distribution(p), 9).value
-        assert value == pytest.approx(exact, abs=0.03)
-
     def test_deterministic_under_seed(self):
         p = pool(["a", "a", "b", "c", "a", "b"])
         a = replay_majority(p, 3, 5_000, seed=21)
@@ -299,12 +287,8 @@ class TestReplay:
         """Pinned values: changes to the counting or tie-break code must not
         change the random stream a seeded replay consumes."""
         p = pool(list("aabbbcacbd"))
-        got = [
-            replay_majority(p, n, 1000, seed=3, with_replacement=wr)
-            for n in (1, 4, 7)
-            for wr in (False, True)
-        ]
-        assert got == [0.315, 0.32, 0.303, 0.329, 0.286, 0.317]
+        got = [replay_majority(p, n, 1000, seed=3) for n in (1, 4, 7)]
+        assert got == [0.315, 0.303, 0.286]
 
     def test_argument_validation(self):
         p = pool(["a", "b", "c"])
@@ -312,6 +296,24 @@ class TestReplay:
             replay_majority(p, 0, 10, seed=0)
         with pytest.raises(ValueError):
             replay_majority(p, 1, 0, seed=0)
+
+    @pytest.mark.parametrize(
+        "trials, message",
+        [
+            (2.5, "trials must be an integer, got 2.5"),
+            ("3", "trials must be an integer, got '3'"),
+            (0, "trials must be >= 1"),
+        ],
+        ids=["float", "str", "zero"],
+    )
+    @pytest.mark.parametrize("estimate", ["replay", "monte_carlo"])
+    def test_trials_must_be_a_positive_integer(self, estimate, trials, message):
+        p = pool(["a", "b", "a"])
+        with pytest.raises(ValueError, match=message):
+            if estimate == "replay":
+                replay_majority(p, 1, trials, seed=0)
+            else:
+                monte_carlo_majority_prob(estimate_distribution(p), 3, trials, 0)
 
     def test_mean_over_pools(self):
         groups = [pool(["a"] * 5), pool(["b"] * 5, correct="a")]
