@@ -19,9 +19,10 @@ appends its own, and one writer writes them once every table is computed,
 so a failing run leaves no partial report. All tables of a run read one
 cell table, so each cell is evaluated once. Every input file is streamed
 a block at a time through one reader that names the file and line of the
-first bad or repeated line in reading order. A record key repeated across
-log lines or files, and a logged question without ground truth, are located
-by rescanning the logs once grouping has failed.
+first bad or repeated line in reading order. The logs go through one pass
+(:func:`votescale.records.group_logs`) straight into per-pool samples; it
+names the line of a record key repeated across log lines or files, and of a
+logged question without ground truth, from the line where it sees it.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -44,22 +45,12 @@ import numpy as np
 
 from .difficulty import classify, kl_to_uniform
 from .distribution import AnswerDistribution
-from .errors import (
-    CapExceeded,
-    DuplicateKey,
-    MalformedLine,
-    MissingGroundTruth,
-    NoWrongMass,
-    VoteScaleError,
-)
-from .records import (
-    CostModel,
-    answer_support,
-    group_records,
-    load_ground_truth,
-    parse_records,
-)
-from .records import _RECORD_FIELDS, _json_lines
+from .errors import CapExceeded, DuplicateKey, MalformedLine, NoWrongMass, VoteScaleError
+from .records import CostModel, answer_support, group_logs, load_ground_truth
+
+# bench/tracer.py times the record-at-a-time steps under these names; the
+# CLI itself reads logs with group_logs
+from .records import group_records, parse_records  # noqa: F401
 from .selection import (
     StrategyDataset,
     accuracy_curve,
@@ -182,27 +173,12 @@ def _read(path: str, parse):
         raise VoteScaleError(f"{path}: {exc}") from None
 
 
-def _bad_record(logs, truth_path: str, truth: dict[str, str]) -> str | None:
-    """The first log line, in reading order, whose question has no ground
-    truth or whose record key repeats an earlier one, named with its file
-    and line (and those of the earlier record). Called only after grouping
-    has failed, so a clean read keeps no per-record origin."""
-    seen = {}
-    for path in logs:
+def _log_sources(paths) -> Iterator[tuple[str, Iterator[str]]]:
+    """``(path, lines)`` of each log, each file closed once its lines are
+    read or the generator is closed."""
+    for path in paths:
         with closing(_lines(path)) as lines:
-            for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
-                where = f"{path}: line {line_number}"
-                question_id = obj["question_id"]
-                if question_id not in truth:
-                    return f"{where}: no correct answer for question {question_id!r} in {truth_path}"
-                key = (question_id, obj["strategy_id"], obj["sample_index"])
-                if key in seen:
-                    return (
-                        f"{where}: duplicate (question_id, strategy_id, "
-                        f"sample_index): {key!r} (first at {seen[key]})"
-                    )
-                seen[key] = where
-    return None
+            yield path, lines
 
 
 def _write_table(fh, header: list[str], rows) -> None:
@@ -306,11 +282,8 @@ def cmd_analyze(args) -> int:
     if not 0 <= args.smoothing < math.inf:
         raise ValueError("--smoothing must be a finite number >= 0")
     truth = _read(args.truth, load_ground_truth)
-    records = [record for path in args.log for record in _read(path, parse_records)]
-    try:
-        groups = group_records(records, truth)
-    except (DuplicateKey, MissingGroundTruth) as exc:
-        raise VoteScaleError(_bad_record(args.log, args.truth, truth) or str(exc)) from None
+    with closing(_log_sources(args.log)) as sources:
+        groups = group_logs(sources, truth, truth_name=args.truth)
     if not groups:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)

@@ -68,6 +68,11 @@ class AnswerDistribution:
             raise InvalidDistribution(
                 f"correct_index {self.correct_index} out of range for {len(probs)} answers"
             )
+        # cell tables look distributions up by hash many times; equality is unchanged
+        object.__setattr__(self, "_hash", hash((probs, self.correct_index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def m(self) -> int:

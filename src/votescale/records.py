@@ -13,21 +13,30 @@ and the scenario files of :mod:`votescale.selection` all go through this
 module's one line reader and typed field checks, so every bad line raises
 an error carrying its number.
 
-Logs are the large input, so :func:`parse_records` reads them a chunk of
-lines at a time: one ``json.loads`` per chunk and one check per column.
-A chunk that fails any check goes back through the line reader, so records
-and errors are those of a line-by-line parse. Ids and answers that repeat
-share one string object.
+Logs are the large input, so they are read a chunk of lines at a time:
+one ``json.loads`` per chunk and one check per column. A chunk that fails
+any check goes back through the line reader, so rows and errors are those
+of a line-by-line parse. Ids and answers that repeat share one string
+object. :func:`group_logs` is the one pass from the lines of one or more
+logs to the per-pool samples of :func:`group_records`: it keeps, per
+(question, strategy) pool, a map from sample_index to answer, integer token
+sums and the line of each sample, and builds no per-line record. It notes a
+question without ground truth or a repeated key, with file and line, where
+it first sees it, and raises that once every line has parsed, so a bad line
+anywhere is reported first. :func:`parse_records` and :func:`group_records`
+are the same steps one record at a time.
 """
 from __future__ import annotations
 
 import json
 import math
 import sys
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import groupby, islice
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -59,6 +68,8 @@ _TRUTH_FIELDS = frozenset({"question_id", "correct_answer"})
 _RECORD_COLUMNS = itemgetter(
     "question_id", "strategy_id", "sample_index", "answer", "prompt_tokens", "completion_tokens"
 )
+#: A log row's pool: (question_id, strategy_id).
+_POOL = itemgetter(0, 1)
 #: Log lines parsed as one JSON array. Small, so that the chunk's text and
 #: objects stay a small share of peak memory next to the records.
 _CHUNK_LINES = 256
@@ -201,15 +212,27 @@ def parse_records(lines: Iterable[str]) -> list[SampleRecord]:
     records = []
     start = 1
     for chunk in _chunks(lines, _CHUNK_LINES):
-        rows = _chunk_rows(chunk)
-        if rows is None:
-            rows = [_record_row(n, obj) for n, obj in _json_lines(chunk, _RECORD_FIELDS, start)]
+        rows, _ = _log_rows(chunk, start)
         records += [
             SampleRecord(intern(q, q), intern(s, s), i, intern(a, a), p, c)
             for q, s, i, a, p, c in rows
         ]
         start += len(chunk)
     return records
+
+
+def _log_rows(chunk: list[str], start: int, offset: int = 0) -> tuple[list[tuple], Sequence[int]]:
+    """The rows of :func:`_record_row` for a chunk of log lines numbered from
+    ``start``, and each row's line number plus ``offset``; a bad line raises
+    its :class:`MalformedLine`."""
+    rows = _chunk_rows(chunk)
+    if rows is None:
+        numbered = [(n, _record_row(n, obj)) for n, obj in _json_lines(chunk, _RECORD_FIELDS, start)]
+        return [row for _, row in numbered], [offset + n for n, _ in numbered]
+    first = offset + start
+    if len(rows) == len(chunk):
+        return rows, range(first, first + len(chunk))
+    return rows, [first + j for j, line in enumerate(chunk) if line.strip()]
 
 
 def _chunks(lines: Iterable[str], size: int) -> Iterator[list[str]]:
@@ -370,6 +393,150 @@ def parse_log(
 ) -> dict[tuple[str, str], QuestionSamples]:
     """:func:`group_records` over :func:`parse_records` of a whole log stream."""
     return group_records(parse_records(lines), ground_truth)
+
+
+def group_logs(
+    sources: Iterable[tuple[str, Iterable[str]]],
+    ground_truth: dict[str, str],
+    *,
+    truth_name: str = "the ground truth",
+) -> dict[tuple[str, str], QuestionSamples]:
+    """:func:`group_records` of :func:`parse_records` over every log of
+    ``sources``, ``(name, lines)`` pairs read in order, in one pass.
+
+    Pools, their order, answers, token means and shared string objects are
+    those of ``group_records(parse_records(lines of every log), ground_truth)``,
+    and a pool may span logs. Errors name the log and line. A bad line (see
+    :func:`parse_records`) is a :class:`VoteScaleError` ``"name: line N:
+    ..."``. Once every line has parsed, the first record in reading order
+    whose question has no ground truth raises :class:`MissingGroundTruth`
+    (``"... in truth_name"``), or the first that repeats an earlier record's
+    (question, strategy, sample_index) raises :class:`DuplicateKey`
+    (``"... (first at name: line M)"``).
+    """
+    pools = _LogPools(ground_truth, truth_name)
+    error = None
+    for name, lines in sources:
+        offset = pools.open(name)
+        start = 1
+        try:
+            for chunk in _chunks(lines, _CHUNK_LINES):
+                rows, line_numbers = _log_rows(chunk, start, offset)
+                if error is None:
+                    error = pools.add(rows, line_numbers)
+                start += len(chunk)
+        except MalformedLine as exc:
+            raise VoteScaleError(f"{name}: {exc}") from None
+        pools.close(start - 1)
+    if error is not None:
+        raise error
+    return pools.groups()
+
+
+class _Pool:
+    """One (question, strategy) pool while its logs are read."""
+
+    __slots__ = ("answers", "lines", "prompt_tokens", "completion_tokens")
+
+    def __init__(self):
+        self.answers: dict[int, str] = {}  # sample_index -> answer, in reading order
+        self.lines = array("q")  # each answer's line, in :class:`_LogPools` numbering
+        self.prompt_tokens = 0
+        self.completion_tokens = 0
+
+
+class _LogPools:
+    """The pools of the log rows read so far. Lines are numbered across
+    logs: a log's line N is its offset plus N, and a log's offset is the
+    number of lines of the logs before it."""
+
+    def __init__(self, ground_truth: dict[str, str], truth_name: str):
+        self.ground_truth = ground_truth
+        self.truth_name = truth_name
+        # one object per distinct id and answer string; a null answer maps to the sentinel
+        strings: dict[str | None, str] = {None: UNPARSEABLE}
+        self.intern = strings.setdefault
+        self.pools: dict[tuple[str, str], _Pool] = {}
+        self.names: list[str] = []
+        self.offsets: list[int] = [0]
+
+    def open(self, name: str) -> int:
+        """Start the next log; returns its offset."""
+        self.names.append(name)
+        return self.offsets[-1]
+
+    def close(self, lines: int) -> None:
+        """End the current log, which had ``lines`` lines."""
+        self.offsets.append(self.offsets[-1] + lines)
+
+    def where(self, line: int) -> str:
+        """``"name: line N"`` for a line in the numbering across logs."""
+        log = bisect_left(self.offsets, line) - 1
+        return f"{self.names[log]}: line {line - self.offsets[log]}"
+
+    def add(self, rows: list[tuple], lines: Sequence[int]) -> VoteScaleError | None:
+        """Add checked log rows read from ``lines``. Returns the error of the
+        first row whose question has no usable ground truth or whose key
+        repeats an earlier one (the pools are then incomplete), or None."""
+        intern = self.intern
+        done = 0
+        for (question_id, strategy_id), run in groupby(rows, _POOL):
+            run = list(run)
+            run_lines = lines[done : done + len(run)]
+            done += len(run)
+            pool = self.pools.get((question_id, strategy_id))
+            if pool is None:
+                correct = self.ground_truth.get(question_id)
+                if correct is None:
+                    return MissingGroundTruth(
+                        f"{self.where(run_lines[0])}: no correct answer for question "
+                        f"{question_id!r} in {self.truth_name}"
+                    )
+                if correct in ("", UNPARSEABLE):
+                    return MissingGroundTruth(
+                        f"{self.where(run_lines[0])}: correct answer {correct!r} for question "
+                        f"{question_id!r} is empty or the sentinel"
+                    )
+                key = (intern(question_id, question_id), intern(strategy_id, strategy_id))
+                pool = self.pools[key] = _Pool()
+            _, _, indices, answers, prompts, completions = zip(*run)
+            known = len(pool.answers)
+            pool.answers.update(zip(indices, map(intern, answers, answers)))
+            if len(pool.answers) != known + len(run):
+                return self._repeat(pool, known, question_id, strategy_id, indices, run_lines)
+            pool.lines.extend(run_lines)
+            pool.prompt_tokens += sum(prompts)
+            pool.completion_tokens += sum(completions)
+        return None
+
+    def _repeat(self, pool, known, question_id, strategy_id, indices, lines) -> DuplicateKey:
+        """The error of the first of ``indices`` (read from ``lines``) that
+        repeats one of the pool's first ``known`` samples or an earlier index."""
+        earlier = dict(zip(islice(pool.answers, known), pool.lines))
+        for index, line in zip(indices, lines):
+            if index in earlier:
+                return DuplicateKey(
+                    f"{self.where(line)}: duplicate (question_id, strategy_id, sample_index): "
+                    f"{(question_id, strategy_id, index)!r} (first at {self.where(earlier[index])})"
+                )
+            earlier[index] = line
+        raise AssertionError("no repeated sample_index")
+
+    def groups(self) -> dict[tuple[str, str], QuestionSamples]:
+        """The pools as :class:`QuestionSamples`, answers in sample_index order."""
+        groups = {}
+        for (question_id, strategy_id), pool in self.pools.items():
+            answers = pool.answers
+            groups[question_id, strategy_id] = QuestionSamples(
+                question_id=question_id,
+                strategy_id=strategy_id,
+                correct_answer=self.ground_truth[question_id],
+                answers=tuple([answers[i] or UNPARSEABLE for i in sorted(answers)]),
+                # exact integer sums, one rounding each
+                mean_prompt_tokens=pool.prompt_tokens / len(answers),
+                mean_completion_tokens=pool.completion_tokens / len(answers),
+            )
+        return groups
 
 
 def answer_support(samples: QuestionSamples) -> tuple[str, ...]:

@@ -15,17 +15,21 @@ computes three oracle curves that bound what smarter sampling could do:
 Every curve, selection and oracle is a reduction over (strategy, question,
 effective n) cells kept in a cell table, a dict the caller owns: one table
 passed as ``cells=`` to every reduction of a run evaluates each cell once,
-and a call without one keeps nothing. Monte Carlo cells derive their
-sub-seed from (strategy, question position, effective n), so a cell has one
-value however it is reached and the documented dominance relations between
-curves survive sampling noise. A dataset point is tagged with the least
-exact estimator among its cells.
+and a call without one keeps nothing. An exact cell is keyed by its
+distribution and effective n alone, so equal distributions share one
+value; a reduction evaluates its missing exact cells in one batched call
+(:func:`votescale.votemath.exact_majority_probs`). Monte Carlo cells derive
+their sub-seed from (strategy, question position, effective n), so a cell
+has one value however it is reached and the documented dominance relations
+between curves survive sampling noise. A dataset point is tagged with the
+least exact estimator among its cells.
 """
 from __future__ import annotations
 
 import math
 import zlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -41,7 +45,15 @@ from .errors import (
 )
 from .records import CostModel, QuestionSamples, estimate_distribution
 from .records import _json_lines, _number, _text
-from .votemath import ScalingCurve, canonical_method, check_grid, vote_probability
+from .votemath import (
+    ScalingCurve,
+    canonical_method,
+    check_grid,
+    exact_majority_probs,
+    vote_probability,
+)
+
+_VALUE = attrgetter("value")
 
 _SCENARIO_FIELDS = frozenset(
     {
@@ -114,20 +126,33 @@ class ExtremePerformance(NamedTuple):
     limit_accuracy: float
 
 
-def _cell(cells: dict, key: tuple) -> VoteProbability:
-    """One cell, read from the table ``cells`` or evaluated into it. ``key``
-    is the cell's full identity: (distribution, effective n, method, trials,
-    seed, fallback, strategy id, question position), so a shared table never
-    mixes settings or distributions."""
-    vp = cells.get(key)
-    if vp is None:
-        dist, n, method, trials, seed, fallback, strategy_id, qi = key
+def _cell_key(dist, n, method, trials, seed, fallback, strategy_id, qi) -> tuple:
+    """A cell's identity in a cell table. An exact cell is (distribution,
+    effective n, method, fallback); any other cell also carries trials, seed,
+    strategy id and question position, so a shared table never mixes
+    settings, distributions or Monte Carlo streams."""
+    if method == "exact":
+        return (dist, n, method, fallback)
+    return (dist, n, method, trials, seed, fallback, strategy_id, qi)
+
+
+def _fill(cells: dict, keys: list[tuple], fallback: bool) -> None:
+    """Evaluate the cells of ``keys`` missing from the table ``cells``, in
+    order: exact cells in one batched call, the others one at a time."""
+    exact = {}
+    for key in keys:
+        if key in cells:
+            continue
+        if key[2] == "exact":
+            exact[key] = None  # each distinct cell once, in first-seen order
+            continue
+        dist, n, method, trials, seed, _, strategy_id, qi = key
         if method == "monte_carlo":
             seed = np.random.SeedSequence([seed, zlib.crc32(strategy_id.encode("utf-8")), qi, n])
-        vp = cells[key] = vote_probability(
-            dist, n, method, trials=trials, seed=seed, fallback=fallback
-        )
-    return vp
+        cells[key] = vote_probability(dist, n, method, trials=trials, seed=seed, fallback=fallback)
+    if exact:
+        values = exact_majority_probs([key[:2] for key in exact], fallback=fallback)
+        cells.update(zip(exact, values))
 
 
 def _mean_point(values: list[VoteProbability], n: int) -> VoteProbability:
@@ -177,7 +202,8 @@ def _reduce(
     Per grid point and question (in the first dataset's order), takes the
     best strategy's cell, at n=1 where ``adaptive`` is set and that
     strategy finds the question hard, and averages over questions. Ties
-    keep the earliest strategy in the input.
+    keep the earliest strategy in the input. The cells missing from the
+    table are evaluated first, in that order (:func:`_fill`).
     """
     grid = check_grid(ns)
     method = canonical_method(method)
@@ -190,15 +216,21 @@ def _reduce(
         for qi, q in enumerate(ds.questions):
             hard = adaptive and classify(q.dist).kind is Difficulty.HARD
             candidates[q.question_id].append((ds.strategy_id, qi, q.dist, hard))
-    points = []
-    for n in grid:
-        values = []
-        for question_id in order:
-            row = [
-                _cell(cells, (dist, 1 if hard else n, method, trials, seed, fallback, sid, qi))
+    rows = [
+        [
+            [
+                _cell_key(dist, 1 if hard else n, method, trials, seed, fallback, sid, qi)
                 for sid, qi, dist, hard in candidates[question_id]
             ]
-            values.append(max(row, key=lambda vp: vp.value))  # first maximum wins ties
+            for question_id in order
+        ]
+        for n in grid
+    ]
+    _fill(cells, [key for per_n in rows for row in per_n for key in row], fallback)
+    points = []
+    for n, per_n in zip(grid, rows):
+        # the first maximum wins ties
+        values = [max(map(cells.__getitem__, row), key=_VALUE) for row in per_n]
         points.append(_mean_point(values, n))
     return ScalingCurve(tuple(points), method, curve_id=curve_id)
 

@@ -27,7 +27,12 @@ Four estimators are provided:
 The exact kernel's plan (correct-count range, roots of unity, extraction
 and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
 cache, so sweeping many distributions over a grid of ``n`` reuses it.
-Nothing is cached per distribution.
+Nothing is cached per distribution. The kernel takes a leading batch axis:
+:func:`exact_majority_probs` is the batch entry point for many
+``(distribution, n)`` cells, and runs the kernel once per chunk of cells
+with equal nonzero answers and ``n``, each chunk's largest array holding at
+most ``_BATCH_ENTRIES`` (2^13) complex entries. :func:`exact_majority_prob`
+is its batch of one.
 """
 from __future__ import annotations
 
@@ -35,6 +40,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
 import numpy as np
 
@@ -44,6 +50,12 @@ from .errors import CapExceeded, WrongArity
 #: Exact-path caps on nonzero answers and (by default) ``n``; they bound the kernel's memory.
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60
+
+#: Largest array, in complex entries (128 KiB), that one batch of the exact
+#: kernel builds: a batch holds as many cells of one (answers, n) as fit,
+#: and at least one. Fixed: larger batches were no faster and raised peak
+#: memory.
+_BATCH_ENTRIES = 1 << 13
 
 #: Rows processed per block in vectorized loops (fixed: part of the
 #: deterministic random stream for Monte Carlo).
@@ -125,6 +137,7 @@ class _KernelPlan:
     untied: np.ndarray  # (F, n - n//2) the x^(n-k) weight at w^f
     k0: int  # smallest correct count that can be modal: ceil(n / m)
     prefactor: float  # n! / (n^n e^-n)
+    row_entries: int  # complex entries per distribution in the kernel's largest array
 
 
 @lru_cache(maxsize=128)
@@ -146,6 +159,8 @@ def _kernel_plan(n: int, m: int) -> _KernelPlan:
     extract = scale[:, None] * np.exp(-turn * (np.outer(freq, n - np.arange(k0, n + 1)) % size))
     nodes, weights = np.polynomial.legendre.leggauss(-(-m // 2))
     log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
+    # the wrong answers' prefix sums, or their tied factors at every node
+    row_entries = (m - 1) * freq.size * max(half + 1, nodes.size * (half + 1 - k0))
     return _KernelPlan(
         powers=np.stack([np.arange(n + 1.0), -np.ones(n + 1), -log_fact]),
         roots=np.exp(turn * (np.outer(freq, np.arange(half + 1)) % size)),
@@ -154,6 +169,7 @@ def _kernel_plan(n: int, m: int) -> _KernelPlan:
         untied=extract[:, half + 1 - k0 :].copy(),
         k0=k0,
         prefactor=math.exp(log_fact[n] - n * math.log(n) + n),
+        row_entries=row_entries,
     )
 
 
@@ -179,41 +195,102 @@ def exact_majority_prob(
     ceil(m/2) Gauss-Legendre nodes, so time and memory are polynomial in
     ``n`` and ``m``. The value is accurate to about 1e-14 in absolute terms;
     values far below that carry no relative accuracy.
+
+    This is the batch of one of :func:`exact_majority_probs`.
     """
-    n = check_sampling_time(n)
+    return exact_majority_probs([(dist, n)], max_n=max_n)[0]
+
+
+def exact_majority_probs(
+    cells: Iterable[tuple[AnswerDistribution, int]],
+    *,
+    max_n: int = EXACT_MAX_N,
+    fallback: bool = False,
+) -> list[VoteProbability]:
+    """:func:`exact_majority_prob` of each ``(dist, n)`` cell, in order.
+
+    Special cases and caps are settled per cell, in order, so the first cell
+    beyond a cap raises :class:`CapExceeded`; with ``fallback`` such a cell
+    gets :func:`normal_approx_prob` instead. The other cells go through the
+    kernel together, grouped by (nonzero answers, ``n``) and cut into chunks
+    whose largest array holds at most ``_BATCH_ENTRIES`` complex entries (or
+    one cell). Every cell's arithmetic is the same in any batch, so equal
+    cells get equal values wherever they sit.
+    """
+    results: list[VoteProbability | None] = []
+    batches: dict[tuple[int, int], list[tuple[int, tuple[float, ...]]]] = {}
+    for dist, n in cells:
+        n = check_sampling_time(n)
+        try:
+            case = _exact_case(dist, n, max_n)
+        except CapExceeded:
+            if not fallback:
+                raise
+            results.append(normal_approx_prob(dist, n))
+            continue
+        if isinstance(case, float):
+            results.append(VoteProbability(case, "exact", n))
+        else:
+            batches.setdefault((len(case), n), []).append((len(results), case))
+            results.append(None)
+    for (m, n), members in batches.items():
+        step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
+        for start in range(0, len(members), step):
+            chunk = members[start : start + step]
+            values = _exact_kernel([support for _, support in chunk], n)
+            for (i, _), value in zip(chunk, values.tolist()):
+                results[i] = VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
+    return results
+
+
+def _exact_case(dist: AnswerDistribution, n: int, max_n: int) -> float | tuple[float, ...]:
+    """The exact value of a cell that needs no kernel, else the support the
+    kernel takes: the correct probability, then the nonzero wrong ones.
+    Zero-probability answers do not count against the caps."""
     p_correct = dist.correct_prob
     if p_correct == 0.0:
         # the correct answer is never sampled, so it can never reach the modal set
-        return VoteProbability(0.0, "exact", n)
-    support = [p_correct] + [
+        return 0.0
+    support = (p_correct,) + tuple(
         p for j, p in enumerate(dist.probs) if j != dist.correct_index and p > 0.0
-    ]
-    m_eff = len(support)
-    if m_eff == 1:
-        return VoteProbability(1.0, "exact", n)
-    if m_eff > EXACT_MAX_ANSWERS:
-        raise CapExceeded(f"{m_eff} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}")
+    )
+    if len(support) == 1:
+        return 1.0
+    if len(support) > EXACT_MAX_ANSWERS:
+        raise CapExceeded(f"{len(support)} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}")
     if n > max_n:
         raise CapExceeded(f"n={n} exceeds the exact cap of {max_n}")
     if n == 1:
-        # one sample is the vote
-        return VoteProbability(p_correct, "exact", n)
+        return p_correct  # one sample is the vote
+    return support
 
-    plan = _kernel_plan(n, m_eff)
-    rates = np.array([(math.log(n * p), n * p, 1.0) for p in support])
+
+def _exact_kernel(supports: list[tuple[float, ...]], n: int) -> np.ndarray:
+    """Levin's sum (see :func:`exact_majority_prob`) for a batch of supports
+    of one size ``m >= 2``, correct answer first and every entry nonzero, at
+    ``n >= 2``: one unclipped value per support. Axis 0 is the batch; no
+    operation mixes rows, so a row's value does not depend on the batch."""
+    plan = _kernel_plan(n, len(supports[0]))
+    rates = np.array([[(math.log(n * p), n * p, 1.0) for p in support] for support in supports])
     pmf = np.exp(rates @ plan.powers)  # Poisson(n p_j) over c = 0..n, correct answer first
-    waves = pmf[1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
-    prefix = np.cumsum(waves, axis=2)
+    waves = pmf[:, 1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
+    prefix = np.cumsum(waves, axis=3)
     half, k0 = n // 2, plan.k0
     # k > n/2: the factor is the sum over c <= n - k, the same at every y
-    untied = prefix[:, :, n - half - 1 :: -1].prod(axis=0)
-    total = (plan.untied * pmf[0, half + 1 :]).ravel() @ untied.ravel()
+    untied = prefix[:, :, :, n - half - 1 :: -1].prod(axis=1)
+    total = _row_dots(plan.untied * pmf[:, 0, None, half + 1 :], untied)
     if k0 <= half:
         # k <= n/2: the sum over c < k plus y times the tie at k
-        tied = prefix[:, :, k0 - 1 : half] + plan.nodes * waves[:, :, k0 : half + 1]
-        total += (plan.tied * pmf[0, k0 : half + 1]).ravel() @ tied.prod(axis=1).ravel()
-    value = plan.prefactor * float(total.real)
-    return VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
+        tied = prefix[:, None, :, :, k0 - 1 : half] + plan.nodes * waves[:, None, :, :, k0 : half + 1]
+        total += _row_dots(plan.tied * pmf[:, 0, None, None, k0 : half + 1], tied.prod(axis=2))
+    return plan.prefactor * total.real
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per row (axis 0), the unconjugated dot product of ``a`` and ``b``
+    flattened: one BLAS dot per row, as for a lone row."""
+    rows = len(a)
+    return (a.reshape(rows, 1, -1) @ b.reshape(rows, -1, 1)).reshape(rows)
 
 
 def closed_form_majority_prob(dist: AnswerDistribution, n: int) -> VoteProbability:
@@ -337,12 +414,7 @@ def vote_probability(
     """
     method = canonical_method(method)
     if method == "exact":
-        try:
-            return exact_majority_prob(dist, n)
-        except CapExceeded:
-            if fallback:
-                return normal_approx_prob(dist, n)
-            raise
+        return exact_majority_probs([(dist, n)], fallback=fallback)[0]
     if method == "normal_approx":
         return normal_approx_prob(dist, n)
     if method == "monte_carlo":

@@ -810,6 +810,27 @@ class TestBadLines:
         assert code == 2
         assert f"{log}: line 2: no correct answer for question 'q9' in {truth}" in err
 
+    @pytest.mark.parametrize("bad", ["{", log_line("q9", "s1", 0)], ids=["bad-line", "bad-record"])
+    def test_logs_are_closed_when_reading_them_fails(self, capsys, tmp_path, monkeypatch, bad):
+        import votescale.cli as cli
+
+        opened = []
+
+        def recording_open(*args, **kwargs):
+            opened.append(open(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(cli, "open", recording_open, raising=False)
+        log_a, log_b, truth = tmp_path / "a.jsonl", tmp_path / "b.jsonl", tmp_path / "truth.jsonl"
+        write_lines(log_a, [log_line("q0", "s1", 0)])
+        write_lines(log_b, [log_line("q0", "s1", 1), bad, log_line("q0", "s1", 2)])
+        write_lines(truth, [truth_line("q0")])
+        argv = ["analyze", "--log", str(log_a), "--log", str(log_b), "--truth", str(truth)]
+        code, _, err = run(capsys, argv + ["--n", "1", "--out", str(tmp_path / "report")])
+        assert code == 2
+        assert err.startswith(f"error: {log_b}: line 2: ")
+        assert len(opened) == 3 and all(fh.closed for fh in opened)
+
 
 class TestDeterminism:
     def test_point_commands_repeat_byte_identical(self, capsys):

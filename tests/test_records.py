@@ -1,9 +1,14 @@
 """Log parsing, distribution estimation from pools, replay, and cost."""
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import votescale.records as records_module
 
 from votescale import (
     CostModel,
@@ -15,11 +20,13 @@ from votescale import (
     QuestionSamples,
     SampleRecord,
     UNPARSEABLE,
+    VoteScaleError,
     answer_support,
     classify,
     cost_of,
     estimate_distribution,
     exact_majority_prob,
+    group_logs,
     group_records,
     load_ground_truth,
     mean_replay_accuracy,
@@ -28,6 +35,7 @@ from votescale import (
     parse_records,
     replay_majority,
 )
+from votescale.records import _RECORD_FIELDS, _json_lines
 
 
 def record_line(qid="q1", sid="s1", idx=0, answer="42", pt=100, ct=50):
@@ -200,6 +208,192 @@ class TestGrouping:
         g = parse_log(lines, self.TRUTH)[("q1", "s1")]
         assert g.mean_prompt_tokens == (big + 2) / 3  # a float sum loses both 1s
         assert g.mean_completion_tokens == 100 / 3
+
+
+def record_at_a_time(logs, truth, truth_name):
+    """The reference for :func:`group_logs`: every log parsed into records,
+    then grouped; when grouping fails, a line-by-line scan names the first
+    record in reading order whose question has no ground truth or whose key
+    repeats an earlier one."""
+    records = []
+    for name, lines in logs:
+        try:
+            records += parse_records(lines)
+        except MalformedLine as exc:
+            raise VoteScaleError(f"{name}: {exc}") from None
+    try:
+        return group_records(records, truth)
+    except (DuplicateKey, MissingGroundTruth):
+        pass
+    seen = {}
+    for name, lines in logs:
+        for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+            where = f"{name}: line {line_number}"
+            question_id = obj["question_id"]
+            if question_id not in truth:
+                raise VoteScaleError(
+                    f"{where}: no correct answer for question {question_id!r} in {truth_name}"
+                )
+            key = (question_id, obj["strategy_id"], obj["sample_index"])
+            if key in seen:
+                raise VoteScaleError(
+                    f"{where}: duplicate (question_id, strategy_id, sample_index): "
+                    f"{key!r} (first at {seen[key]})"
+                )
+            seen[key] = where
+    raise AssertionError("grouping failed without a bad record")
+
+
+def strings_of(groups):
+    """Every string of a grouping, in order, and which of them are one object
+    (each string's position mapped to the first position of its object)."""
+    strings = []
+    for key, samples in groups.items():
+        strings += [*key, samples.question_id, samples.strategy_id, samples.correct_answer]
+        strings += samples.answers
+    first = {}
+    return strings, [first.setdefault(id(x), k) for k, x in enumerate(strings)]
+
+
+log_records = st.lists(
+    st.tuples(
+        st.sampled_from(["q0", "q1", "a"]),
+        st.sampled_from(["s0", "s1", ""]),
+        st.integers(0, 6),
+        st.sampled_from([None, "", "a", "b", UNPARSEABLE, "q0", "s1"]),
+        st.integers(0, 2**64),
+        st.integers(0, 9),
+    ),
+    unique_by=lambda r: r[:3],
+    max_size=40,
+)
+
+
+def log_lines(rows):
+    return [record_line(q, s, i, a, p, c) for q, s, i, a, p, c in rows]
+
+
+class TestGroupLogs:
+    """The one pass against the record-at-a-time path it replaces."""
+
+    TRUTH = {"q0": "a", "q1": "b", "a": "q0"}
+
+    @staticmethod
+    def split(lines, cuts, names=("a.jsonl", "b.jsonl", "c.jsonl")):
+        bounds = [0, *sorted(cuts), len(lines)]
+        return [(names[k], lines[lo:hi]) for k, (lo, hi) in enumerate(zip(bounds, bounds[1:]))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=log_records,
+        blanks=st.lists(st.integers(0, 45), max_size=3),
+        cuts=st.lists(st.integers(0, 45), max_size=2),
+        chunk=st.sampled_from([1, 2, 3, 5, 256]),
+    )
+    def test_equals_parse_then_group(self, rows, blanks, cuts, chunk):
+        lines = log_lines(rows)
+        for at in blanks:
+            lines.insert(min(at, len(lines)), "  ")
+        logs = self.split(lines, [min(c, len(lines)) for c in cuts])
+        with mock.patch.object(records_module, "_CHUNK_LINES", chunk):
+            got = group_logs(logs, self.TRUTH)
+        want = group_records(parse_records(line for _, part in logs for line in part), self.TRUTH)
+        assert list(got.items()) == list(want.items())
+        assert strings_of(got) == strings_of(want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=log_records,
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["repeat", "no truth", "bad json", "bad field"]),
+                st.integers(0, 45),
+                st.integers(0, 45),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        cuts=st.lists(st.integers(0, 50), max_size=2),
+        chunk=st.sampled_from([1, 2, 3, 5, 256]),
+    )
+    def test_mutated_logs_fail_alike(self, rows, edits, cuts, chunk):
+        lines = log_lines(rows)
+        for kind, at, source in edits:
+            at = min(at, len(lines))
+            if kind == "repeat" and rows:
+                q, s, i, _, p, c = rows[source % len(rows)]
+                lines.insert(at, record_line(q, s, i, "changed", p, c))
+            elif kind == "no truth":
+                lines.insert(at, record_line("q9", "s0", source))
+            elif kind == "bad json":
+                lines.insert(at, "{")
+            else:
+                lines.insert(at, record_line("q0", "s0", -source - 1))
+        logs = self.split(lines, [min(c, len(lines)) for c in cuts])
+        with mock.patch.object(records_module, "_CHUNK_LINES", chunk):
+            try:
+                got = group_logs(logs, self.TRUTH, truth_name="truth.jsonl")
+            except VoteScaleError as exc:
+                got = str(exc)
+            try:
+                want = record_at_a_time(logs, self.TRUTH, "truth.jsonl")
+            except VoteScaleError as exc:
+                want = str(exc)
+        assert got == want
+
+    def test_errors_are_typed_and_name_both_lines(self):
+        logs = [
+            ("a.jsonl", [record_line("q0", "s0", 0), "", record_line("q0", "s0", 1)]),
+            ("b.jsonl", [record_line("q1", "s0", 0), record_line("q0", "s0", 1)]),
+        ]
+        with pytest.raises(DuplicateKey) as err:
+            group_logs(logs, self.TRUTH)
+        assert str(err.value) == (
+            "b.jsonl: line 2: duplicate (question_id, strategy_id, sample_index): "
+            "('q0', 's0', 1) (first at a.jsonl: line 3)"
+        )
+        with pytest.raises(MissingGroundTruth, match=r"^b.jsonl: line 1: .* 'q1' in truth$"):
+            group_logs(logs, {"q0": "a"}, truth_name="truth")
+
+    def test_bad_line_anywhere_outranks_a_bad_record(self):
+        logs = [
+            ("a.jsonl", [record_line("q9", "s0", 0)]),
+            ("b.jsonl", [record_line("q0", "s0", 0), "[]"]),
+        ]
+        with pytest.raises(VoteScaleError, match="^b.jsonl: line 2: record must be a JSON object$"):
+            group_logs(logs, self.TRUTH)
+
+    @pytest.mark.parametrize("correct", ["", UNPARSEABLE])
+    def test_empty_or_sentinel_correct_rejected(self, correct):
+        lines = [record_line(idx=i, answer=a) for i, a in enumerate(["", "a", ""])]
+        with pytest.raises(MissingGroundTruth, match="^log: line 1: .*question 'q1'"):
+            group_logs([("log", lines)], {"q1": correct})
+
+    def test_memory_stays_below_parse_then_group(self):
+        """A log of the benchmark's log-exact shape: 3 strategies x 300
+        questions x 64 samples. Parsing into records and then grouping them
+        peaks at about 9.2 MiB here, the one pass at about 3.4 MiB."""
+
+        def lines():
+            for s in range(3):
+                for q in range(300):
+                    for i in range(64):
+                        yield (
+                            f'{{"question_id": "q{q:04d}", "strategy_id": "s{s}", '
+                            f'"sample_index": {i}, "answer": "a{(i * 7 + q) % (2 + q % 4)}", '
+                            f'"prompt_tokens": {60 + 40 * s}, "completion_tokens": {120 + 60 * s}}}'
+                        )
+
+        truth = {f"q{q:04d}": "a0" for q in range(300)}
+        tracemalloc.start()
+        try:
+            groups = group_logs([("log", lines())], truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(groups) == 900
+        assert all(g.pool_size == 64 for g in groups.values())
+        assert peak < 6 * 2**20
 
 
 class TestEstimateDistribution:

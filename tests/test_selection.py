@@ -62,17 +62,24 @@ class TestDatasets:
 
 
 def counted_cells(monkeypatch):
-    """Record the (dist, n) of every vote_probability call made by selection."""
+    """Record the (dist, n) of every cell selection evaluates: each
+    vote_probability call and each cell of a batched exact call."""
     import votescale.selection as selection
 
-    real = selection.vote_probability
+    real, real_exact = selection.vote_probability, selection.exact_majority_probs
     calls = []
 
     def counting(dist, n, method, **kwargs):
         calls.append((dist, n))
         return real(dist, n, method, **kwargs)
 
+    def counting_exact(cells, **kwargs):
+        cells = list(cells)
+        calls.extend(cells)
+        return real_exact(cells, **kwargs)
+
     monkeypatch.setattr(selection, "vote_probability", counting)
+    monkeypatch.setattr(selection, "exact_majority_probs", counting_exact)
     return calls
 
 
@@ -150,16 +157,18 @@ class TestAccuracyCurve:
         cells = {}
         for ds in dss:
             accuracy_curve(ds, [1, 3, 5], cells=cells)
-        assert len(calls) == len(cells) == 12
+        # an exact cell is keyed by its distribution: EARLY under both
+        # strategies is one cell per n, so 3 distributions x 3 grid points
+        assert len(calls) == len(set(calls)) == len(cells) == 9
         for n in (1, 3, 5):
             best_for_n(dss, n, cells=cells)
         best_under_cost(dss, math.inf, model, [1, 3, 5], cells=cells)
         dynamic_curve(dss, [1, 3, 5], cells=cells)
-        assert len(calls) == 12
+        assert len(calls) == 9
         # the oracles read hard questions from the n=1 column, already there
         combined_curve(dss, [1, 3, 5], cells=cells)
         adaptive_curve(dss[0], [1, 3, 5], cells=cells)
-        assert len(calls) == 12
+        assert len(calls) == 9
 
     def test_shared_table_keeps_settings_apart(self):
         ds = dataset("s", [EARLY, LATE])
@@ -174,9 +183,15 @@ class TestAccuracyCurve:
         assert exact.points[0].method == "exact"
         assert approx.points[0].method == "normal_approx"
         assert mc.values != other_seed.values
-        # another distribution under the same strategy id and position is a new cell
+        # another distribution under the same strategy id and position does
+        # not read the old one's cell; exact cells are keyed by distribution,
+        # so the swapped questions find their own cells already there
         moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], cells=cells)
         assert moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5])
+        assert len(cells) == 8
+        mc_moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1, cells=cells)
+        assert mc_moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1)
+        # Monte Carlo cells keep strategy and position in their key: two new cells
         assert len(cells) == 10
 
     def test_mc_matches_exact_within_error(self):

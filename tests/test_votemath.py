@@ -18,6 +18,7 @@ from votescale import (
     closed_form_majority_prob,
     cost_of,
     exact_majority_prob,
+    exact_majority_probs,
     monte_carlo_majority_prob,
     normal_approx_prob,
     replay_majority,
@@ -26,7 +27,7 @@ from votescale import (
     standard_normal_cdf,
     vote_probability,
 )
-from votescale.votemath import check_grid
+from votescale.votemath import _BATCH_ENTRIES, _kernel_plan, check_grid
 
 
 def simplex3(draw_floats):
@@ -252,6 +253,102 @@ class TestPoissonKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+EASY = AnswerDistribution((0.64, 0.35, 0.01))
+
+
+class TestBatchedKernel:
+    """exact_majority_probs: one kernel call per chunk of cells of equal
+    (nonzero answers, n), with every cell's value independent of its batch."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_direct_dp(self, seed):
+        rng = np.random.default_rng(200 + seed)
+        cases = [random_case(rng, 8, 60) for _ in range(12)]
+        got = exact_majority_probs(cases)
+        for (dist, n), vp in zip(cases, got):
+            assert (vp.n, vp.method) == (n, "exact")
+            assert vp.value == pytest.approx(direct_dp_vote_prob(dist, n), abs=1e-12)
+
+    def test_matches_sequence_oracle(self):
+        rng = np.random.default_rng(300)
+        cases = [random_case(rng, 6, 6) for _ in range(30)]
+        for (dist, n), vp in zip(cases, exact_majority_probs(cases)):
+            assert vp.value == pytest.approx(brute_force_vote_prob(dist, n), abs=1e-12)
+
+    @pytest.mark.parametrize("m, n", [(2, 9), (3, 31), (5, 31), (8, 60)])
+    def test_a_row_does_not_depend_on_its_batch(self, m, n):
+        rng = np.random.default_rng(m * 100 + n)
+        dists = [
+            AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))), int(rng.integers(m)))
+            for _ in range(3)
+        ]
+        step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
+        filler = [
+            AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))))
+            for _ in range(2 * step + 1)
+        ]
+        alone = [exact_majority_prob(d, n).value for d in dists]
+        # the last row of one chunk, the first row of the next, deep in a third
+        batch = filler[: step - 1] + [dists[0], dists[1]] + filler[step + 1 :] + [dists[2]]
+        values = [vp.value for vp in exact_majority_probs([(d, n) for d in batch])]
+        assert [values[step - 1], values[step], values[-1]] == alone
+        # equal distributions get equal values, so argmax ties stay ties
+        twice = exact_majority_probs([(dists[0], n), (filler[0], n), (dists[0], n)])
+        assert twice[0] == twice[2]
+
+    def test_special_and_fallback_cells_mixed_into_a_batch(self):
+        wide = AnswerDistribution((0.2,) + (0.1,) * 8)  # nine nonzero answers
+        cells = [
+            (EASY, 5),
+            (AnswerDistribution((0.0, 0.6, 0.4)), 7),  # the correct answer is never sampled
+            (AnswerDistribution((0.0, 1.0, 0.0), 1), 9),  # one answer: always right
+            (wide, 5),
+            (EASY, 1),
+            (AnswerDistribution((0.6, 0.4)), 61),  # above the n cap
+            (AnswerDistribution((0.0,) + (0.1,) * 10, 0), 99),  # zero beats both caps
+            (EASY, 5),
+        ]
+        got = exact_majority_probs(cells, fallback=True)
+        assert got == [
+            exact_majority_prob(EASY, 5),
+            VoteProbability(0.0, "exact", 7),
+            VoteProbability(1.0, "exact", 9),
+            normal_approx_prob(wide, 5),
+            VoteProbability(EASY.correct_prob, "exact", 1),
+            normal_approx_prob(AnswerDistribution((0.6, 0.4)), 61),
+            VoteProbability(0.0, "exact", 99),
+            exact_majority_prob(EASY, 5),
+        ]
+        assert got == [vote_probability(d, n, "exact", fallback=True) for d, n in cells]
+
+    def test_first_capped_cell_in_order_raises(self):
+        cells = [
+            (EASY, 5),
+            (AnswerDistribution((0.6, 0.4)), 61),
+            (AnswerDistribution((0.2,) + (0.1,) * 8), 5),
+        ]
+        with pytest.raises(CapExceeded, match="^n=61 exceeds the exact cap of 60$"):
+            exact_majority_probs(cells)
+        with pytest.raises(CapExceeded, match="^9 nonzero answers exceed the cap of 8$"):
+            exact_majority_probs(cells[::-1])
+        assert exact_majority_probs([]) == []
+
+    def test_memory_of_a_large_fill_is_bounded(self):
+        rng = np.random.default_rng(5)
+        cells = [
+            (AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(8)))), 60)
+            for _ in range(1000)
+        ]
+        tracemalloc.start()
+        try:
+            got = exact_majority_probs(cells)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got) == 1000
         assert peak < 16 * 2**20
 
 
