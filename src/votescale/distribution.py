@@ -70,6 +70,9 @@ class AnswerDistribution:
             )
         # cell tables look distributions up by hash many times; equality is unchanged
         object.__setattr__(self, "_hash", hash((probs, self.correct_index)))
+        # crossover checks and the normal approximation read it many times per run
+        wrong = [p for j, p in enumerate(probs) if j != self.correct_index]
+        object.__setattr__(self, "_max_wrong_prob", max(wrong) if wrong else 0.0)
 
     def __hash__(self) -> int:
         return self._hash
@@ -87,8 +90,7 @@ class AnswerDistribution:
     @property
     def max_wrong_prob(self) -> float:
         """Largest wrong-answer probability; 0.0 when there is no wrong answer."""
-        wrong = [p for j, p in enumerate(self.probs) if j != self.correct_index]
-        return max(wrong) if wrong else 0.0
+        return self._max_wrong_prob
 
     def correct_first(self) -> tuple[float, ...]:
         """The probabilities reordered so the correct answer comes first."""

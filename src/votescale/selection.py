@@ -377,12 +377,17 @@ def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
 
 def _best(candidates, budget, method, trials, seed, fallback, cells) -> SelectionResult | None:
     """The argmax behind both selections: the (dataset, n) candidate of highest
-    predicted accuracy, the earliest on ties; None without candidates."""
+    predicted accuracy, the earliest on ties; None without candidates. Each
+    dataset's candidates are scored by one accuracy curve over their n's."""
+    grids: dict[int, tuple[StrategyDataset, set[int]]] = {}
+    for ds, n in candidates:
+        grids.setdefault(id(ds), (ds, set()))[1].add(n)
     kwargs = dict(trials=trials, seed=seed, fallback=fallback, cells=cells)
-    scored = [
-        (accuracy_curve(ds, [n], method, **kwargs).points[0].value, ds.strategy_id, n)
-        for ds, n in candidates
-    ]
+    values = {}
+    for key, (ds, ns) in grids.items():
+        curve = accuracy_curve(ds, sorted(ns), method, **kwargs)
+        values[key] = dict(zip(curve.ns, curve.values))
+    scored = [(values[id(ds)][n], ds.strategy_id, n) for ds, n in candidates]
     if not scored:
         return None
     value, strategy_id, n = max(scored, key=lambda score: score[0])

@@ -19,7 +19,11 @@ Four estimators are provided:
 * :func:`closed_form_majority_prob` evaluates the degree-3/degree-5
   polynomials available for three-answer spaces at ``n`` in {3, 5}.
 * :func:`monte_carlo_majority_prob` simulates complete votes with a seeded
-  generator and reports the success fraction with its standard error.
+  generator and reports the success fraction with its standard error. A
+  cell costs about what its draws cost: the multinomial counts and the
+  tie-break scores. Votes are simulated and wins counted one block of
+  ``_BLOCK`` (2^19) trials at a time, so memory is bounded by one block
+  whatever ``trials`` is.
 * :func:`normal_approx_prob` compares the correct count against the
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
@@ -40,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -338,17 +342,27 @@ def simulate_votes(
     n = check_sampling_time(n)
     trials = check_trials(trials)
     winners = np.empty(trials, dtype=np.int64)
-    for start in range(0, trials, _BLOCK):
-        size = min(_BLOCK, trials - start)
-        counts = rng.multinomial(n, dist.probs, size=size)
-        winners[start : start + size] = _modal_winners(counts, rng)
+    for start, block in zip(range(0, trials, _BLOCK), _block_winners(dist, n, trials, rng)):
+        winners[start : start + len(block)] = block
     return winners
+
+
+def _block_winners(
+    dist: AnswerDistribution, n: int, trials: int, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """The one simulation loop: the winners of ``trials`` votes, one array
+    per block of at most ``_BLOCK`` trials, each block's multinomial counts
+    drawn before its tie-break scores."""
+    for start in range(0, trials, _BLOCK):
+        yield _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
 
 
 def _modal_winners(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per row of occurrence counts, a uniformly random index among the
     row's maxima: random scores restricted to the modal set, then argmax."""
-    modal = counts == counts.max(axis=1)[:, None]
+    # a row maximum reduces a few columns of many rows, which numpy does
+    # several times faster over a column-major copy
+    modal = counts == np.asfortranarray(counts).max(axis=1)[:, None]
     scores = np.where(modal, rng.random(counts.shape), -1.0)
     return scores.argmax(axis=1)
 
@@ -360,11 +374,17 @@ def monte_carlo_majority_prob(
 
     Runs ``trials`` independent simulated votes; the value is the success
     fraction and ``stderr`` is sqrt(v*(1-v)/trials). Deterministic for a
-    fixed seed.
+    fixed seed. Wins are counted per block of ``_BLOCK`` trials, so memory
+    does not grow with ``trials``.
     """
     rng = np.random.default_rng(seed)
-    winners = simulate_votes(dist, n, trials, rng)
-    value = float((winners == dist.correct_index).mean())
+    n = check_sampling_time(n)
+    trials = check_trials(trials)
+    hits = 0
+    for winners in _block_winners(dist, n, trials, rng):
+        hits += np.count_nonzero(winners == dist.correct_index)
+        del winners  # not alive while the next block is simulated
+    value = int(hits) / trials
     stderr = math.sqrt(value * (1.0 - value) / trials)
     return VoteProbability(value, "monte_carlo", n, stderr=stderr)
 

@@ -86,6 +86,15 @@ class TestAnswerDistribution:
         object.__setattr__(d, "probs", None)
         assert hash(d) == hash(same)
 
+    def test_max_wrong_prob_is_computed_once(self):
+        d = AnswerDistribution((0.2, 0.5, 0.3), 1)
+        assert d.max_wrong_prob == 0.3
+        assert dataclasses.replace(d, correct_index=2).max_wrong_prob == 0.5
+        assert [f.name for f in dataclasses.fields(d)] == ["probs", "correct_index"]
+        # kept from construction: it no longer reads the fields
+        object.__setattr__(d, "probs", None)
+        assert d.max_wrong_prob == 0.3
+
 
 class TestVoteProbability:
     def test_valid_point(self):

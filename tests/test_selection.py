@@ -276,6 +276,39 @@ class TestBudgetSelection:
         pick = best_under_cost([ds], 1e6, self.MODEL, [1, 3, 7])
         assert pick.chosen_n == 1
 
+    @pytest.mark.parametrize("method", ["exact", "mc"])
+    def test_one_curve_per_dataset_scores_every_candidate(self, monkeypatch, method):
+        """Each dataset's feasible n's are scored by one curve, with the
+        values and the earliest-on-ties choice of one curve per candidate."""
+        import votescale.selection as selection
+
+        real = selection.accuracy_curve
+        grids = []
+
+        def counting(ds, ns, *args, **kwargs):
+            grids.append((ds.strategy_id, tuple(ns)))
+            return real(ds, ns, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "accuracy_curve", counting)
+        dss = [
+            dataset("a", [EARLY, LATE], pt=100.0, ct=50.0),
+            dataset("b", [LATE, EARLY], pt=200.0, ct=100.0),
+            dataset("c", [LATE, EARLY], pt=100.0, ct=50.0),
+        ]
+        grid = [1, 3, 5, 9]
+        budget = 9 * dataset_sample_cost(dss[0], self.MODEL)
+        kwargs = dict(trials=500, seed=4)
+        pick = best_under_cost(dss, budget, self.MODEL, grid, method, **kwargs)
+        assert grids == [("a", (1, 3, 5, 9)), ("b", (1, 3)), ("c", (1, 3, 5, 9))]
+        scored = [
+            (real(ds, [n], method, **kwargs).values[0], ds.strategy_id, n)
+            for ds in dss
+            for n in grid
+            if n * dataset_sample_cost(ds, self.MODEL) <= budget
+        ]
+        value, strategy_id, n = max(scored, key=lambda score: score[0])
+        assert (pick.predicted_accuracy, pick.chosen_strategy, pick.chosen_n) == (value, strategy_id, n)
+
     def test_declining_dataset_prefers_one_sample(self):
         # binary hard questions decay monotonically, so more votes only
         # hurt and the cheapest point wins on accuracy alone

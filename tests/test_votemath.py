@@ -4,7 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import brute_force_vote_prob, constructed_moderate, random_easy
 from votescale import (
@@ -27,7 +28,7 @@ from votescale import (
     standard_normal_cdf,
     vote_probability,
 )
-from votescale.votemath import _BATCH_ENTRIES, _kernel_plan, check_grid
+from votescale.votemath import _BATCH_ENTRIES, _BLOCK, _kernel_plan, _modal_winners, check_grid
 
 
 def simplex3(draw_floats):
@@ -411,6 +412,59 @@ class TestSimulation:
         assert winners.tolist() == [
             2, 1, 1, 3, 3, 0, 2, 3, 1, 0, 1, 2, 2, 3, 2, 3, 0, 1, 0, 0
         ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.integers(1, 6).flatmap(
+            lambda m: arrays(np.int64, st.tuples(st.integers(1, 40), st.just(m)), elements=st.integers(0, 3))
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(counts=np.array([[4], [0], [2]]), seed=0)
+    @example(counts=np.zeros((5, 3), dtype=np.int64), seed=1)
+    def test_modal_winners_match_a_per_row_reference(self, counts, seed):
+        """Per row, the first index of the largest tie-break score among the
+        row's modal answers, with the scores drawn after the counts."""
+        winners = _modal_winners(counts, np.random.default_rng(seed))
+        scores = np.random.default_rng(seed).random(counts.shape).tolist()
+        expected = []
+        for row, row_scores in zip(counts.tolist(), scores):
+            modal = [j for j, c in enumerate(row) if c == max(row)]
+            expected.append(max(modal, key=row_scores.__getitem__))
+        assert winners.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "probs, correct, n, trials, seed, value, stderr",
+        [
+            ((0.45, 0.35, 0.2), 0, 5, 20_000, 11, 0.52315, 0.0035317423285115236),
+            ((0.2, 0.3, 0.1, 0.25, 0.15), 3, 8, 3_001, 7, 0.26824391869376873, 0.008087515293627062),
+            # past one block: the second block's draws follow the first's
+            ((0.5, 0.5), 1, 2, _BLOCK + 4_321, 2026, 0.5011227580309832, 0.0006877041305751389),
+        ],
+    )
+    def test_monte_carlo_values_are_pinned(self, probs, correct, n, trials, seed, value, stderr):
+        """Pinned estimates: every cell keeps its random stream, and the
+        value is a plain float."""
+        dist = AnswerDistribution(probs, correct)
+        vp = monte_carlo_majority_prob(dist, n, trials, seed)
+        assert type(vp.value) is float and type(vp.stderr) is float
+        assert (vp.value, vp.stderr) == (value, stderr)
+        # simulate_votes runs the same loop on the same stream
+        winners = simulate_votes(dist, n, trials, np.random.default_rng(seed))
+        assert np.count_nonzero(winners == correct) / trials == value
+
+    def test_monte_carlo_memory_does_not_grow_with_trials(self):
+        """Wins are counted per block: four blocks peak no higher than one."""
+        d = AnswerDistribution((0.5, 0.3, 0.2))
+        peaks = []
+        for trials in (_BLOCK, 4 * _BLOCK):
+            tracemalloc.start()
+            try:
+                monte_carlo_majority_prob(d, 1, trials, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 1 << 20
 
     def test_monte_carlo_point(self):
         d = AnswerDistribution((0.64, 0.35, 0.01))
