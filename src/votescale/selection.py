@@ -15,9 +15,13 @@ computes three oracle curves that bound what smarter sampling could do:
 Every curve, selection and oracle is a reduction over (strategy, question,
 effective n) cells kept in a cell table, a dict the caller owns: one table
 passed as ``cells=`` to every reduction of a run evaluates each cell once,
-and a call without one keeps nothing. An exact cell is keyed by its
-distribution and effective n alone, so equal distributions share one
-value; a reduction evaluates its missing exact cells in one batched call
+and a call without one keeps nothing. The table holds columns, one array
+per (dataset, n, estimator settings) with a (value, estimator, standard
+error) row per question, so a reduction stacks columns, takes each
+question's best strategy with ``argmax`` and averages with ``math.fsum``.
+An exact cell is also kept under its distribution and effective n alone,
+so equal distributions share one value; a reduction evaluates its missing
+exact cells in one batched call
 (:func:`votescale.votemath.exact_majority_probs`). Monte Carlo cells derive
 their sub-seed from (strategy, question position, effective n), so a cell
 has one value however it is reached and the documented dominance relations
@@ -29,7 +33,6 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -52,8 +55,6 @@ from .votemath import (
     exact_majority_probs,
     vote_probability,
 )
-
-_VALUE = attrgetter("value")
 
 _SCENARIO_FIELDS = frozenset(
     {
@@ -86,6 +87,11 @@ class StrategyDataset:
         ids = [q.question_id for q in self.questions]
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate question_ids in strategy {self.strategy_id!r}")
+        # cell tables look datasets up by hash once per column; equality is unchanged
+        object.__setattr__(self, "_hash", hash((self.strategy_id, self.questions)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def question_ids(self) -> tuple[str, ...]:
@@ -126,45 +132,44 @@ class ExtremePerformance(NamedTuple):
     limit_accuracy: float
 
 
-def _cell_key(dist, n, method, trials, seed, fallback, strategy_id, qi) -> tuple:
-    """A cell's identity in a cell table. An exact cell is (distribution,
-    effective n, method, fallback); any other cell also carries trials, seed,
-    strategy id and question position, so a shared table never mixes
-    settings, distributions or Monte Carlo streams."""
-    if method == "exact":
-        return (dist, n, method, fallback)
-    return (dist, n, method, trials, seed, fallback, strategy_id, qi)
+def _row(vp: VoteProbability) -> tuple[float, int, float]:
+    return (vp.value, METHODS.index(vp.method), vp.stderr or 0.0)
 
 
-def _fill(cells: dict, keys: list[tuple], fallback: bool) -> None:
-    """Evaluate the cells of ``keys`` missing from the table ``cells``, in
-    order: exact cells in one batched call, the others one at a time."""
-    exact = {}
-    for key in keys:
-        if key in cells:
-            continue
-        if key[2] == "exact":
-            exact[key] = None  # each distinct cell once, in first-seen order
-            continue
-        dist, n, method, trials, seed, _, strategy_id, qi = key
-        if method == "monte_carlo":
-            seed = np.random.SeedSequence([seed, zlib.crc32(strategy_id.encode("utf-8")), qi, n])
-        cells[key] = vote_probability(dist, n, method, trials=trials, seed=seed, fallback=fallback)
-    if exact:
-        values = exact_majority_probs([key[:2] for key in exact], fallback=fallback)
-        cells.update(zip(exact, values))
+def _columns(cells: dict, requests: list[tuple], settings: tuple) -> list[np.ndarray]:
+    """The column of each ``(dataset, n, rows)`` request, after evaluating
+    the missing cells of the questions the boolean mask ``rows`` marks.
 
-
-def _mean_point(values: list[VoteProbability], n: int) -> VoteProbability:
-    method = max((v.method for v in values), key=METHODS.index)
-    mean = math.fsum(v.value for v in values) / len(values)
-    if method == "monte_carlo":
-        stderr = (
-            math.sqrt(math.fsum((v.stderr or 0.0) ** 2 for v in values))
-            / len(values)
-        )
-        return VoteProbability(mean, method, n, stderr=stderr)
-    return VoteProbability(mean, method, n)
+    A column is keyed ``(dataset, n, settings)`` in the cell table ``cells``
+    and holds one (value, estimator index in ``METHODS``, standard error) row
+    per question of the dataset, NaN until evaluated. Exact cells are
+    evaluated in one batched call and kept under ``(distribution, n,
+    fallback)``, so equal distributions share one value; the others are
+    evaluated one at a time, in order.
+    """
+    method, trials, seed, fallback = settings
+    columns, exact = [], []
+    for ds, n, rows in requests:
+        column = cells.get((ds, n, settings))
+        if column is None:
+            column = cells[ds, n, settings] = np.full((len(ds.questions), 3), np.nan)
+        columns.append(column)
+        for qi in np.flatnonzero(np.isnan(column[:, 0]) & rows).tolist():
+            dist = ds.questions[qi].dist
+            if method == "exact":
+                exact.append((column, qi, (dist, n, fallback)))
+                continue
+            cell_seed = seed
+            if method == "monte_carlo":
+                cell_seed = np.random.SeedSequence([seed, zlib.crc32(ds.strategy_id.encode("utf-8")), qi, n])
+            vp = vote_probability(dist, n, method, trials=trials, seed=cell_seed, fallback=fallback)
+            column[qi] = _row(vp)
+    # each distinct missing exact cell once, in first-seen order
+    new = list(dict.fromkeys(key for _, _, key in exact if key not in cells))
+    cells.update(zip(new, exact_majority_probs([key[:2] for key in new], fallback=fallback)))
+    for column, qi, key in exact:
+        column[qi] = _row(cells[key])
+    return columns
 
 
 def _shared_order(dss: list[StrategyDataset]) -> list[str]:
@@ -203,35 +208,39 @@ def _reduce(
     best strategy's cell, at n=1 where ``adaptive`` is set and that
     strategy finds the question hard, and averages over questions. Ties
     keep the earliest strategy in the input. The cells missing from the
-    table are evaluated first, in that order (:func:`_fill`).
+    table are evaluated first (:func:`_columns`): each strategy's grid
+    columns without its hard questions, then each one's hard n=1 cells.
     """
     grid = check_grid(ns)
     method = canonical_method(method)
+    settings = (method, trials, seed, fallback)
     order = _shared_order(dss)
     if not order:
         raise ValueError("dataset has no questions")
-    cells = {} if cells is None else cells
-    candidates: dict[str, list] = {question_id: [] for question_id in order}
-    for ds in dss:
-        for qi, q in enumerate(ds.questions):
-            hard = adaptive and classify(q.dist).kind is Difficulty.HARD
-            candidates[q.question_id].append((ds.strategy_id, qi, q.dist, hard))
-    rows = [
-        [
-            [
-                _cell_key(dist, 1 if hard else n, method, trials, seed, fallback, sid, qi)
-                for sid, qi, dist, hard in candidates[question_id]
-            ]
-            for question_id in order
-        ]
-        for n in grid
-    ]
-    _fill(cells, [key for per_n in rows for row in per_n for key in row], fallback)
+    hard = np.array(
+        [[adaptive and classify(q.dist).kind is Difficulty.HARD for q in ds.questions] for ds in dss]
+    )
+    requests = [(ds, n, ~rows) for ds, rows in zip(dss, hard) for n in grid]
+    requests += [(ds, 1, rows) for ds, rows in zip(dss, hard)]
+    columns = np.stack(_columns({} if cells is None else cells, requests, settings))
+    # (strategy, n, question, 3); hard questions read their n=1 cell at every n
+    table = columns[: -len(dss)].reshape(len(dss), len(grid), len(order), 3)
+    table = np.where(hard[:, None, :, None], columns[-len(dss) :, None], table)
+    for s, ds in enumerate(dss):
+        if list(ds.question_ids) != order:
+            position = {question_id: qi for qi, question_id in enumerate(ds.question_ids)}
+            table[s] = table[s][:, [position[question_id] for question_id in order]]
+    # the first maximum wins ties
+    best = table[..., 0].argmax(axis=0)
+    winners = np.take_along_axis(table, best[None, :, :, None], axis=0)[0]
     points = []
-    for n, per_n in zip(grid, rows):
-        # the first maximum wins ties
-        values = [max(map(cells.__getitem__, row), key=_VALUE) for row in per_n]
-        points.append(_mean_point(values, n))
+    for n, (values, codes, stderrs) in zip(grid, winners.transpose(0, 2, 1)):
+        tag = METHODS[int(codes.max())]  # the least exact cell's estimator
+        mean = math.fsum(values.tolist()) / len(order)
+        stderr = None
+        if tag == "monte_carlo":
+            stderr = math.sqrt(math.fsum(e**2 for e in stderrs.tolist())) / len(order)
+        points.append(VoteProbability(mean, tag, n, stderr=stderr))
     return ScalingCurve(tuple(points), method, curve_id=curve_id)
 
 
@@ -250,9 +259,11 @@ def accuracy_curve(
     Cap overflows in the exact estimator propagate unless ``fallback``
     substitutes the normal approximation for the offending questions; a
     point is then tagged with the least exact estimator among its cells.
-    ``cells`` is the run's cell table (a dict, filled in place); pass the
-    same one to every reduction of a run so that each cell is evaluated
-    once. Without it the call uses a fresh table.
+    ``cells`` is the run's cell table (a dict, filled in place): a column
+    of per-question values for each (dataset, n, estimator settings), and
+    each exact cell under its (distribution, n, fallback). Pass the same
+    one to every reduction of a run so that each cell is evaluated once.
+    Without it the call uses a fresh table.
     """
     return _reduce(
         [ds], ns, method, trials, seed, fallback, cells, adaptive=False, curve_id=ds.strategy_id
@@ -379,15 +390,12 @@ def _best(candidates, budget, method, trials, seed, fallback, cells) -> Selectio
     """The argmax behind both selections: the (dataset, n) candidate of highest
     predicted accuracy, the earliest on ties; None without candidates. Each
     dataset's candidates are scored by one accuracy curve over their n's."""
-    grids: dict[int, tuple[StrategyDataset, set[int]]] = {}
+    grids: dict[StrategyDataset, set[int]] = {}
     for ds, n in candidates:
-        grids.setdefault(id(ds), (ds, set()))[1].add(n)
+        grids.setdefault(ds, set()).add(n)
     kwargs = dict(trials=trials, seed=seed, fallback=fallback, cells=cells)
-    values = {}
-    for key, (ds, ns) in grids.items():
-        curve = accuracy_curve(ds, sorted(ns), method, **kwargs)
-        values[key] = dict(zip(curve.ns, curve.values))
-    scored = [(values[id(ds)][n], ds.strategy_id, n) for ds, n in candidates]
+    curves = {ds: accuracy_curve(ds, sorted(ns), method, **kwargs) for ds, ns in grids.items()}
+    scored = [(curves[ds].value_at(n), ds.strategy_id, n) for ds, n in candidates]
     if not scored:
         return None
     value, strategy_id, n = max(scored, key=lambda score: score[0])

@@ -543,6 +543,42 @@ class TestSynthAnalyze:
         # 2 strategies x 2 questions x 3 grid points, each evaluated once
         assert len(calls) == len(set(calls)) == 12
 
+    def test_analyze_draws_one_sample_cells_for_hard_pools_only(self, capsys, tmp_path, monkeypatch):
+        import votescale.selection as selection
+
+        data = self.synth(capsys, tmp_path, samples=40)
+        real = selection.vote_probability
+        calls = []
+
+        def counting(dist, n, method, **kwargs):
+            calls.append((dist, n, tuple(kwargs["seed"].entropy)))
+            return real(dist, n, method, **kwargs)
+
+        monkeypatch.setattr(selection, "vote_probability", counting)
+        code, _, err = run(
+            capsys,
+            [
+                "analyze",
+                "--log",
+                str(data / "log.jsonl"),
+                "--truth",
+                str(data / "truth.jsonl"),
+                "--grid",
+                "3,5",
+                "--method",
+                "mc",
+                "--trials",
+                "500",
+                "--out",
+                str(tmp_path / "report"),
+            ],
+        )
+        assert code == 0, err
+        # 2 strategies x 2 questions x 2 grid points, plus the one hard pool
+        # (s1's q1) at n=1 for the adaptive and combined oracles
+        assert len(calls) == len(set(calls)) == 9
+        assert [n for _, n, _ in calls].count(1) == 1
+
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
     def test_analyze_rejects_bad_smoothing(self, capsys, tmp_path, smoothing):
         data = self.synth(capsys, tmp_path, samples=10)

@@ -1,11 +1,16 @@
 """Strategy comparison: curves over datasets, oracles, budget selection."""
+import dataclasses
 import json
 import math
+import zlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from votescale import (
     AnswerDistribution,
+    CapExceeded,
     CostModel,
     DuplicateKey,
     IdMismatch,
@@ -26,9 +31,14 @@ from votescale import (
     dominance_count,
     dynamic_curve,
     exact_majority_prob,
+    exact_majority_probs,
     extreme_performance,
     load_scenario,
+    vote_probability,
 )
+from votescale.difficulty import Difficulty, classify
+from votescale.distribution import METHODS, VoteProbability
+from votescale.votemath import ScalingCurve, canonical_method, check_grid
 
 EARLY = AnswerDistribution((0.64, 0.35, 0.01))  # leads at n=1, small gap
 LATE = AnswerDistribution((0.6, 0.2, 0.2))  # starts behind, overtakes
@@ -53,6 +63,27 @@ class TestDatasets:
         ds = dataset("s", [EARLY, LATE])
         assert ds.question_ids == ("q0", "q1")
         assert ds.by_id()["q1"].dist == LATE
+
+    def test_hash_is_computed_once_and_equality_is_unchanged(self, monkeypatch):
+        ds = dataset("s", [EARLY, LATE])
+        same = dataset("s", [EARLY, LATE])
+        swapped = dataset("s", [LATE, EARLY])
+        assert ds == same and hash(ds) == hash(same) == hash((ds.strategy_id, ds.questions))
+        assert ds != swapped and ds != dataset("t", [EARLY, LATE])
+        assert [f.name for f in dataclasses.fields(ds)] == ["strategy_id", "questions"]
+        # the hash is kept from construction: it no longer reads the fields
+        object.__setattr__(same, "questions", ())
+        assert hash(same) == hash(ds)
+        # swapped questions under the same id read none of the other's columns
+        calls = counted_cells(monkeypatch)
+        cells = {}
+        curve = accuracy_curve(ds, [3, 5], "approx", cells=cells)
+        assert len(calls) == 4
+        moved = accuracy_curve(swapped, [3, 5], "approx", cells=cells)
+        assert len(calls) == 8
+        assert moved == accuracy_curve(swapped, [3, 5], "approx")
+        assert curve == accuracy_curve(ds, [3, 5], "approx", cells=cells)
+        assert len(calls) == 12
 
     def test_selection_result_validation(self):
         with pytest.raises(ValueError):
@@ -155,11 +186,10 @@ class TestAccuracyCurve:
         dss = [dataset("early", [EARLY, hard]), dataset("late", [LATE, EARLY])]
         model = CostModel.from_per_million(0.15, 0.60)
         cells = {}
-        for ds in dss:
-            accuracy_curve(ds, [1, 3, 5], cells=cells)
+        curves = [accuracy_curve(ds, [1, 3, 5], cells=cells) for ds in dss]
         # an exact cell is keyed by its distribution: EARLY under both
         # strategies is one cell per n, so 3 distributions x 3 grid points
-        assert len(calls) == len(set(calls)) == len(cells) == 9
+        assert len(calls) == len(set(calls)) == 9
         for n in (1, 3, 5):
             best_for_n(dss, n, cells=cells)
         best_under_cost(dss, math.inf, model, [1, 3, 5], cells=cells)
@@ -169,8 +199,10 @@ class TestAccuracyCurve:
         combined_curve(dss, [1, 3, 5], cells=cells)
         adaptive_curve(dss[0], [1, 3, 5], cells=cells)
         assert len(calls) == 9
+        assert curves == [accuracy_curve(ds, [1, 3, 5]) for ds in dss]
 
-    def test_shared_table_keeps_settings_apart(self):
+    def test_shared_table_keeps_estimatorapart(self, monkeypatch):
+        calls = counted_cells(monkeypatch)
         ds = dataset("s", [EARLY, LATE])
         cells = {}
         exact = accuracy_curve(ds, [5], cells=cells)
@@ -186,13 +218,22 @@ class TestAccuracyCurve:
         # another distribution under the same strategy id and position does
         # not read the old one's cell; exact cells are keyed by distribution,
         # so the swapped questions find their own cells already there
+        evaluated = len(calls)
         moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], cells=cells)
+        assert len(calls) == evaluated
         assert moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5])
-        assert len(cells) == 8
+        evaluated = len(calls)
         mc_moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1, cells=cells)
+        # Monte Carlo cells keep strategy and position in their seed: two new cells
+        assert len(calls) == evaluated + 2
         assert mc_moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1)
-        # Monte Carlo cells keep strategy and position in their key: two new cells
-        assert len(cells) == 10
+
+    def test_shared_table_keeps_fallback_apart(self):
+        wide = dataset("s", [AnswerDistribution((0.2,) + (0.1,) * 8)])
+        cells = {}
+        assert accuracy_curve(wide, [5], fallback=True, cells=cells).points[0].method == "normal_approx"
+        with pytest.raises(CapExceeded):
+            accuracy_curve(wide, [5], cells=cells)
 
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
@@ -431,6 +472,13 @@ class TestDynamicCurve:
             single = accuracy_curve(ds, grid, "mc", trials=2_000, seed=17).values
             assert all(d >= s for d, s in zip(dyn, single))
 
+    def test_tie_keeps_the_earliest_strategys_cell(self):
+        # beyond the exact cap, the approximation reaches 1.0 at n = 9
+        sure = dataset("approx", [AnswerDistribution((0.9,) + (0.0125,) * 8)])
+        certain = dataset("exact", [AnswerDistribution((1.0, 0.0))])
+        assert dynamic_curve([certain, sure], [9], fallback=True).points[0].method == "exact"
+        assert dynamic_curve([sure, certain], [9], fallback=True).points[0].method == "normal_approx"
+
     def test_question_sets_must_match(self):
         a = StrategyDataset("a", (QuestionEntry("q0", EARLY),))
         b = StrategyDataset("b", (QuestionEntry("q1", LATE),))
@@ -465,6 +513,185 @@ class TestCombinedCurve:
         ]
         value = combined_curve(dss, [59]).values[0]
         assert value > 0.999
+
+
+# The per-cell reduction that the column reduction replaced, kept as the
+# reference: every cell has its own key in a table shared by the calls of a
+# run, and each row's winner is taken with a Python max.
+
+
+def reference_cell_key(dist, n, method, trials, seed, fallback, strategy_id, qi):
+    if method == "exact":
+        return (dist, n, method, fallback)
+    return (dist, n, method, trials, seed, fallback, strategy_id, qi)
+
+
+def reference_fill(cells, keys, fallback):
+    exact = {}
+    for key in keys:
+        if key in cells:
+            continue
+        if key[2] == "exact":
+            exact[key] = None
+            continue
+        dist, n, method, trials, seed, _, strategy_id, qi = key
+        if method == "monte_carlo":
+            seed = np.random.SeedSequence([seed, zlib.crc32(strategy_id.encode("utf-8")), qi, n])
+        cells[key] = vote_probability(dist, n, method, trials=trials, seed=seed, fallback=fallback)
+    if exact:
+        values = exact_majority_probs([key[:2] for key in exact], fallback=fallback)
+        cells.update(zip(exact, values))
+
+
+def reference_mean_point(values, n):
+    method = max((v.method for v in values), key=METHODS.index)
+    mean = math.fsum(v.value for v in values) / len(values)
+    if method == "monte_carlo":
+        stderr = math.sqrt(math.fsum((v.stderr or 0.0) ** 2 for v in values)) / len(values)
+        return VoteProbability(mean, method, n, stderr=stderr)
+    return VoteProbability(mean, method, n)
+
+
+def reference_reduce(dss, ns, method, trials, seed, fallback, cells, *, adaptive, curve_id):
+    grid = check_grid(ns)
+    method = canonical_method(method)
+    order = dss[0].question_ids
+    candidates = {question_id: [] for question_id in order}
+    for ds in dss:
+        for qi, q in enumerate(ds.questions):
+            hard = adaptive and classify(q.dist).kind is Difficulty.HARD
+            candidates[q.question_id].append((ds.strategy_id, qi, q.dist, hard))
+    rows = [
+        [
+            [
+                reference_cell_key(dist, 1 if hard else n, method, trials, seed, fallback, sid, qi)
+                for sid, qi, dist, hard in candidates[question_id]
+            ]
+            for question_id in order
+        ]
+        for n in grid
+    ]
+    reference_fill(cells, [key for per_n in rows for row in per_n for key in row], fallback)
+    points = []
+    for n, per_n in zip(grid, rows):
+        values = [max((cells[key] for key in row), key=lambda vp: vp.value) for row in per_n]
+        points.append(reference_mean_point(values, n))
+    return ScalingCurve(tuple(points), method, curve_id=curve_id)
+
+
+def reference_best(candidates, budget, method, trials, seed, fallback, cells):
+    scored = [
+        (reference_reduce([ds], [n], method, trials, seed, fallback, cells, adaptive=False, curve_id="")
+         .values[0], ds.strategy_id, n)
+        for ds, n in candidates
+    ]
+    if not scored:
+        raise NoFeasibleChoice("no candidate")
+    value, strategy_id, n = max(scored, key=lambda score: score[0])
+    return SelectionResult(budget, strategy_id, n, value)
+
+
+JUDGE_POOL = (
+    EARLY,
+    LATE,
+    AnswerDistribution((0.2,) + (0.1,) * 8),  # beyond the exact answer cap
+    AnswerDistribution((0.05, 0.25) + (0.1,) * 7),  # hard, beyond the answer cap
+    AnswerDistribution((0.9,) + (0.0125,) * 8),  # approximated as 1.0 from n = 9, a tie
+    AnswerDistribution((0.3, 0.6, 0.1)),  # hard
+    AnswerDistribution((0.45, 0.55)),  # hard
+    AnswerDistribution((0.5, 0.5)),  # moderate
+    AnswerDistribution((1.0, 0.0)),
+    AnswerDistribution((0.0, 1.0)),
+)
+
+
+@st.composite
+def weighted_dists(draw):
+    weights = draw(st.lists(st.integers(0, 4), min_size=1, max_size=5).filter(any))
+    correct = draw(st.integers(0, len(weights) - 1))
+    return AnswerDistribution(tuple(w / sum(weights) for w in weights), correct)
+
+
+@st.composite
+def panels(draw):
+    """1-3 strategies over 1-4 shared questions, each strategy in its own
+    question order; a strategy often reuses another's distribution."""
+    dists = st.one_of(st.sampled_from(JUDGE_POOL), weighted_dists())
+    shared = draw(st.lists(dists, min_size=1, max_size=4))
+    dss = []
+    for s in range(draw(st.integers(1, 3))):
+        per_question = [draw(st.one_of(st.just(d), dists)) for d in shared]
+        prompt = draw(st.sampled_from([50.0, 100.0, 200.0]))
+        dss.append(
+            StrategyDataset(
+                f"s{s}",
+                tuple(
+                    QuestionEntry(f"q{q}", per_question[q], prompt, 2 * prompt)
+                    for q in draw(st.permutations(range(len(shared))))
+                ),
+            )
+        )
+    return dss
+
+
+class TestColumnReductions:
+    MODEL = CostModel.from_per_million(0.15, 0.60)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dss=panels(),
+        grid=st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(sorted),
+        method=st.sampled_from(["exact", "approx", "mc"]),
+        seed=st.integers(0, 3),
+        budget_share=st.floats(0.0, 1.2),
+        data=st.data(),
+    )
+    def test_equal_to_the_per_cell_reduction(self, dss, grid, method, seed, budget_share, data):
+        """Every curve and selection of a run sharing one table, called in a
+        drawn order, equals the per-cell reference point for point."""
+        estimator = (method, 64, seed, True)
+        cells, reference_cells = {}, {}
+        kwargs = dict(trials=64, seed=seed, fallback=True, cells=cells)
+
+        def reference(subset, ns, adaptive, curve_id):
+            return reference_reduce(
+                subset, ns, *estimator, reference_cells, adaptive=adaptive, curve_id=curve_id
+            )
+
+        costs = [dataset_sample_cost(ds, self.MODEL) for ds in dss]
+        budget = budget_share * max(costs) * grid[-1]
+        feasible = [(ds, n) for ds, cost in zip(dss, costs) for n in grid if n * cost <= budget]
+        checks = [
+            (lambda ds=ds: accuracy_curve(ds, grid, method, **kwargs),
+             lambda ds=ds: reference([ds], grid, False, ds.strategy_id))
+            for ds in dss
+        ] + [
+            (lambda ds=ds: adaptive_curve(ds, grid, method, **kwargs),
+             lambda ds=ds: reference([ds], grid, True, f"{ds.strategy_id}+adaptive"))
+            for ds in dss
+        ] + [
+            (lambda: dynamic_curve(dss, grid, method, **kwargs),
+             lambda: reference(dss, grid, False, "dynamic")),
+            (lambda: combined_curve(dss, grid, method, **kwargs),
+             lambda: reference(dss, grid, True, "combined")),
+            (lambda: best_under_cost(dss, budget, self.MODEL, grid, method, **kwargs),
+             lambda: reference_best(feasible, ("cost", budget), *estimator, reference_cells)),
+        ] + [
+            # n = 1 completes a column the adaptive oracles may have left partial
+            (lambda n=n: best_for_n(dss, n, method, **kwargs),
+             lambda n=n: reference_best([(ds, n) for ds in dss], ("samples", float(n)),
+                                        *estimator, reference_cells))
+            for n in sorted({1, *grid})
+        ]
+        for i in data.draw(st.permutations(range(len(checks)))):
+            new, old = checks[i]
+            try:
+                expected = old()
+            except NoFeasibleChoice:
+                with pytest.raises(NoFeasibleChoice):
+                    new()
+                continue
+            assert new() == expected
 
 
 class TestScenarioIO:
