@@ -201,7 +201,7 @@ class TestAccuracyCurve:
         assert len(calls) == 9
         assert curves == [accuracy_curve(ds, [1, 3, 5]) for ds in dss]
 
-    def test_shared_table_keeps_estimatorapart(self, monkeypatch):
+    def test_shared_table_keeps_settings_apart(self, monkeypatch):
         calls = counted_cells(monkeypatch)
         ds = dataset("s", [EARLY, LATE])
         cells = {}
