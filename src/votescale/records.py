@@ -19,12 +19,14 @@ any check goes back through the line reader, so rows and errors are those
 of a line-by-line parse. Ids and answers that repeat share one string
 object. :func:`group_logs` is the one pass from the lines of one or more
 logs to the per-pool samples of :func:`group_records`: it keeps, per
-(question, strategy) pool, a map from sample_index to answer, integer token
-sums and the line of each sample, and builds no per-line record. It notes a
-question without ground truth or a repeated key, with file and line, where
-it first sees it, and raises that once every line has parsed, so a bad line
-anywhere is reported first. :func:`parse_records` and :func:`group_records`
-are the same steps one record at a time.
+(question, strategy) pool, the sample indices, answers and lines of its
+samples as lists in reading order plus integer token sums, and builds no
+per-line record. Once every line has parsed, so that a bad line anywhere is
+reported first, it raises the error of the first record in reading order
+whose question has no ground truth or whose key repeats, with file and
+line; repeated keys are found pool by pool once reading ends.
+:func:`parse_records` and :func:`group_records` are the same steps one
+record at a time.
 """
 from __future__ import annotations
 
@@ -415,32 +417,29 @@ def group_logs(
     (``"... (first at name: line M)"``).
     """
     pools = _LogPools(ground_truth, truth_name)
-    error = None
     for name, lines in sources:
         offset = pools.open(name)
         start = 1
         try:
             for chunk in _chunks(lines, _CHUNK_LINES):
-                rows, line_numbers = _log_rows(chunk, start, offset)
-                if error is None:
-                    error = pools.add(rows, line_numbers)
+                pools.add(*_log_rows(chunk, start, offset))
                 start += len(chunk)
         except MalformedLine as exc:
             raise VoteScaleError(f"{name}: {exc}") from None
         pools.close(start - 1)
-    if error is not None:
-        raise error
     return pools.groups()
 
 
 class _Pool:
-    """One (question, strategy) pool while its logs are read."""
+    """One (question, strategy) pool while its logs are read: per sample, in
+    reading order, its sample_index, its interned answer and its line."""
 
-    __slots__ = ("answers", "lines", "prompt_tokens", "completion_tokens")
+    __slots__ = ("indices", "answers", "lines", "prompt_tokens", "completion_tokens")
 
     def __init__(self):
-        self.answers: dict[int, str] = {}  # sample_index -> answer, in reading order
-        self.lines = array("q")  # each answer's line, in :class:`_LogPools` numbering
+        self.indices: list[int] = []
+        self.answers: list[str] = []
+        self.lines = array("q")  # in :class:`_LogPools` numbering
         self.prompt_tokens = 0
         self.completion_tokens = 0
 
@@ -448,7 +447,12 @@ class _Pool:
 class _LogPools:
     """The pools of the log rows read so far. Lines are numbered across
     logs: a log's line N is its offset plus N, and a log's offset is the
-    number of lines of the logs before it."""
+    number of lines of the logs before it.
+
+    The first row whose question has no usable ground truth is noted, and
+    no row after it is added. Repeated sample indices are found by
+    :meth:`groups` among the rows added, so the error it raises is that of
+    the first bad record in reading order."""
 
     def __init__(self, ground_truth: dict[str, str], truth_name: str):
         self.ground_truth = ground_truth
@@ -457,6 +461,7 @@ class _LogPools:
         strings: dict[str | None, str] = {None: UNPARSEABLE}
         self.intern = strings.setdefault
         self.pools: dict[tuple[str, str], _Pool] = {}
+        self.missing: MissingGroundTruth | None = None
         self.names: list[str] = []
         self.offsets: list[int] = [0]
 
@@ -474,10 +479,11 @@ class _LogPools:
         log = bisect_left(self.offsets, line) - 1
         return f"{self.names[log]}: line {line - self.offsets[log]}"
 
-    def add(self, rows: list[tuple], lines: Sequence[int]) -> VoteScaleError | None:
-        """Add checked log rows read from ``lines``. Returns the error of the
-        first row whose question has no usable ground truth or whose key
-        repeats an earlier one (the pools are then incomplete), or None."""
+    def add(self, rows: list[tuple], lines: Sequence[int]) -> None:
+        """Add checked log rows read from ``lines``, up to the first whose
+        question has no usable ground truth."""
+        if self.missing is not None:
+            return
         intern = self.intern
         done = 0
         for (question_id, strategy_id), run in groupby(rows, _POOL):
@@ -488,55 +494,73 @@ class _LogPools:
             if pool is None:
                 correct = self.ground_truth.get(question_id)
                 if correct is None:
-                    return MissingGroundTruth(
+                    self.missing = MissingGroundTruth(
                         f"{self.where(run_lines[0])}: no correct answer for question "
                         f"{question_id!r} in {self.truth_name}"
                     )
+                    return
                 if correct in ("", UNPARSEABLE):
-                    return MissingGroundTruth(
+                    self.missing = MissingGroundTruth(
                         f"{self.where(run_lines[0])}: correct answer {correct!r} for question "
                         f"{question_id!r} is empty or the sentinel"
                     )
+                    return
                 key = (intern(question_id, question_id), intern(strategy_id, strategy_id))
                 pool = self.pools[key] = _Pool()
             _, _, indices, answers, prompts, completions = zip(*run)
-            known = len(pool.answers)
-            pool.answers.update(zip(indices, map(intern, answers, answers)))
-            if len(pool.answers) != known + len(run):
-                return self._repeat(pool, known, question_id, strategy_id, indices, run_lines)
+            pool.indices += indices
+            pool.answers += map(intern, answers, answers)
             pool.lines.extend(run_lines)
             pool.prompt_tokens += sum(prompts)
             pool.completion_tokens += sum(completions)
-        return None
-
-    def _repeat(self, pool, known, question_id, strategy_id, indices, lines) -> DuplicateKey:
-        """The error of the first of ``indices`` (read from ``lines``) that
-        repeats one of the pool's first ``known`` samples or an earlier index."""
-        earlier = dict(zip(islice(pool.answers, known), pool.lines))
-        for index, line in zip(indices, lines):
-            if index in earlier:
-                return DuplicateKey(
-                    f"{self.where(line)}: duplicate (question_id, strategy_id, sample_index): "
-                    f"{(question_id, strategy_id, index)!r} (first at {self.where(earlier[index])})"
-                )
-            earlier[index] = line
-        raise AssertionError("no repeated sample_index")
 
     def groups(self) -> dict[tuple[str, str], QuestionSamples]:
-        """The pools as :class:`QuestionSamples`, answers in sample_index order."""
+        """The pools as :class:`QuestionSamples`, answers in sample_index
+        order, each pool released once converted. Raises the error of the
+        first row in reading order that repeats an earlier row's key or
+        whose question has no usable ground truth."""
         groups = {}
-        for (question_id, strategy_id), pool in self.pools.items():
-            answers = pool.answers
-            groups[question_id, strategy_id] = QuestionSamples(
-                question_id=question_id,
-                strategy_id=strategy_id,
-                correct_answer=self.ground_truth[question_id],
-                answers=tuple([answers[i] or UNPARSEABLE for i in sorted(answers)]),
-                # exact integer sums, one rounding each
-                mean_prompt_tokens=pool.prompt_tokens / len(answers),
-                mean_completion_tokens=pool.completion_tokens / len(answers),
+        repeat = None  # (line, first line, key) of the first repeated key so far
+        for question_id, strategy_id in list(self.pools):
+            pool = self.pools.pop((question_id, strategy_id))
+            indices, answers = pool.indices, pool.answers
+            if len(set(indices)) < len(indices):
+                line, first, index = self._repeat(pool)
+                if repeat is None or line < repeat[0]:
+                    repeat = line, first, (question_id, strategy_id, index)
+            if repeat is None and self.missing is None:
+                if indices != sorted(indices):  # logs mostly list a pool in order
+                    order = sorted(range(len(indices)), key=indices.__getitem__)
+                    answers = [answers[i] for i in order]
+                groups[question_id, strategy_id] = QuestionSamples(
+                    question_id=question_id,
+                    strategy_id=strategy_id,
+                    correct_answer=self.ground_truth[question_id],
+                    answers=tuple([answer or UNPARSEABLE for answer in answers]),
+                    # exact integer sums, one rounding each
+                    mean_prompt_tokens=pool.prompt_tokens / len(indices),
+                    mean_completion_tokens=pool.completion_tokens / len(indices),
+                )
+        if repeat is not None:
+            line, first, key = repeat
+            raise DuplicateKey(
+                f"{self.where(line)}: duplicate (question_id, strategy_id, sample_index): "
+                f"{key!r} (first at {self.where(first)})"
             )
+        if self.missing is not None:
+            raise self.missing
         return groups
+
+    @staticmethod
+    def _repeat(pool: _Pool) -> tuple[int, int, int]:
+        """The line of the pool's first sample in reading order that repeats
+        an earlier sample_index, the earlier sample's line, and the index."""
+        earlier = {}
+        for index, line in zip(pool.indices, pool.lines):
+            if index in earlier:
+                return line, earlier[index], index
+            earlier[index] = line
+        raise AssertionError("no repeated sample_index")
 
 
 def answer_support(samples: QuestionSamples) -> tuple[str, ...]:

@@ -84,10 +84,12 @@ class StrategyDataset:
     questions: tuple[QuestionEntry, ...]
 
     def __post_init__(self):
-        ids = [q.question_id for q in self.questions]
+        ids = tuple(q.question_id for q in self.questions)
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate question_ids in strategy {self.strategy_id!r}")
-        # cell tables look datasets up by hash once per column; equality is unchanged
+        # reductions read the ids and cell tables look datasets up by hash
+        # many times per run; equality is unchanged
+        object.__setattr__(self, "_question_ids", ids)
         object.__setattr__(self, "_hash", hash((self.strategy_id, self.questions)))
 
     def __hash__(self) -> int:
@@ -95,7 +97,7 @@ class StrategyDataset:
 
     @property
     def question_ids(self) -> tuple[str, ...]:
-        return tuple(q.question_id for q in self.questions)
+        return self._question_ids
 
     def by_id(self) -> dict[str, QuestionEntry]:
         return {q.question_id: q for q in self.questions}

@@ -30,7 +30,9 @@ Four estimators are provided:
 
 The exact kernel's plan (correct-count range, roots of unity, extraction
 and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
-cache, so sweeping many distributions over a grid of ``n`` reuses it.
+cache, so sweeping many distributions over a grid of ``n`` reuses it. Its
+Gauss-Legendre nodes come from a constant table of ``leggauss`` values, so
+no exact run imports ``numpy.polynomial`` or calls LAPACK.
 Nothing is cached per distribution. The kernel takes a leading batch axis:
 :func:`exact_majority_probs` is the batch entry point for many
 ``(distribution, n)`` cells, and runs the kernel once per chunk of cells
@@ -54,6 +56,24 @@ from .errors import CapExceeded, WrongArity
 #: Exact-path caps on nonzero answers and (by default) ``n``; they bound the kernel's memory.
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60
+
+#: ``np.polynomial.legendre.leggauss(g)``, the g Gauss-Legendre nodes and
+#: weights on [-1, 1], for g = 1..ceil(EXACT_MAX_ANSWERS / 2), copied bit for
+#: bit: the kernel needs ceil(m/2) nodes, and a table spares every exact run
+#: the ``numpy.polynomial`` import and a LAPACK eigenvalue call. Tests keep
+#: it equal to ``leggauss``.
+_GAUSS_LEGENDRE = (
+    ((0.0,), (2.0,)),
+    ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
+    (
+        (-0.7745966692414834, 0.0, 0.7745966692414834),
+        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557),
+    ),
+    (
+        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
+        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357),
+    ),
+)
 
 #: Largest array, in complex entries (128 KiB), that one batch of the exact
 #: kernel builds: a batch holds as many cells of one (answers, n) as fit,
@@ -131,7 +151,8 @@ class _KernelPlan:
     roots of unity ``x = w^f`` from prefix sums of ``q(c) w^(f c)`` over
     ``c``. Counts ``k <= n/2`` are *tied*: a wrong answer can also reach
     ``k`` within degree ``n - k``, so their factor depends on ``y``. Larger
-    counts are *untied* and their factor is one prefix sum.
+    counts are *untied* and their factor is one prefix sum. The ceil(m/2)
+    quadrature nodes and weights over ``y`` are read from ``_GAUSS_LEGENDRE``.
     """
 
     powers: np.ndarray  # (3, n + 1) rows c, -1, -log c!: log-pmf = (log lam, lam, 1) @ powers
@@ -161,7 +182,7 @@ def _kernel_plan(n: int, m: int) -> _KernelPlan:
     scale = np.full(freq.size, 2.0 / size)
     scale[0] = scale[-1] = 1.0 / size
     extract = scale[:, None] * np.exp(-turn * (np.outer(freq, n - np.arange(k0, n + 1)) % size))
-    nodes, weights = np.polynomial.legendre.leggauss(-(-m // 2))
+    nodes, weights = map(np.array, _GAUSS_LEGENDRE[-(-m // 2) - 1])
     log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
     # the wrong answers' prefix sums, or their tied factors at every node
     row_entries = (m - 1) * freq.size * max(half + 1, nodes.size * (half + 1 - k0))

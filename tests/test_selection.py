@@ -64,6 +64,15 @@ class TestDatasets:
         assert ds.question_ids == ("q0", "q1")
         assert ds.by_id()["q1"].dist == LATE
 
+    def test_question_ids_are_computed_once(self):
+        ds = dataset("s", [EARLY, LATE, EARLY])
+        ids = ds.question_ids
+        assert ids == tuple(q.question_id for q in ds.questions) == ("q0", "q1", "q2")
+        # the tuple is kept from construction: every read returns it
+        assert ds.question_ids is ids
+        object.__setattr__(ds, "questions", ())
+        assert ds.question_ids is ids
+
     def test_hash_is_computed_once_and_equality_is_unchanged(self, monkeypatch):
         ds = dataset("s", [EARLY, LATE])
         same = dataset("s", [EARLY, LATE])

@@ -28,7 +28,15 @@ from votescale import (
     standard_normal_cdf,
     vote_probability,
 )
-from votescale.votemath import _BATCH_ENTRIES, _BLOCK, _kernel_plan, _modal_winners, check_grid
+from votescale.votemath import (
+    _BATCH_ENTRIES,
+    _BLOCK,
+    _GAUSS_LEGENDRE,
+    EXACT_MAX_ANSWERS,
+    _kernel_plan,
+    _modal_winners,
+    check_grid,
+)
 
 
 def simplex3(draw_floats):
@@ -244,6 +252,17 @@ class TestPoissonKernel:
     def test_one_sample_still_respects_the_answer_cap(self):
         with pytest.raises(CapExceeded):
             exact_majority_prob(AnswerDistribution((0.2,) + (0.1,) * 8), 1)
+
+    @pytest.mark.parametrize("nodes", range(1, -(-EXACT_MAX_ANSWERS // 2) + 1))
+    def test_quadrature_table_is_leggauss_bit_for_bit(self, nodes):
+        """The kernel reads ceil(m/2) Gauss-Legendre nodes and weights from a
+        constant table; LAPACK, through numpy's ``leggauss``, stays the judge
+        of every entry an exact cell can reach, so raising the answer cap
+        fails here until the table grows."""
+        assert len(_GAUSS_LEGENDRE) >= nodes
+        want = np.polynomial.legendre.leggauss(nodes)
+        got = [np.array(column) for column in _GAUSS_LEGENDRE[nodes - 1]]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
     @pytest.mark.parametrize("n", [21, 60])
     def test_memory_is_bounded(self, n):
