@@ -37,7 +37,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import groupby, islice
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -524,19 +524,19 @@ class _LogPools:
         for question_id, strategy_id in list(self.pools):
             pool = self.pools.pop((question_id, strategy_id))
             indices, answers = pool.indices, pool.answers
-            if len(set(indices)) < len(indices):
+            order = sorted(range(len(indices)), key=indices.__getitem__)
+            ordered = [indices[i] for i in order]
+            # sorting puts equal sample indices side by side
+            if any(map(eq, ordered, islice(ordered, 1, None))):
                 line, first, index = self._repeat(pool)
                 if repeat is None or line < repeat[0]:
                     repeat = line, first, (question_id, strategy_id, index)
             if repeat is None and self.missing is None:
-                if indices != sorted(indices):  # logs mostly list a pool in order
-                    order = sorted(range(len(indices)), key=indices.__getitem__)
-                    answers = [answers[i] for i in order]
                 groups[question_id, strategy_id] = QuestionSamples(
                     question_id=question_id,
                     strategy_id=strategy_id,
                     correct_answer=self.ground_truth[question_id],
-                    answers=tuple([answer or UNPARSEABLE for answer in answers]),
+                    answers=tuple([answers[i] or UNPARSEABLE for i in order]),
                     # exact integer sums, one rounding each
                     mean_prompt_tokens=pool.prompt_tokens / len(indices),
                     mean_completion_tokens=pool.completion_tokens / len(indices),

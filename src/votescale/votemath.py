@@ -32,7 +32,8 @@ The exact kernel's plan (correct-count range, roots of unity, extraction
 and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
 cache, so sweeping many distributions over a grid of ``n`` reuses it. Its
 Gauss-Legendre nodes come from a constant table of ``leggauss`` values, so
-no exact run imports ``numpy.polynomial`` or calls LAPACK.
+no exact run calls LAPACK for them, and on numpy >= 2, whose ``import numpy``
+loads submodules lazily, none imports ``numpy.polynomial``.
 Nothing is cached per distribution. The kernel takes a leading batch axis:
 :func:`exact_majority_probs` is the batch entry point for many
 ``(distribution, n)`` cells, and runs the kernel once per chunk of cells
@@ -60,8 +61,9 @@ EXACT_MAX_N = 60
 #: ``np.polynomial.legendre.leggauss(g)``, the g Gauss-Legendre nodes and
 #: weights on [-1, 1], for g = 1..ceil(EXACT_MAX_ANSWERS / 2), copied bit for
 #: bit: the kernel needs ceil(m/2) nodes, and a table spares every exact run
-#: the ``numpy.polynomial`` import and a LAPACK eigenvalue call. Tests keep
-#: it equal to ``leggauss``.
+#: a LAPACK eigenvalue call and, on numpy >= 2, the ``numpy.polynomial``
+#: import (numpy 1.x imports it with ``numpy``). Tests keep it equal to
+#: ``leggauss``.
 _GAUSS_LEGENDRE = (
     ((0.0,), (2.0,)),
     ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
