@@ -20,9 +20,10 @@ so a failing run leaves no partial report. All tables of a run read one
 cell table, so each cell is evaluated once. Every input file is streamed
 a block at a time through one reader that names the file and line of the
 first bad or repeated line in reading order. The logs go through one pass
-(:func:`votescale.records.group_logs`) straight into per-pool samples; it
-names the line of a record key repeated across log lines or files, and of a
-logged question without ground truth, from the line where it sees it.
+(:func:`votescale.records.group_logs`) straight into per-pool samples; once
+reading ends it checks the pools, and names the line of a record key
+repeated across log lines or files, or of a logged question without ground
+truth, from the line numbers kept per sample.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -64,7 +65,7 @@ from .selection import (
     extreme_performance,
     load_scenario,
 )
-from .votemath import check_grid, scaling_curve
+from .votemath import _MAX_DRAW, check_grid, scaling_curve
 
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
 #: cost examples use this quote.
@@ -346,6 +347,8 @@ def cmd_analyze(args) -> int:
 def cmd_synth(args) -> int:
     if args.samples < 1:
         raise ValueError("--samples must be >= 1")
+    if args.samples > _MAX_DRAW:
+        raise ValueError("--samples must be <= 2^63 - 1")
     if args.seed < 0:
         raise ValueError("--seed must be >= 0")
     dss = _load_scenario_file(args.scenario)

@@ -25,7 +25,7 @@ from enum import Enum
 
 from .distribution import AnswerDistribution
 from .errors import NoWrongMass
-from .votemath import check_grid, vote_probability
+from .votemath import _margin_and_spread, check_grid, vote_probability
 
 #: Absolute tolerance when testing membership in the modal set.
 TIE_TOLERANCE = 1e-12
@@ -71,11 +71,9 @@ def classify(
     return DifficultyLabel(Difficulty.MODERATE, len(modal))
 
 
-def limit_prob(
-    dist: AnswerDistribution, *, tolerance: float = TIE_TOLERANCE
-) -> float:
+def limit_prob(dist: AnswerDistribution) -> float:
     """Large-n limit of the vote success probability: 1, 1/|S|, or 0."""
-    label = classify(dist, tolerance=tolerance)
+    label = classify(dist)
     if label.kind is Difficulty.EASY:
         return 1.0
     if label.kind is Difficulty.MODERATE:
@@ -91,23 +89,13 @@ def crossover_condition(
     With gap = p1 - pq (correct minus strongest wrong probability) and
     v = p1 + pq - p1^2 - pq^2, the overtake is guaranteed for some finite
     sampling time when ``ahead`` has strictly smaller gap and strictly
-    larger v. The condition is sufficient, not necessary: a False here does
-    not rule an overtake out.
+    larger v. The two are the normal approximation's per-sample mean and
+    variance (:func:`votescale.votemath.normal_approx_prob`), v written as
+    p1*(1-p1) + pq*(1-pq). The condition is sufficient, not necessary: a
+    False here does not rule an overtake out.
     """
-    gap_b = behind.correct_prob - behind.max_wrong_prob
-    gap_a = ahead.correct_prob - ahead.max_wrong_prob
-    v_b = (
-        behind.correct_prob
-        + behind.max_wrong_prob
-        - behind.correct_prob**2
-        - behind.max_wrong_prob**2
-    )
-    v_a = (
-        ahead.correct_prob
-        + ahead.max_wrong_prob
-        - ahead.correct_prob**2
-        - ahead.max_wrong_prob**2
-    )
+    gap_b, v_b = _margin_and_spread(behind)
+    gap_a, v_a = _margin_and_spread(ahead)
     return gap_a < gap_b and v_a > v_b
 
 

@@ -21,10 +21,11 @@ object. :func:`group_logs` is the one pass from the lines of one or more
 logs to the per-pool samples of :func:`group_records`: it keeps, per
 (question, strategy) pool, the sample indices, answers and lines of its
 samples as lists in reading order plus integer token sums, and builds no
-per-line record. Once every line has parsed, so that a bad line anywhere is
-reported first, it raises the error of the first record in reading order
-whose question has no ground truth or whose key repeats, with file and
-line; repeated keys are found pool by pool once reading ends.
+per-line record. Reading consults no ground truth. Once every line has
+parsed, so that a bad line anywhere is reported first, the pools are checked
+one by one, from the line numbers kept per sample, for a question without
+ground truth and for a repeated key; the error raised is that of the first
+such record in reading order, with file and line.
 :func:`parse_records` and :func:`group_records` are the same steps one
 record at a time.
 """
@@ -390,13 +391,6 @@ def group_records(
     return groups
 
 
-def parse_log(
-    lines: Iterable[str], ground_truth: dict[str, str]
-) -> dict[tuple[str, str], QuestionSamples]:
-    """:func:`group_records` over :func:`parse_records` of a whole log stream."""
-    return group_records(parse_records(lines), ground_truth)
-
-
 def group_logs(
     sources: Iterable[tuple[str, Iterable[str]]],
     ground_truth: dict[str, str],
@@ -410,13 +404,14 @@ def group_logs(
     those of ``group_records(parse_records(lines of every log), ground_truth)``,
     and a pool may span logs. Errors name the log and line. A bad line (see
     :func:`parse_records`) is a :class:`VoteScaleError` ``"name: line N:
-    ..."``. Once every line has parsed, the first record in reading order
+    ..."``. Once every line has parsed, each pool is checked as it is
+    converted, and the first bad record in reading order raises: a record
     whose question has no ground truth raises :class:`MissingGroundTruth`
-    (``"... in truth_name"``), or the first that repeats an earlier record's
+    (``"... in truth_name"``), and one that repeats an earlier record's
     (question, strategy, sample_index) raises :class:`DuplicateKey`
     (``"... (first at name: line M)"``).
     """
-    pools = _LogPools(ground_truth, truth_name)
+    pools = _LogPools()
     for name, lines in sources:
         offset = pools.open(name)
         start = 1
@@ -427,7 +422,7 @@ def group_logs(
         except MalformedLine as exc:
             raise VoteScaleError(f"{name}: {exc}") from None
         pools.close(start - 1)
-    return pools.groups()
+    return pools.groups(ground_truth, truth_name)
 
 
 class _Pool:
@@ -449,19 +444,15 @@ class _LogPools:
     logs: a log's line N is its offset plus N, and a log's offset is the
     number of lines of the logs before it.
 
-    The first row whose question has no usable ground truth is noted, and
-    no row after it is added. Repeated sample indices are found by
-    :meth:`groups` among the rows added, so the error it raises is that of
+    Reading only adds rows. :meth:`groups` checks each pool's ground truth
+    and sample indices as it converts it, so the error it raises is that of
     the first bad record in reading order."""
 
-    def __init__(self, ground_truth: dict[str, str], truth_name: str):
-        self.ground_truth = ground_truth
-        self.truth_name = truth_name
+    def __init__(self):
         # one object per distinct id and answer string; a null answer maps to the sentinel
         strings: dict[str | None, str] = {None: UNPARSEABLE}
         self.intern = strings.setdefault
         self.pools: dict[tuple[str, str], _Pool] = {}
-        self.missing: MissingGroundTruth | None = None
         self.names: list[str] = []
         self.offsets: list[int] = [0]
 
@@ -480,75 +471,68 @@ class _LogPools:
         return f"{self.names[log]}: line {line - self.offsets[log]}"
 
     def add(self, rows: list[tuple], lines: Sequence[int]) -> None:
-        """Add checked log rows read from ``lines``, up to the first whose
-        question has no usable ground truth."""
-        if self.missing is not None:
-            return
+        """Add checked log rows read from ``lines``."""
         intern = self.intern
         done = 0
-        for (question_id, strategy_id), run in groupby(rows, _POOL):
+        for key, run in groupby(rows, _POOL):
             run = list(run)
-            run_lines = lines[done : done + len(run)]
-            done += len(run)
-            pool = self.pools.get((question_id, strategy_id))
+            pool = self.pools.get(key)
             if pool is None:
-                correct = self.ground_truth.get(question_id)
-                if correct is None:
-                    self.missing = MissingGroundTruth(
-                        f"{self.where(run_lines[0])}: no correct answer for question "
-                        f"{question_id!r} in {self.truth_name}"
-                    )
-                    return
-                if correct in ("", UNPARSEABLE):
-                    self.missing = MissingGroundTruth(
-                        f"{self.where(run_lines[0])}: correct answer {correct!r} for question "
-                        f"{question_id!r} is empty or the sentinel"
-                    )
-                    return
-                key = (intern(question_id, question_id), intern(strategy_id, strategy_id))
-                pool = self.pools[key] = _Pool()
+                pool = self.pools[tuple(map(intern, key, key))] = _Pool()
             _, _, indices, answers, prompts, completions = zip(*run)
             pool.indices += indices
             pool.answers += map(intern, answers, answers)
-            pool.lines.extend(run_lines)
+            pool.lines.extend(lines[done : done + len(run)])
+            done += len(run)
             pool.prompt_tokens += sum(prompts)
             pool.completion_tokens += sum(completions)
 
-    def groups(self) -> dict[tuple[str, str], QuestionSamples]:
+    def groups(
+        self, ground_truth: dict[str, str], truth_name: str
+    ) -> dict[tuple[str, str], QuestionSamples]:
         """The pools as :class:`QuestionSamples`, answers in sample_index
         order, each pool released once converted. Raises the error of the
-        first row in reading order that repeats an earlier row's key or
-        whose question has no usable ground truth."""
+        first row in reading order whose question has no usable ground truth
+        (a pool's first line) or that repeats an earlier row's key."""
         groups = {}
-        repeat = None  # (line, first line, key) of the first repeated key so far
+        first = None  # (line, error) of the earliest bad row so far
         for question_id, strategy_id in list(self.pools):
             pool = self.pools.pop((question_id, strategy_id))
+            correct = ground_truth.get(question_id)
+            if correct in (None, "", UNPARSEABLE):
+                line = pool.lines[0]
+                if first is None or line < first[0]:
+                    reason = (
+                        f"no correct answer for question {question_id!r} in {truth_name}"
+                        if correct is None
+                        else f"correct answer {correct!r} for question {question_id!r} "
+                        "is empty or the sentinel"
+                    )
+                    first = line, MissingGroundTruth(f"{self.where(line)}: {reason}")
+                continue
             indices, answers = pool.indices, pool.answers
             order = sorted(range(len(indices)), key=indices.__getitem__)
             ordered = [indices[i] for i in order]
             # sorting puts equal sample indices side by side
             if any(map(eq, ordered, islice(ordered, 1, None))):
-                line, first, index = self._repeat(pool)
-                if repeat is None or line < repeat[0]:
-                    repeat = line, first, (question_id, strategy_id, index)
-            if repeat is None and self.missing is None:
+                line, earlier, index = self._repeat(pool)
+                if first is None or line < first[0]:
+                    first = line, DuplicateKey(
+                        f"{self.where(line)}: duplicate (question_id, strategy_id, sample_index): "
+                        f"{(question_id, strategy_id, index)!r} (first at {self.where(earlier)})"
+                    )
+            if first is None:
                 groups[question_id, strategy_id] = QuestionSamples(
                     question_id=question_id,
                     strategy_id=strategy_id,
-                    correct_answer=self.ground_truth[question_id],
+                    correct_answer=correct,
                     answers=tuple([answers[i] or UNPARSEABLE for i in order]),
                     # exact integer sums, one rounding each
                     mean_prompt_tokens=pool.prompt_tokens / len(indices),
                     mean_completion_tokens=pool.completion_tokens / len(indices),
                 )
-        if repeat is not None:
-            line, first, key = repeat
-            raise DuplicateKey(
-                f"{self.where(line)}: duplicate (question_id, strategy_id, sample_index): "
-                f"{key!r} (first at {self.where(first)})"
-            )
-        if self.missing is not None:
-            raise self.missing
+        if first is not None:
+            raise first[1]
         return groups
 
     @staticmethod

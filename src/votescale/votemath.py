@@ -87,6 +87,10 @@ _BATCH_ENTRIES = 1 << 13
 #: deterministic random stream for Monte Carlo).
 _BLOCK = 1 << 19
 
+#: Largest count numpy draws (the int64 maximum): bounds Monte Carlo n and
+#: synthetic sample counts.
+_MAX_DRAW = (1 << 63) - 1
+
 _METHOD_ALIASES = {
     "exact": "exact",
     "approx": "normal_approx",
@@ -376,6 +380,8 @@ def _block_winners(
     """The one simulation loop: the winners of ``trials`` votes, one array
     per block of at most ``_BLOCK`` trials, each block's multinomial counts
     drawn before its tie-break scores."""
+    if n > _MAX_DRAW:
+        raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
     for start in range(0, trials, _BLOCK):
         yield _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
 
@@ -431,14 +437,20 @@ def normal_approx_prob(dist: AnswerDistribution, n: int) -> VoteProbability:
     n = check_sampling_time(n)
     if dist.m == 1:
         return VoteProbability(1.0, "normal_approx", n)
-    p1 = dist.correct_prob
-    p_max = dist.max_wrong_prob
-    spread = p1 * (1.0 - p1) + p_max * (1.0 - p_max)
+    margin, spread = _margin_and_spread(dist)
     if spread == 0.0:
-        value = 1.0 if p1 > p_max else (0.0 if p1 < p_max else 0.5)
+        value = 1.0 if margin > 0.0 else (0.0 if margin < 0.0 else 0.5)
     else:
-        value = 1.0 - standard_normal_cdf(-(p1 - p_max) / math.sqrt(spread / n))
+        value = 1.0 - standard_normal_cdf(-margin / math.sqrt(spread / n))
     return VoteProbability(min(max(value, 0.0), 1.0), "normal_approx", n)
+
+
+def _margin_and_spread(dist: AnswerDistribution) -> tuple[float, float]:
+    """Per sample, the mean and the variance of the correct count minus the
+    strongest wrong count in the normal approximation: (p1 - p_max,
+    p1*(1-p1) + p_max*(1-p_max))."""
+    p1, p_max = dist.correct_prob, dist.max_wrong_prob
+    return p1 - p_max, p1 * (1.0 - p1) + p_max * (1.0 - p_max)
 
 
 def vote_probability(

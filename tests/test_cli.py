@@ -98,6 +98,14 @@ class TestPointCommands:
         assert stderr == pytest.approx(math.sqrt(value * (1 - value) / 20000), abs=1e-12)
         assert abs(value - 0.94208) < 5 * stderr
 
+    def test_mc_sampling_time_beyond_int64_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, ["mc", "--dist", "0.5,0.5", "--n", "100000000000000000000", "--trials", "1"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "error: Monte Carlo needs n <= 2^63 - 1, got 100000000000000000000\n"
+
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "points.csv"
         code, out, _ = run(
@@ -425,6 +433,28 @@ class TestSynthAnalyze:
         )
         assert code == 2
         assert "conflicting" in err
+
+    def test_sample_counts_beyond_int64_exit_2(self, capsys, tmp_path):
+        big = "100000000000000000000"
+        code, _, err = run(
+            capsys,
+            ["synth", "--scenario", str(self.planted(tmp_path)), "--samples", big,
+             "--out", str(tmp_path / "d")],
+        )
+        assert (code, err) == (2, "error: --samples must be <= 2^63 - 1\n")
+        assert not (tmp_path / "d").exists()
+        data = self.synth(capsys, tmp_path, samples=5)
+        for argv in (
+            ["predict", "--scenario", str(self.planted(tmp_path))],
+            ["analyze", "--log", str(data / "log.jsonl"), "--truth", str(data / "truth.jsonl")],
+        ):
+            code, _, err = run(
+                capsys,
+                argv + ["--method", "mc", "--grid", f"1,{big}", "--trials", "1",
+                        "--out", str(tmp_path / "r")],
+            )
+            assert (code, err) == (2, f"error: Monte Carlo needs n <= 2^63 - 1, got {big}\n")
+            assert not (tmp_path / "r").exists()
 
     def test_analyze_round_trip(self, capsys, tmp_path):
         data = self.synth(capsys, tmp_path)

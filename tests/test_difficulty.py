@@ -105,6 +105,34 @@ class TestCrossover:
         d = AnswerDistribution((0.6, 0.3, 0.1))
         assert not crossover_condition(behind=d, ahead=d)
 
+    def test_condition_matches_the_papers_form(self):
+        """The condition as the paper writes it, gap = p1 - pq and
+        v = p1 + pq - p1^2 - pq^2, on seeded random pairs whose terms differ
+        by far more than rounding, and on criterion 2's pair."""
+
+        def terms(d):
+            p1, pq = d.correct_prob, d.max_wrong_prob
+            return p1 - pq, p1 + pq - p1**2 - pq**2
+
+        rng = np.random.default_rng(20250)
+        pairs = [(self.AHEAD, self.BEHIND), (self.BEHIND, self.AHEAD)]
+        while len(pairs) < 1000:
+            behind, ahead = (
+                AnswerDistribution(tuple(rng.dirichlet(np.ones(m))), int(rng.integers(m)))
+                for m in rng.integers(2, 7, size=2)
+            )
+            (gap_b, v_b), (gap_a, v_a) = terms(behind), terms(ahead)
+            if abs(gap_a - gap_b) > 1e-9 and abs(v_a - v_b) > 1e-9:
+                pairs.append((behind, ahead))
+        verdicts = [crossover_condition(behind, ahead) for behind, ahead in pairs]
+        papers = []
+        for behind, ahead in pairs:
+            (gap_b, v_b), (gap_a, v_a) = terms(behind), terms(ahead)
+            papers.append(gap_a < gap_b and v_a > v_b)
+        assert verdicts == papers
+        assert verdicts[:2] == [True, False]
+        assert 50 < sum(verdicts) < 950
+
     def test_crossover_point_on_grid(self):
         verdict = find_crossover_n(self.AHEAD, self.BEHIND, [1, 3, 5, 7])
         assert isinstance(verdict, CrossoverVerdict)

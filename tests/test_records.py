@@ -31,7 +31,6 @@ from votescale import (
     load_ground_truth,
     mean_replay_accuracy,
     monte_carlo_majority_prob,
-    parse_log,
     parse_records,
     replay_majority,
 )
@@ -157,7 +156,7 @@ class TestGrouping:
             record_line(idx=1, answer="42", pt=100, ct=50),
             record_line(qid="q2", sid="s2", idx=0, answer="7"),
         ]
-        groups = parse_log(lines, self.TRUTH)
+        groups = group_logs([("log", lines)], self.TRUTH)
         assert set(groups) == {("q1", "s1"), ("q2", "s2")}
         g = groups[("q1", "s1")]
         assert g.answers == ("42", "42", "41")
@@ -169,33 +168,33 @@ class TestGrouping:
     def test_duplicate_key(self):
         lines = [record_line(idx=0), record_line(idx=0)]
         with pytest.raises(DuplicateKey):
-            parse_log(lines, self.TRUTH)
+            group_logs([("log", lines)], self.TRUTH)
         lines = [record_line(idx=0), record_line(idx=1), record_line(idx=0)]
         with pytest.raises(DuplicateKey, match="'q1', 's1', 0"):
-            parse_log(lines, self.TRUTH)
+            group_logs([("log", lines)], self.TRUTH)
 
     def test_missing_ground_truth(self):
         with pytest.raises(MissingGroundTruth, match="q9"):
-            parse_log([record_line(qid="q9")], self.TRUTH)
+            group_logs([("log", [record_line(qid="q9")])], self.TRUTH)
 
     @pytest.mark.parametrize("correct", ["", UNPARSEABLE])
     def test_empty_or_sentinel_correct_rejected(self, correct):
         """Either value would score the unparseable samples as correct."""
         lines = [record_line(idx=i, answer=a) for i, a in enumerate(["", "a", ""])]
         with pytest.raises(MissingGroundTruth, match="question 'q1'"):
-            parse_log(lines, {"q1": correct})
+            group_logs([("log", lines)], {"q1": correct})
         with pytest.raises(MissingGroundTruth, match="question 'q1'"):
             group_records(parse_records(lines), {"q1": correct})
 
     def test_empty_answer_groups_to_sentinel(self):
         lines = [record_line(idx=0, answer="")]
-        groups = parse_log(lines, self.TRUTH)
+        groups = group_logs([("log", lines)], self.TRUTH)
         assert groups[("q1", "s1")].answers == (UNPARSEABLE,)
 
     def test_null_and_empty_answers_group_to_one_sentinel_without_a_hook(self):
         answers = [None, "", "x", "x", None, ""]
         lines = [record_line(idx=i, answer=a) for i, a in enumerate(answers)]
-        g = parse_log(lines, {"q1": "x"})[("q1", "s1")]
+        g = group_logs([("log", lines)], {"q1": "x"})[("q1", "s1")]
         assert g.answers == (UNPARSEABLE, UNPARSEABLE, "x", "x", UNPARSEABLE, UNPARSEABLE)
         dist = estimate_distribution(g)
         assert dist.probs == pytest.approx((2 / 3, 1 / 3))
@@ -205,7 +204,7 @@ class TestGrouping:
     def test_token_means_are_exact_integer_sums(self):
         big = 2**53
         lines = [record_line(idx=0, pt=big, ct=0), record_line(idx=1, pt=1), record_line(idx=2, pt=1)]
-        g = parse_log(lines, self.TRUTH)[("q1", "s1")]
+        g = group_logs([("log", lines)], self.TRUTH)[("q1", "s1")]
         assert g.mean_prompt_tokens == (big + 2) / 3  # a float sum loses both 1s
         assert g.mean_completion_tokens == 100 / 3
 
@@ -392,6 +391,50 @@ class TestGroupLogs:
         lines = [record_line(idx=i, answer=a) for i, a in enumerate(["", "a", ""])]
         with pytest.raises(MissingGroundTruth, match="^log: line 1: .*question 'q1'"):
             group_logs([("log", lines)], {"q1": correct})
+
+    @pytest.mark.parametrize("unknown_at", [1, 2])
+    def test_unknown_question_before_a_repeated_key_is_reported(self, unknown_at):
+        """The unknown question's pool comes before or after the repeating
+        pool; either way its earlier line wins."""
+        lines = [record_line("q0", "s0", 0), record_line("q0", "s0", 0)]
+        lines.insert(unknown_at - 1, record_line("q9", "s0", 0))
+        with pytest.raises(MissingGroundTruth) as err:
+            group_logs([("log", lines)], self.TRUTH, truth_name="truth.jsonl")
+        assert str(err.value) == (
+            f"log: line {unknown_at}: no correct answer for question 'q9' in truth.jsonl"
+        )
+
+    def test_repeated_key_before_an_unknown_question_is_reported(self):
+        lines = [
+            record_line("q0", "s0", 0),
+            record_line("q0", "s0", 0),
+            record_line("q9", "s0", 0),
+        ]
+        with pytest.raises(DuplicateKey) as err:
+            group_logs([("log", lines)], self.TRUTH, truth_name="truth.jsonl")
+        assert str(err.value) == (
+            "log: line 2: duplicate (question_id, strategy_id, sample_index): "
+            "('q0', 's0', 0) (first at log: line 1)"
+        )
+
+    def test_unknown_question_that_repeats_its_own_key_is_reported_as_unknown(self):
+        lines = [
+            record_line("q0", "s0", 0),
+            record_line("q9", "s0", 0),
+            record_line("q9", "s0", 0),
+        ]
+        with pytest.raises(MissingGroundTruth) as err:
+            group_logs([("log", lines)], self.TRUTH, truth_name="truth.jsonl")
+        assert str(err.value) == "log: line 2: no correct answer for question 'q9' in truth.jsonl"
+
+    def test_unknown_question_in_the_second_log_is_named_there(self):
+        logs = [
+            ("a.jsonl", [record_line("q0", "s0", 0), record_line("q1", "s0", 0)]),
+            ("b.jsonl", ["", record_line("q0", "s0", 1), record_line("q9", "s1", 0)]),
+        ]
+        with pytest.raises(MissingGroundTruth) as err:
+            group_logs(logs, self.TRUTH, truth_name="truth.jsonl")
+        assert str(err.value) == "b.jsonl: line 3: no correct answer for question 'q9' in truth.jsonl"
 
     def test_memory_stays_below_parse_then_group(self):
         """A log of the benchmark's log-exact shape: 3 strategies x 300

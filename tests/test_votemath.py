@@ -501,6 +501,16 @@ class TestSimulation:
         b = monte_carlo_majority_prob(d, 7, 10_000, seed=5)
         assert a == b
 
+    def test_sampling_time_beyond_int64_names_the_limit(self):
+        """numpy draws the counts as int64: a larger n is a ValueError that
+        names the limit, not numpy's OverflowError."""
+        d = AnswerDistribution((0.5, 0.5))
+        with pytest.raises(ValueError, match=r"^Monte Carlo needs n <= 2\^63 - 1, got 9223372036854775808$"):
+            monte_carlo_majority_prob(d, 2**63, 1, seed=0)
+        with pytest.raises(ValueError, match=r"n <= 2\^63 - 1, got 100000000000000000000$"):
+            simulate_votes(d, 10**20, 1, np.random.default_rng(0))
+        assert monte_carlo_majority_prob(d, 2**63 - 1, 1, seed=0).n == 2**63 - 1
+
     def test_rejects_bad_arguments(self):
         d = AnswerDistribution((0.6, 0.4))
         with pytest.raises(ValueError):
