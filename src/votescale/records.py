@@ -13,15 +13,20 @@ and the scenario files of :mod:`votescale.selection` all go through this
 module's one line reader and typed field checks, so every bad line raises
 an error carrying its number.
 
-Logs are the large input, so they are read a chunk of lines at a time:
-one ``json.loads`` per chunk and one check per column. A chunk that fails
-any check goes back through the line reader, so rows and errors are those
-of a line-by-line parse. Ids and answers that repeat share one string
-object. :func:`group_logs` is the one pass from the lines of one or more
-logs to the per-pool samples of :func:`group_records`: it keeps, per
-(question, strategy) pool, the sample indices, answers and lines of its
-samples as lists in reading order plus integer token sums, and builds no
-per-line record. Reading consults no ground truth. Once every line has
+Logs are the large input, so they are read a chunk of lines at a time, by
+the first of three routes that vouches for the whole chunk. A chunk of
+canonical lines, as ``synth`` and ``json.dumps`` write them (the fields in
+:class:`SampleRecord` order, ``", "`` and ``": "`` separators, no padding,
+no escapes, integers of at most 18 digits), is read by one scan of a
+compiled pattern whose every match passes every field check. Any other
+chunk is parsed by one ``json.loads`` of a JSON array and checked a column
+at a time. A chunk that fails that too goes back through the line reader.
+So rows and errors are those of a line-by-line parse. Ids and answers that
+repeat share one string object. :func:`group_logs` is the one pass from the
+lines of one or more logs to the per-pool samples of :func:`group_records`:
+it keeps, per (question, strategy) pool, the sample indices, answers and
+lines of its samples as lists in reading order plus integer token sums, and
+builds no per-line record. Reading consults no ground truth. Once every line has
 parsed, so that a bad line anywhere is reported first, the pools are checked
 one by one, from the line numbers kept per sample, for a question without
 ground truth and for a repeated key; the error raised is that of the first
@@ -33,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from array import array
 from bisect import bisect_left
@@ -73,6 +79,21 @@ _RECORD_COLUMNS = itemgetter(
 )
 #: A log row's pool: (question_id, strategy_id).
 _POOL = itemgetter(0, 1)
+#: A JSON string's characters with no escape, control character or lone
+#: surrogate, and an integer from 0 to 18 digits: values that pass every
+#: field check as they stand.
+_PLAIN_TEXT = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+_SMALL_COUNT = r"(0|[1-9][0-9]{0,17})"
+#: One log line as ``synth`` and ``json.dumps`` write it: the record fields
+#: in SampleRecord order, ", " and ": " separators and no padding, holding
+#: only plain text and small counts. The answer keeps its quotes, so null and
+#: "null" stay apart. Under re.M only "\n" ends a line.
+_CANONICAL_RECORD = re.compile(
+    r'^\{"question_id": "(%s)", "strategy_id": "(%s)", "sample_index": %s, '
+    r'"answer": ("%s"|null), "prompt_tokens": %s, "completion_tokens": %s\}$'
+    % (_PLAIN_TEXT, _PLAIN_TEXT, _SMALL_COUNT, _PLAIN_TEXT, _SMALL_COUNT, _SMALL_COUNT),
+    re.M,
+)
 #: Log lines parsed as one JSON array. Small, so that the chunk's text and
 #: objects stay a small share of peak memory next to the records.
 _CHUNK_LINES = 256
@@ -274,17 +295,21 @@ def _record_row(line_number: int, obj: dict) -> tuple:
 
 
 def _chunk_rows(lines: list[str]) -> list[tuple] | None:
-    """The rows of :func:`_record_row` for a chunk of log lines, parsed as one
-    JSON array and checked a column at a time; ``None`` when some line needs
-    the line-by-line reader.
+    """The rows of :func:`_record_row` for a chunk of log lines: those of
+    :func:`_canonical_rows` if every line is canonical, else those of the
+    chunk parsed as one JSON array and checked a column at a time; ``None``
+    when some line needs the line-by-line reader.
 
-    The nonblank lines are joined as given (a stripped copy could drop
-    characters JSON rejects), with separators that hold a newline. JSON
+    The JSON array joins the nonblank lines as given (a stripped copy could
+    drop characters JSON rejects), with separators that hold a newline. JSON
     strings cannot hold a raw newline, and every value of an accepted
     element is a scalar, so an element cannot span two lines; with one
     element per line and each line running from ``{`` to ``}``, every line
     parses to the object it would parse to alone.
     """
+    rows = _canonical_rows(lines)
+    if rows is not None:
+        return rows
     nonblank = []
     for line in lines:
         text = line.strip()
@@ -325,6 +350,39 @@ def _chunk_rows(lines: list[str]) -> list[tuple] | None:
     except UnicodeEncodeError:
         return None
     return rows
+
+
+def _canonical_rows(lines: list[str]) -> list[tuple] | None:
+    """The rows of a chunk whose every line matches :data:`_CANONICAL_RECORD`
+    whole, from one scan of the joined lines; ``None`` for any other chunk.
+
+    The first line is tried alone, so a chunk in another form costs no scan.
+    With one newline between each two lines, no line holds a newline, and a
+    match cannot span one; so one match per line means that every line is
+    one whole match, in order.
+    """
+    if not _CANONICAL_RECORD.fullmatch(lines[0]):
+        return None
+    text = "\n".join(lines)
+    if text.count("\n") != len(lines) - 1:
+        return None
+    found = _CANONICAL_RECORD.findall(text)
+    if len(found) != len(lines):
+        return None
+    qids, sids, indices, answers, prompts, completions = zip(*found)
+    # a chunk repeats few distinct values: convert each one once
+    count = {value: int(value) for value in {*indices, *prompts, *completions}}.__getitem__
+    answer = {value: None if value == "null" else value[1:-1] for value in set(answers)}.__getitem__
+    return list(
+        zip(
+            qids,
+            sids,
+            map(count, indices),
+            map(answer, answers),
+            map(count, prompts),
+            map(count, completions),
+        )
+    )
 
 
 def load_ground_truth(lines: Iterable[str]) -> dict[str, str]:

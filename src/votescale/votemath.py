@@ -38,7 +38,7 @@ Nothing is cached per distribution. The kernel takes a leading batch axis:
 :func:`exact_majority_probs` is the batch entry point for many
 ``(distribution, n)`` cells, and runs the kernel once per chunk of cells
 with equal nonzero answers and ``n``, each chunk's largest array holding at
-most ``_BATCH_ENTRIES`` (2^13) complex entries. :func:`exact_majority_prob`
+most ``_BATCH_ENTRIES`` (2^12) complex entries. :func:`exact_majority_prob`
 is its batch of one.
 """
 from __future__ import annotations
@@ -77,11 +77,15 @@ _GAUSS_LEGENDRE = (
     ),
 )
 
-#: Largest array, in complex entries (128 KiB), that one batch of the exact
+#: Largest array, in complex entries (64 KiB), that one batch of the exact
 #: kernel builds: a batch holds as many cells of one (answers, n) as fit,
-#: and at least one. Fixed: larger batches were no faster and raised peak
-#: memory.
-_BATCH_ENTRIES = 1 << 13
+#: and at least one. Fixed at this size so that one batch's temporaries
+#: together stay under glibc's heap trim threshold: freeing them does not
+#: shrink the heap, so later batches reuse its pages instead of faulting
+#: them in again (at 2^13, one log-exact ``analyze`` faulted about 20,000
+#: pages in the kernel; at 2^12, under 300). Larger batches were no faster
+#: and raised peak memory.
+_BATCH_ENTRIES = 1 << 12
 
 #: Rows processed per block in vectorized loops (fixed: part of the
 #: deterministic random stream for Monte Carlo).

@@ -1,10 +1,11 @@
 """The one line reader behind logs, ground truth and scenarios: a bad line in
 any of the three formats raises a VoteScaleError carrying its line number.
-The chunked log parser agrees with a line-by-line parse, and input files
-streamed through the buffered reader split into the lines of one whole-file
-read."""
+The chunked log parser, through its pattern and its JSON array routes,
+agrees with a line-by-line parse, and input files streamed through the
+buffered reader split into the lines of one whole-file read."""
 import io
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -20,7 +21,14 @@ from votescale import (
     load_scenario,
     parse_records,
 )
-from votescale.records import _CHUNK_LINES, _RECORD_FIELDS, _count, _json_lines, _text
+from votescale.records import (
+    _CANONICAL_RECORD,
+    _CHUNK_LINES,
+    _RECORD_FIELDS,
+    _count,
+    _json_lines,
+    _text,
+)
 
 RECORD = {
     "question_id": "q",
@@ -217,7 +225,7 @@ def outcome(parse, lines):
 
 #: JSON whitespace, and characters that str.strip removes but JSON rejects
 PADDING = st.text(st.sampled_from(" \t\r\n\x0b\x0c\x1c\x85\xa0\u2028\u3000"), max_size=2)
-RECORDS = st.fixed_dictionaries(
+RECORD_VALUES = st.fixed_dictionaries(
     {
         "question_id": TEXT,
         "strategy_id": st.sampled_from(["s", "t"]),
@@ -226,7 +234,11 @@ RECORDS = st.fixed_dictionaries(
         "prompt_tokens": st.integers(0, 10**6) | st.booleans(),
         "completion_tokens": st.integers(0, 10**6) | st.floats(0, 10),
     }
-).map(json.dumps)
+)
+#: escaped, and with raw non-ASCII text and raw lone surrogates
+RECORDS = RECORD_VALUES.map(json.dumps) | RECORD_VALUES.map(
+    lambda values: json.dumps(values, ensure_ascii=False)
+)
 FILLER = valid_lines(RECORD, 3 * _CHUNK_LINES)
 
 
@@ -266,10 +278,22 @@ TWO_ON_ONE_LINE = f"{FILLER[3]}, {FILLER[4]}"
 SPLIT_IN_STRING = ['{"question_id": "}', '{"' + json.dumps(RECORD).split('"q"', 1)[1]]
 
 
+def canonical_then(*lines: str) -> list[str]:
+    """``lines`` between valid lines in the canonical form, so that their
+    chunk passes the pattern route's first-line test."""
+    return FILLER[:2] + list(lines) + FILLER[2:4]
+
+
+def record_line(**fields) -> str:
+    """RECORD with ``fields`` replaced, as json.dumps writes it."""
+    return json.dumps({**RECORD, **fields}, ensure_ascii=False)
+
+
 class TestChunkedRecords:
-    """parse_records reads chunks of lines as one JSON array and falls back to
-    the line reader for a chunk it cannot vouch for; either way its records
-    and errors are those of a line-by-line parse."""
+    """parse_records reads a chunk of canonical lines with one pattern scan,
+    other chunks as one JSON array, and falls back to the line reader for a
+    chunk neither can vouch for; either way its records and errors are those
+    of a line-by-line parse."""
 
     @settings(max_examples=150, deadline=None)
     @given(lines=logs())
@@ -282,8 +306,51 @@ class TestChunkedRecords:
     @example(lines=with_line(_CHUNK_LINES - 1, "not json"))
     @example(lines=with_line(_CHUNK_LINES, SURROGATE))
     @example(lines=with_line(_CHUNK_LINES + 1, raw_line(RECORD, "answer", DEEP)))
+    # the pattern route: null against "null", an empty answer
+    @example(lines=canonical_then(record_line(answer=None), record_line(answer="null")))
+    @example(lines=canonical_then(record_line(answer="")))
+    # -0 and -1, and the longest integer the pattern takes and one digit more
+    @example(lines=canonical_then(raw_line(RECORD, "sample_index", "-0")))
+    @example(lines=canonical_then(record_line(prompt_tokens=-1)))
+    @example(lines=canonical_then(record_line(prompt_tokens=10**18 - 1)))
+    @example(lines=canonical_then(record_line(completion_tokens=10**18)))
+    # a line that holds two canonical records, then a bad line: a scan of the
+    # joined lines finds one match per line
+    @example(lines=canonical_then(FILLER[4] + "\n" + FILLER[5], "not json"))
+    # a canonical first line, then a padded, a compact or a reordered record
+    @example(lines=canonical_then(" " + FILLER[4]))
+    @example(lines=canonical_then(json.dumps(RECORD, separators=(",", ":"))))
+    @example(lines=canonical_then(json.dumps(dict(reversed(RECORD.items())))))
+    # a raw lone surrogate and a raw control character, which only the
+    # line reader reports
+    @example(lines=canonical_then(record_line(answer="\ud800")))
+    @example(lines=canonical_then(record_line(answer="a\tb").replace("\\t", "\t")))
+    # characters that str.splitlines breaks at, but not re.M
+    @example(lines=canonical_then(record_line(answer="a\u2028b"), record_line(question_id="\x85")))
     def test_matches_line_by_line_parse(self, lines):
         assert outcome(parse_records, lines) == outcome(line_by_line_records, lines)
+
+    def test_synth_writes_lines_that_take_the_pattern_route(self, tmp_path):
+        """A change to synth's separators or field order fails here rather
+        than silently sending its logs through the JSON parse."""
+        scenario = tmp_path / "scenario.jsonl"
+        scenario.write_text(
+            "".join(
+                json.dumps({**SCENARIO, "strategy_id": s, "question_id": f"q{q}"}) + "\n"
+                for s in ("s0", "s1")
+                for q in range(3)
+            )
+        )
+        data = tmp_path / "data"
+        argv = ["synth", "--scenario", str(scenario), "--samples", "100", "--out", str(data)]
+        assert cli.main(argv) == 0
+        lines = (data / "log.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(lines) > 2 * _CHUNK_LINES
+        assert all(_CANONICAL_RECORD.fullmatch(line) for line in lines)
+        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+            records = parse_records(lines)
+        assert loads.call_count == 0
+        assert records == line_by_line_records(lines)
 
     def test_identical_strings_share_one_object(self):
         records = parse_records(valid_lines(RECORD, 3) * 2)
