@@ -29,11 +29,20 @@ Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
 floats are formatted with repr-stable precision, rows follow input order,
 and CSV line endings are fixed.
+
+:func:`main` returns the exit code and leaves the interpreter as it was,
+for in-process callers. The process entry :func:`run`, behind
+``python -m votescale.cli`` and the ``votescale`` script, calls it, then
+moves every object into the garbage collector's permanent generation
+(``gc.freeze()``), so that the interpreter's teardown does not trace the
+run's objects again, and exits through ``sys.exit``, which still runs
+atexit handlers and flushes the output streams.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import os
@@ -494,5 +503,16 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry (``python -m votescale.cli`` and the ``votescale``
+    script): :func:`main`, then exit with its code."""
+    code = main()
+    # teardown's collections skip frozen objects (47-57 ms -> 10-21 ms after
+    # a benchmark workload's run on a 2-CPU VM); os._exit would be quicker
+    # still, but skips atexit handlers and flushes
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

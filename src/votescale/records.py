@@ -296,9 +296,10 @@ def _record_row(line_number: int, obj: dict) -> tuple:
 
 def _chunk_rows(lines: list[str]) -> list[tuple] | None:
     """The rows of :func:`_record_row` for a chunk of log lines: those of
-    :func:`_canonical_rows` if every line is canonical, else those of the
-    chunk parsed as one JSON array and checked a column at a time; ``None``
-    when some line needs the line-by-line reader.
+    :func:`_canonical_rows` if every line but an empty last one is
+    canonical, else those of the chunk parsed as one JSON array and checked
+    a column at a time; ``None`` when some line needs the line-by-line
+    reader.
 
     The JSON array joins the nonblank lines as given (a stripped copy could
     drop characters JSON rejects), with separators that hold a newline. JSON
@@ -356,13 +357,16 @@ def _canonical_rows(lines: list[str]) -> list[tuple] | None:
     """The rows of a chunk whose every line matches :data:`_CANONICAL_RECORD`
     whole, from one scan of the joined lines; ``None`` for any other chunk.
 
-    The first line is tried alone, so a chunk in another form costs no scan.
-    With one newline between each two lines, no line holds a newline, and a
-    match cannot span one; so one match per line means that every line is
-    one whole match, in order.
+    A last line that is empty, as a file's final line break gives, is
+    skipped like any blank line. The first line is tried alone, so a chunk
+    in another form costs no scan. With one newline between each two lines,
+    no line holds a newline, and a match cannot span one; so one match per
+    line means that every line is one whole match, in order.
     """
     if not _CANONICAL_RECORD.fullmatch(lines[0]):
         return None
+    if lines[-1] == "":
+        lines = lines[:-1]
     text = "\n".join(lines)
     if text.count("\n") != len(lines) - 1:
         return None

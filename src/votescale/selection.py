@@ -22,11 +22,12 @@ question's best strategy with ``argmax`` and averages with ``math.fsum``.
 An exact cell is also kept under its distribution and effective n alone,
 so equal distributions share one value; a reduction evaluates its missing
 exact cells in one batched call
-(:func:`votescale.votemath.exact_majority_probs`). Monte Carlo cells derive
-their sub-seed from (strategy, question position, effective n), so a cell
-has one value however it is reached and the documented dominance relations
-between curves survive sampling noise. A dataset point is tagged with the
-least exact estimator among its cells.
+(:func:`votescale.votemath.exact_majority_probs`), and its missing Monte
+Carlo cells in another (:func:`votescale.votemath.monte_carlo_majority_probs`).
+Monte Carlo cells derive their sub-seed from (strategy, question position,
+effective n), so a cell has one value however it is reached and the
+documented dominance relations between curves survive sampling noise. A
+dataset point is tagged with the least exact estimator among its cells.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .votemath import (
     canonical_method,
     check_grid,
     exact_majority_probs,
+    monte_carlo_majority_probs,
     vote_probability,
 )
 
@@ -146,11 +148,12 @@ def _columns(cells: dict, requests: list[tuple], settings: tuple) -> list[np.nda
     and holds one (value, estimator index in ``METHODS``, standard error) row
     per question of the dataset, NaN until evaluated. Exact cells are
     evaluated in one batched call and kept under ``(distribution, n,
-    fallback)``, so equal distributions share one value; the others are
-    evaluated one at a time, in order.
+    fallback)``, so equal distributions share one value. Monte Carlo cells
+    are drawn in one batched call, each from its own sub-seed; the others
+    are evaluated one at a time, in order.
     """
     method, trials, seed, fallback = settings
-    columns, exact = [], []
+    columns, exact, drawn = [], [], []
     for ds, n, rows in requests:
         column = cells.get((ds, n, settings))
         if column is None:
@@ -160,11 +163,14 @@ def _columns(cells: dict, requests: list[tuple], settings: tuple) -> list[np.nda
             dist = ds.questions[qi].dist
             if method == "exact":
                 exact.append((column, qi, (dist, n, fallback)))
-                continue
-            cell_seed = seed
-            if method == "monte_carlo":
-                cell_seed = np.random.SeedSequence([seed, zlib.crc32(ds.strategy_id.encode("utf-8")), qi, n])
-            vp = vote_probability(dist, n, method, trials=trials, seed=cell_seed, fallback=fallback)
+            elif method == "monte_carlo":
+                strategy = zlib.crc32(ds.strategy_id.encode("utf-8"))
+                drawn.append((column, qi, (dist, n, np.random.SeedSequence([seed, strategy, qi, n]))))
+            else:
+                column[qi] = _row(vote_probability(dist, n, method, fallback=fallback))
+    if drawn:
+        values = monte_carlo_majority_probs([cell for _, _, cell in drawn], trials)
+        for (column, qi, _), vp in zip(drawn, values):
             column[qi] = _row(vp)
     # each distinct missing exact cell once, in first-seen order
     new = list(dict.fromkeys(key for _, _, key in exact if key not in cells))

@@ -23,7 +23,10 @@ Four estimators are provided:
   cell costs about what its draws cost: the multinomial counts and the
   tie-break scores. Votes are simulated and wins counted one block of
   ``_BLOCK`` (2^19) trials at a time, so memory is bounded by one block
-  whatever ``trials`` is.
+  whatever ``trials`` is. :func:`monte_carlo_majority_probs` is the batch
+  entry point: it draws many ``(distribution, n, seed)`` cells in forked
+  workers, one per CPU the process may use, and each cell draws from its
+  own seed, so values do not depend on the number of CPUs.
 * :func:`normal_approx_prob` compares the correct count against the
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
@@ -45,9 +48,11 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -90,6 +95,13 @@ _BATCH_ENTRIES = 1 << 12
 #: Rows processed per block in vectorized loops (fixed: part of the
 #: deterministic random stream for Monte Carlo).
 _BLOCK = 1 << 19
+
+#: Fewest trials, summed over a Monte Carlo batch's cells, for which the
+#: batch is split over forked workers. Forking and reaping a worker took 3
+#: to 6 ms at an ``analyze`` run's memory on a 2-CPU VM, and a trial 0.35 to
+#: 0.6 us, so the half of 2^16 trials that a worker draws (11 to 20 ms)
+#: pays for it about twice over.
+_FORK_TRIALS = 1 << 16
 
 #: Largest count numpy draws (the int64 maximum): bounds Monte Carlo n and
 #: synthetic sample counts.
@@ -372,6 +384,7 @@ def simulate_votes(
     """
     n = check_sampling_time(n)
     trials = check_trials(trials)
+    _check_draw(n)
     winners = np.empty(trials, dtype=np.int64)
     for start, block in zip(range(0, trials, _BLOCK), _block_winners(dist, n, trials, rng)):
         winners[start : start + len(block)] = block
@@ -383,11 +396,15 @@ def _block_winners(
 ) -> Iterator[np.ndarray]:
     """The one simulation loop: the winners of ``trials`` votes, one array
     per block of at most ``_BLOCK`` trials, each block's multinomial counts
-    drawn before its tie-break scores."""
-    if n > _MAX_DRAW:
-        raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
+    drawn before its tie-break scores; ``n`` has passed :func:`_check_draw`."""
     for start in range(0, trials, _BLOCK):
         yield _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
+
+
+def _check_draw(n: int) -> None:
+    """Raise ValueError for an ``n`` too large for numpy's int64 counts."""
+    if n > _MAX_DRAW:
+        raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
 
 
 def _modal_winners(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -409,17 +426,129 @@ def monte_carlo_majority_prob(
     fraction and ``stderr`` is sqrt(v*(1-v)/trials). Deterministic for a
     fixed seed. Wins are counted per block of ``_BLOCK`` trials, so memory
     does not grow with ``trials``.
+
+    This is the batch of one of :func:`monte_carlo_majority_probs`.
     """
-    rng = np.random.default_rng(seed)
-    n = check_sampling_time(n)
+    return monte_carlo_majority_probs([(dist, n, seed)], trials)[0]
+
+
+def monte_carlo_majority_probs(cells: Iterable[tuple], trials: int) -> list[VoteProbability]:
+    """:func:`monte_carlo_majority_prob` of each ``(dist, n, seed)`` cell, in order.
+
+    Every ``n`` and ``trials`` are checked before any cell is drawn. The
+    cells are then dealt into strided shards (``cells[i::k]``; cells often
+    come in order of ``n``, so halves would be uneven), one per CPU the
+    process may use: shard 0 is drawn in process and each other one in a
+    forked worker that returns its win counts through a pipe. A batch is
+    drawn in process alone when it has one cell, holds fewer than
+    ``_FORK_TRIALS`` trials in all, or another thread is running. A shard
+    whose worker cannot be forked, fails or returns short data is drawn in
+    process. Each cell draws from its own seed, so values do not depend on
+    the number of CPUs.
+    """
+    cells = [(dist, check_sampling_time(n), seed) for dist, n, seed in cells]
     trials = check_trials(trials)
-    hits = 0
-    for winners in _block_winners(dist, n, trials, rng):
-        hits += np.count_nonzero(winners == dist.correct_index)
-        del winners  # not alive while the next block is simulated
-    value = int(hits) / trials
-    stderr = math.sqrt(value * (1.0 - value) / trials)
-    return VoteProbability(value, "monte_carlo", n, stderr=stderr)
+    for _, n, _ in cells:
+        _check_draw(n)
+    workers = min(_cpu_count(), len(cells))
+    if workers > 1 and len(cells) * trials >= _FORK_TRIALS and threading.active_count() == 1:
+        hits = _forked_hits(cells, trials, workers)
+    else:
+        hits = _shard_hits(cells, trials)
+    results = []
+    for (_, n, _), wins in zip(cells, hits):
+        value = wins / trials
+        stderr = math.sqrt(value * (1.0 - value) / trials)
+        results.append(VoteProbability(value, "monte_carlo", n, stderr=stderr))
+    return results
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on (1 where the platform cannot tell)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def _shard_hits(cells: list[tuple], trials: int) -> list[int]:
+    """Per ``(dist, n, seed)`` cell, the votes out of ``trials`` that pick
+    the correct answer, drawn from ``np.random.default_rng(seed)``."""
+    hits = []
+    for dist, n, seed in cells:
+        wins = 0
+        for winners in _block_winners(dist, n, trials, np.random.default_rng(seed)):
+            wins += np.count_nonzero(winners == dist.correct_index)
+            del winners  # not alive while the next block is simulated
+        hits.append(int(wins))
+    return hits
+
+
+def _forked_hits(cells: list[tuple], trials: int, workers: int) -> list[int]:
+    """:func:`_shard_hits` of ``cells`` dealt into ``workers`` strided shards,
+    shard 0 drawn in process and the others in forked workers.
+
+    Every worker is reaped before this returns or raises, and killed first
+    when drawing shard 0 or reading a reply raises (an interrupt, say).
+    """
+    shards = [cells[i::workers] for i in range(workers)]
+    forked: dict[int, tuple[int, BinaryIO]] = {}  # shard -> (worker pid, read end of its pipe)
+    replies: dict[int, bytes] = {}
+    try:
+        for i in range(1, workers):
+            try:
+                forked[i] = _fork_worker(shards[i], trials)
+            except OSError:
+                pass  # drawn in process below
+        hits = {0: _shard_hits(shards[0], trials)}
+        for i, (_, reply) in forked.items():
+            replies[i] = reply.read()
+    except BaseException:
+        import signal  # imported only here: at module level it costs every run 1.5 ms
+
+        for pid, _ in forked.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for i, (pid, reply) in forked.items():
+            reply.close()
+            if os.waitpid(pid, 0)[1] != 0:
+                replies.pop(i, None)
+    for i in range(1, workers):
+        reply = replies.get(i, b"")
+        if len(reply) == 8 * len(shards[i]):
+            hits[i] = np.frombuffer(reply, dtype=np.int64).tolist()
+        else:
+            hits[i] = _shard_hits(shards[i], trials)
+    merged = [0] * len(cells)
+    for i, shard_hits in hits.items():
+        merged[i::workers] = shard_hits
+    return merged
+
+
+def _fork_worker(shard: list[tuple], trials: int) -> tuple[int, BinaryIO]:
+    """Fork a worker that writes the shard's :func:`_shard_hits` as int64
+    bytes to a pipe and leaves through ``os._exit``: status 0 once written,
+    1 on any exception. Returns the worker's pid and the pipe's read end,
+    open for reading."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            with open(write_end, "wb") as reply:
+                reply.write(np.array(_shard_hits(shard, trials), dtype=np.int64).tobytes())
+            status = 0
+        finally:
+            # no atexit handlers, no flush of buffers copied from the parent
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
 def normal_approx_prob(dist: AnswerDistribution, n: int) -> VoteProbability:
@@ -506,15 +635,14 @@ def scaling_curve(
 
     Monte Carlo points get independent sub-seeds derived from ``seed`` and
     the point's position, so the curve is deterministic and points do not
-    share randomness.
+    share randomness; they are drawn as one batch
+    (:func:`monte_carlo_majority_probs`).
     """
     grid = check_grid(ns)
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(grid))
-    points = tuple(
-        vote_probability(
-            dist, n, method, trials=trials, seed=children[i], fallback=fallback
-        )
-        for i, n in enumerate(grid)
-    )
-    return ScalingCurve(points=points, method=canonical_method(method))
+    children = np.random.SeedSequence(seed).spawn(len(grid))
+    method = canonical_method(method)
+    if method == "monte_carlo":
+        points = monte_carlo_majority_probs([(dist, n, child) for n, child in zip(grid, children)], trials)
+    else:
+        points = [vote_probability(dist, n, method, fallback=fallback) for n in grid]
+    return ScalingCurve(points=tuple(points), method=method)

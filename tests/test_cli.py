@@ -2,9 +2,13 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import votescale
 from votescale.cli import main
 
 
@@ -169,6 +173,37 @@ class TestPointCommands:
         with pytest.raises(SystemExit) as exc:
             main(flags + ["--dist", "0.6,0.4", "--n", "3"])
         assert exc.value.code == 2
+
+
+class TestProcessEntry:
+    """``python -m votescale.cli`` exits with main's code, its output whole."""
+
+    def cli(self, *argv):
+        src = os.path.dirname(os.path.dirname(votescale.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run(
+            [sys.executable, "-m", "votescale.cli", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    def test_point_command_exits_0_with_complete_output(self, capsys):
+        # enough trials that the three points are drawn in a forked worker
+        # where the process may use two CPUs
+        argv = ["mc", "--dist", "0.6,0.2,0.2", "--grid", "1,3,5", "--trials", "30000", "--seed", "7"]
+        proc = self.cli(*argv)
+        code, out, _ = run(capsys, argv)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == out and len(out.splitlines()) == 4 and code == 0
+
+    def test_bad_input_exits_2_with_one_error_line(self):
+        proc = self.cli("exact", "--dist", "0.5,x", "--n", "3")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+
+    def test_cap_overflow_exits_3(self):
+        proc = self.cli("exact", "--dist", "0.5,0.5", "--n", "61")
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
 
 class TestPredict:
@@ -539,15 +574,16 @@ class TestSynthAnalyze:
         import votescale.selection as selection
 
         data = self.synth(capsys, tmp_path, samples=40)
-        real = selection.vote_probability
+        real = selection.monte_carlo_majority_probs
         calls = []
 
-        def counting(dist, n, method, **kwargs):
+        def counting(cells, trials):
+            cells = list(cells)
             # a Monte Carlo cell's seed entropy is (seed, strategy, question, n)
-            calls.append((dist, n, tuple(kwargs["seed"].entropy)))
-            return real(dist, n, method, **kwargs)
+            calls.extend((dist, n, tuple(seed.entropy)) for dist, n, seed in cells)
+            return real(cells, trials)
 
-        monkeypatch.setattr(selection, "vote_probability", counting)
+        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
         code, _, err = run(
             capsys,
             [
@@ -577,14 +613,15 @@ class TestSynthAnalyze:
         import votescale.selection as selection
 
         data = self.synth(capsys, tmp_path, samples=40)
-        real = selection.vote_probability
+        real = selection.monte_carlo_majority_probs
         calls = []
 
-        def counting(dist, n, method, **kwargs):
-            calls.append((dist, n, tuple(kwargs["seed"].entropy)))
-            return real(dist, n, method, **kwargs)
+        def counting(cells, trials):
+            cells = list(cells)
+            calls.extend((dist, n, tuple(seed.entropy)) for dist, n, seed in cells)
+            return real(cells, trials)
 
-        monkeypatch.setattr(selection, "vote_probability", counting)
+        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
         code, _, err = run(
             capsys,
             [

@@ -351,6 +351,13 @@ class TestChunkedRecords:
             records = parse_records(lines)
         assert loads.call_count == 0
         assert records == line_by_line_records(lines)
+        # the CLI's reader ends the file with an empty line, which the
+        # pattern route skips as well
+        streamed = list(cli._lines(str(data / "log.jsonl")))
+        assert streamed == lines + [""] and len(streamed) % _CHUNK_LINES != 0
+        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+            assert parse_records(streamed) == records
+        assert loads.call_count == 0
 
     def test_identical_strings_share_one_object(self):
         records = parse_records(valid_lines(RECORD, 3) * 2)

@@ -103,10 +103,12 @@ class TestDatasets:
 
 def counted_cells(monkeypatch):
     """Record the (dist, n) of every cell selection evaluates: each
-    vote_probability call and each cell of a batched exact call."""
+    vote_probability call and each cell of a batched exact or Monte Carlo
+    call."""
     import votescale.selection as selection
 
-    real, real_exact = selection.vote_probability, selection.exact_majority_probs
+    real = selection.vote_probability
+    real_exact, real_drawn = selection.exact_majority_probs, selection.monte_carlo_majority_probs
     calls = []
 
     def counting(dist, n, method, **kwargs):
@@ -118,8 +120,14 @@ def counted_cells(monkeypatch):
         calls.extend(cells)
         return real_exact(cells, **kwargs)
 
+    def counting_drawn(cells, trials):
+        cells = list(cells)
+        calls.extend((dist, n) for dist, n, _ in cells)
+        return real_drawn(cells, trials)
+
     monkeypatch.setattr(selection, "vote_probability", counting)
     monkeypatch.setattr(selection, "exact_majority_probs", counting_exact)
+    monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting_drawn)
     return calls
 
 

@@ -1,6 +1,12 @@
 """Estimator correctness against an independent sequence-enumeration oracle."""
+import errno
 import math
+import os
+import signal
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +27,7 @@ from votescale import (
     exact_majority_prob,
     exact_majority_probs,
     monte_carlo_majority_prob,
+    monte_carlo_majority_probs,
     normal_approx_prob,
     replay_majority,
     scaling_curve,
@@ -28,6 +35,7 @@ from votescale import (
     standard_normal_cdf,
     vote_probability,
 )
+from votescale import votemath
 from votescale.votemath import (
     _BATCH_ENTRIES,
     _BLOCK,
@@ -517,6 +525,127 @@ class TestSimulation:
             monte_carlo_majority_prob(d, 0, 100, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_majority_prob(d, 3, 0, seed=0)
+
+
+def one_by_one(cells, trials):
+    """Each cell's own :func:`monte_carlo_majority_prob`: a batch of one,
+    which never forks."""
+    return [monte_carlo_majority_prob(dist, n, trials, seed) for dist, n, seed in cells]
+
+
+@st.composite
+def drawn_cells(draw):
+    """A few (distribution, n, seed) Monte Carlo cells."""
+    cells = []
+    for _ in range(draw(st.integers(1, 7))):
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=2, max_size=4))
+        probs = tuple(w / sum(weights) for w in weights)
+        dist = AnswerDistribution(probs, draw(st.integers(0, len(probs) - 1)))
+        cells.append((dist, draw(st.integers(1, 40)), draw(st.integers(0, 2**32))))
+    return cells
+
+
+class TestMonteCarloBatch:
+    """The batch splits its cells over forked workers; a cell's value is
+    the one it has alone, whatever the worker count or failure."""
+
+    CELLS = [(AnswerDistribution((0.5, 0.3, 0.2), j % 3), n, 10 + n) for j, n in enumerate((1, 3, 5, 9, 15))]
+
+    @settings(max_examples=25, deadline=None)
+    @given(cells=drawn_cells(), trials=st.integers(1, 300), workers=st.sampled_from([1, 2, 3]))
+    def test_matches_cell_by_cell(self, cells, trials, workers):
+        expected = one_by_one(cells, trials)
+        with mock.patch.object(votemath, "_cpu_count", return_value=workers), \
+                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            batch = monte_carlo_majority_probs(cells, trials)
+        assert fork.call_count == min(workers, len(cells)) - 1
+        assert batch == expected
+
+    def test_a_failed_fork_draws_in_process(self):
+        expected = one_by_one(self.CELLS, 400)
+        with mock.patch.object(votemath, "_cpu_count", return_value=3), \
+                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
+                mock.patch("os.fork", side_effect=OSError(errno.EAGAIN, "no processes")) as fork:
+            assert monte_carlo_majority_probs(self.CELLS, 400) == expected
+        assert fork.call_count == 2
+
+    @pytest.mark.parametrize("failure", ["raises", "short"])
+    def test_a_failed_worker_is_redrawn_in_process(self, failure):
+        """A worker that exits nonzero before writing, or writes too few
+        counts, leaves its shard to the parent."""
+        expected = one_by_one(self.CELLS, 400)
+        parent, real = os.getpid(), votemath._shard_hits
+
+        def failing_in_workers(cells, trials):
+            if os.getpid() == parent:
+                return real(cells, trials)
+            if failure == "raises":
+                raise RuntimeError("worker fails")
+            return real(cells, trials)[:-1]
+
+        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
+                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
+                mock.patch.object(votemath, "_shard_hits", failing_in_workers), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            assert monte_carlo_majority_probs(self.CELLS, 400) == expected
+        assert fork.call_count == 1
+
+    def test_an_interrupt_kills_and_reaps_the_workers(self):
+        parent, real = os.getpid(), votemath._shard_hits
+
+        def interrupted(cells, trials):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)
+            return real(cells, trials)
+
+        start = time.perf_counter()
+        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
+                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
+                mock.patch.object(votemath, "_shard_hits", interrupted), \
+                mock.patch("os.fork", wraps=os.fork) as fork, \
+                mock.patch("os.kill", wraps=os.kill) as kill:
+            with pytest.raises(KeyboardInterrupt):
+                monte_carlo_majority_probs(self.CELLS, 400)
+        assert time.perf_counter() - start < 30
+        assert fork.call_count == kill.call_count == 1
+        pid, sent = kill.call_args.args
+        assert sent == signal.SIGKILL
+        with pytest.raises(ChildProcessError):  # reaped already
+            os.waitpid(pid, os.WNOHANG)
+
+    def test_no_fork_for_one_cell_a_small_batch_or_a_running_thread(self):
+        d = AnswerDistribution((0.6, 0.4))
+        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            monte_carlo_majority_probs([(d, 3, 0), (d, 5, 1)], votemath._FORK_TRIALS // 2 - 1)
+            with mock.patch.object(votemath, "_FORK_TRIALS", 0):
+                monte_carlo_majority_probs([(d, 3, 0)], 100)
+                release = threading.Event()
+                thread = threading.Thread(target=release.wait)
+                thread.start()
+                try:
+                    monte_carlo_majority_probs(self.CELLS, 100)
+                finally:
+                    release.set()
+                    thread.join(timeout=10)
+                assert not thread.is_alive()
+                monte_carlo_majority_probs(self.CELLS, 100)
+        assert fork.call_count == 1  # the last batch only
+
+    def test_arguments_are_checked_before_any_fork(self):
+        d = AnswerDistribution((0.6, 0.4))
+        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
+                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            with pytest.raises(ValueError, match=r"^Monte Carlo needs n <= 2\^63 - 1, got 9223372036854775808$"):
+                monte_carlo_majority_probs([(d, 3, 0), (d, 2**63, 1)], 100)
+            with pytest.raises(ValueError, match="trials must be >= 1"):
+                monte_carlo_majority_probs([(d, 3, 0), (d, 5, 1)], 0)
+            with pytest.raises(ValueError, match="sampling times must be integers"):
+                monte_carlo_majority_probs([(d, 3, 0), (d, 2.5, 1)], 100)
+        assert fork.call_count == 0
 
 
 class TestNormalApprox:
