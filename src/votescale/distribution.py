@@ -68,14 +68,9 @@ class AnswerDistribution:
             raise InvalidDistribution(
                 f"correct_index {self.correct_index} out of range for {len(probs)} answers"
             )
-        # cell tables look distributions up by hash many times; equality is unchanged
-        object.__setattr__(self, "_hash", hash((probs, self.correct_index)))
         # crossover checks and the normal approximation read it many times per run
         wrong = [p for j, p in enumerate(probs) if j != self.correct_index]
         object.__setattr__(self, "_max_wrong_prob", max(wrong) if wrong else 0.0)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def m(self) -> int:

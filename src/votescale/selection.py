@@ -15,15 +15,14 @@ computes three oracle curves that bound what smarter sampling could do:
 Every curve, selection and oracle is a reduction over (strategy, question,
 effective n) cells kept in a cell table, a dict the caller owns: one table
 passed as ``cells=`` to every reduction of a run evaluates each cell once,
-and a call without one keeps nothing. The table holds columns, one array
-per (dataset, n, estimator settings) with a (value, estimator, standard
-error) row per question, so a reduction stacks columns, takes each
+and a call without one keeps nothing. The table holds columns only, one
+array per (dataset, n, estimator settings) with a (value, estimator,
+standard error) row per question, so a reduction stacks columns, takes each
 question's best strategy with ``argmax`` and averages with ``math.fsum``.
-An exact cell is also kept under its distribution and effective n alone,
-so equal distributions share one value; a reduction evaluates its missing
-exact cells in one batched call
-(:func:`votescale.votemath.exact_majority_probs`), and its missing Monte
-Carlo cells in another (:func:`votescale.votemath.monte_carlo_majority_probs`).
+A reduction evaluates its missing exact cells in one
+:func:`votescale.votemath.exact_majority_probs` call, which evaluates each
+distinct kernel input once, and its missing Monte Carlo cells in one
+:func:`votescale.votemath.monte_carlo_majority_probs` call.
 Monte Carlo cells derive their sub-seed from (strategy, question position,
 effective n), so a cell has one value however it is reached and the
 documented dominance relations between curves survive sampling noise. A
@@ -146,37 +145,34 @@ def _columns(cells: dict, requests: list[tuple], settings: tuple) -> list[np.nda
 
     A column is keyed ``(dataset, n, settings)`` in the cell table ``cells``
     and holds one (value, estimator index in ``METHODS``, standard error) row
-    per question of the dataset, NaN until evaluated. Exact cells are
-    evaluated in one batched call and kept under ``(distribution, n,
-    fallback)``, so equal distributions share one value. Monte Carlo cells
-    are drawn in one batched call, each from its own sub-seed; the others
-    are evaluated one at a time, in order.
+    per question of the dataset, NaN until evaluated. The missing cells of
+    all requests are gathered into one list: exact cells go to one
+    :func:`exact_majority_probs` call, Monte Carlo cells to one batch, each
+    with its own sub-seed, and the others to ``vote_probability`` in order.
     """
     method, trials, seed, fallback = settings
-    columns, exact, drawn = [], [], []
+    columns, missing = [], []
     for ds, n, rows in requests:
         column = cells.get((ds, n, settings))
         if column is None:
             column = cells[ds, n, settings] = np.full((len(ds.questions), 3), np.nan)
         columns.append(column)
-        for qi in np.flatnonzero(np.isnan(column[:, 0]) & rows).tolist():
-            dist = ds.questions[qi].dist
-            if method == "exact":
-                exact.append((column, qi, (dist, n, fallback)))
-            elif method == "monte_carlo":
-                strategy = zlib.crc32(ds.strategy_id.encode("utf-8"))
-                drawn.append((column, qi, (dist, n, np.random.SeedSequence([seed, strategy, qi, n]))))
-            else:
-                column[qi] = _row(vote_probability(dist, n, method, fallback=fallback))
-    if drawn:
-        values = monte_carlo_majority_probs([cell for _, _, cell in drawn], trials)
-        for (column, qi, _), vp in zip(drawn, values):
-            column[qi] = _row(vp)
-    # each distinct missing exact cell once, in first-seen order
-    new = list(dict.fromkeys(key for _, _, key in exact if key not in cells))
-    cells.update(zip(new, exact_majority_probs([key[:2] for key in new], fallback=fallback)))
-    for column, qi, key in exact:
-        column[qi] = _row(cells[key])
+        missing += [(column, qi, ds, n) for qi in np.flatnonzero(np.isnan(column[:, 0]) & rows).tolist()]
+    if not missing:
+        return columns
+    batch = [(ds.questions[qi].dist, n) for _, qi, ds, n in missing]
+    if method == "exact":
+        values = exact_majority_probs(batch, fallback=fallback)
+    elif method == "monte_carlo":
+        drawn = [
+            (dist, n, np.random.SeedSequence([seed, zlib.crc32(ds.strategy_id.encode("utf-8")), qi, n]))
+            for (dist, n), (_, qi, ds, _) in zip(batch, missing)
+        ]
+        values = monte_carlo_majority_probs(drawn, trials)
+    else:
+        values = [vote_probability(dist, n, method, fallback=fallback) for dist, n in batch]
+    for (column, qi, _, _), vp in zip(missing, values):
+        column[qi] = _row(vp)
     return columns
 
 
@@ -267,11 +263,11 @@ def accuracy_curve(
     Cap overflows in the exact estimator propagate unless ``fallback``
     substitutes the normal approximation for the offending questions; a
     point is then tagged with the least exact estimator among its cells.
-    ``cells`` is the run's cell table (a dict, filled in place): a column
-    of per-question values for each (dataset, n, estimator settings), and
-    each exact cell under its (distribution, n, fallback). Pass the same
-    one to every reduction of a run so that each cell is evaluated once.
-    Without it the call uses a fresh table.
+    ``cells`` is the run's cell table (a dict, filled in place), which holds
+    columns only: one of per-question values for each (dataset, n,
+    estimator settings). Pass the same one to every reduction of a run so
+    that each cell is evaluated once. Without it the call uses a fresh
+    table.
     """
     return _reduce(
         [ds], ns, method, trials, seed, fallback, cells, adaptive=False, curve_id=ds.strategy_id

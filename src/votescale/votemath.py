@@ -37,12 +37,13 @@ cache, so sweeping many distributions over a grid of ``n`` reuses it. Its
 Gauss-Legendre nodes come from a constant table of ``leggauss`` values, so
 no exact run calls LAPACK for them, and on numpy >= 2, whose ``import numpy``
 loads submodules lazily, none imports ``numpy.polynomial``.
-Nothing is cached per distribution. The kernel takes a leading batch axis:
-:func:`exact_majority_probs` is the batch entry point for many
-``(distribution, n)`` cells, and runs the kernel once per chunk of cells
-with equal nonzero answers and ``n``, each chunk's largest array holding at
-most ``_BATCH_ENTRIES`` (2^12) complex entries. :func:`exact_majority_prob`
-is its batch of one.
+Nothing is cached per distribution or between calls. The kernel takes a
+leading batch axis: :func:`exact_majority_probs` is the batch entry point
+for many ``(distribution, n)`` cells. It evaluates each distinct kernel
+input (nonzero probabilities, correct first, and ``n``) once per call, in
+chunks of equal nonzero answers and ``n`` whose largest array holds at most
+``_BATCH_ENTRIES`` (2^12) complex entries. :func:`exact_majority_prob` is
+its batch of one.
 """
 from __future__ import annotations
 
@@ -258,14 +259,17 @@ def exact_majority_probs(
 
     Special cases and caps are settled per cell, in order, so the first cell
     beyond a cap raises :class:`CapExceeded`; with ``fallback`` such a cell
-    gets :func:`normal_approx_prob` instead. The other cells go through the
-    kernel together, grouped by (nonzero answers, ``n``) and cut into chunks
-    whose largest array holds at most ``_BATCH_ENTRIES`` complex entries (or
-    one cell). Every cell's arithmetic is the same in any batch, so equal
-    cells get equal values wherever they sit.
+    gets :func:`normal_approx_prob` instead. The kernel reads only the
+    support (see :func:`_exact_case`) and ``n``, so each distinct ``(support,
+    n)`` among the other cells is evaluated once, for every cell that has
+    it. They go through the kernel grouped by (nonzero answers, ``n``), in
+    chunks whose largest array holds at most ``_BATCH_ENTRIES`` complex
+    entries (or one support). A row's arithmetic is the same in any chunk,
+    so a value does not depend on its batch.
     """
     results: list[VoteProbability | None] = []
-    batches: dict[tuple[int, int], list[tuple[int, tuple[float, ...]]]] = {}
+    # (nonzero answers, n) -> support -> positions of the cells that need it
+    batches: dict[tuple[int, int], dict[tuple[float, ...], list[int]]] = {}
     for dist, n in cells:
         n = check_sampling_time(n)
         try:
@@ -278,15 +282,17 @@ def exact_majority_probs(
         if isinstance(case, float):
             results.append(VoteProbability(case, "exact", n))
         else:
-            batches.setdefault((len(case), n), []).append((len(results), case))
+            batches.setdefault((len(case), n), {}).setdefault(case, []).append(len(results))
             results.append(None)
-    for (m, n), members in batches.items():
+    for (m, n), waiting in batches.items():
+        supports = list(waiting)
         step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
-        for start in range(0, len(members), step):
-            chunk = members[start : start + step]
-            values = _exact_kernel([support for _, support in chunk], n)
-            for (i, _), value in zip(chunk, values.tolist()):
-                results[i] = VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
+        for start in range(0, len(supports), step):
+            chunk = supports[start : start + step]
+            for support, value in zip(chunk, _exact_kernel(chunk, n).tolist()):
+                vp = VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
+                for i in waiting[support]:
+                    results[i] = vp
     return results
 
 

@@ -131,6 +131,28 @@ def counted_cells(monkeypatch):
     return calls
 
 
+def kernel_batches(monkeypatch):
+    """Per exact_majority_probs call that selection makes, the (support, n)
+    rows the exact kernel evaluates."""
+    import votescale.selection as selection
+    import votescale.votemath as votemath
+
+    real_batch, real_kernel = selection.exact_majority_probs, votemath._exact_kernel
+    batches = []
+
+    def batch(cells, **kwargs):
+        batches.append([])
+        return real_batch(cells, **kwargs)
+
+    def kernel(supports, n):
+        batches[-1].extend((support, n) for support in supports)
+        return real_kernel(supports, n)
+
+    monkeypatch.setattr(selection, "exact_majority_probs", batch)
+    monkeypatch.setattr(votemath, "_exact_kernel", kernel)
+    return batches
+
+
 class TestAccuracyCurve:
     def test_single_question_equals_pointwise_estimates(self):
         curve = accuracy_curve(dataset("s", [EARLY]), [1, 3, 5])
@@ -199,24 +221,36 @@ class TestAccuracyCurve:
 
     def test_shared_table_evaluates_each_cell_once(self, monkeypatch):
         calls = counted_cells(monkeypatch)
+        batches = kernel_batches(monkeypatch)
         hard = AnswerDistribution((0.3, 0.6, 0.1))
         dss = [dataset("early", [EARLY, hard]), dataset("late", [LATE, EARLY])]
         model = CostModel.from_per_million(0.15, 0.60)
         cells = {}
         curves = [accuracy_curve(ds, [1, 3, 5], cells=cells) for ds in dss]
-        # an exact cell is keyed by its distribution: EARLY under both
-        # strategies is one cell per n, so 3 distributions x 3 grid points
-        assert len(calls) == len(set(calls)) == 9
+        # 2 strategies x 2 questions x 3 grid points, each requested once
+        assert len(calls) == 12
         for n in (1, 3, 5):
             best_for_n(dss, n, cells=cells)
         best_under_cost(dss, math.inf, model, [1, 3, 5], cells=cells)
-        dynamic_curve(dss, [1, 3, 5], cells=cells)
-        assert len(calls) == 9
+        shared = dynamic_curve(dss, [1, 3, 5], cells=cells)
+        assert len(calls) == 12
         # the oracles read hard questions from the n=1 column, already there
         combined_curve(dss, [1, 3, 5], cells=cells)
         adaptive_curve(dss[0], [1, 3, 5], cells=cells)
-        assert len(calls) == 9
+        assert len(calls) == 12
+        # the table holds columns only, one per (dataset, n, settings)
+        assert sorted((ds.strategy_id, n) for ds, n, _ in cells) == [
+            (sid, n) for sid in ("early", "late") for n in (1, 3, 5)
+        ]
+        # each batch sends a distinct (support, n) to the kernel once; EARLY
+        # under both strategies is in two batches, one per curve
+        assert all(len(rows) == len(set(rows)) for rows in batches)
+        assert sum(map(len, batches)) == 8
         assert curves == [accuracy_curve(ds, [1, 3, 5]) for ds in dss]
+        batches.clear()
+        assert dynamic_curve(dss, [1, 3, 5]) == shared
+        # one batch holds EARLY under both strategies: one kernel row per n > 1
+        assert batches == [[(d.correct_first(), n) for n in (3, 5) for d in (EARLY, hard, LATE)]]
 
     def test_shared_table_keeps_settings_apart(self, monkeypatch):
         calls = counted_cells(monkeypatch)
@@ -233,11 +267,10 @@ class TestAccuracyCurve:
         assert approx.points[0].method == "normal_approx"
         assert mc.values != other_seed.values
         # another distribution under the same strategy id and position does
-        # not read the old one's cell; exact cells are keyed by distribution,
-        # so the swapped questions find their own cells already there
+        # not read the old one's cell: the swapped questions are a new dataset
         evaluated = len(calls)
         moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], cells=cells)
-        assert len(calls) == evaluated
+        assert len(calls) == evaluated + 2
         assert moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5])
         evaluated = len(calls)
         mc_moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1, cells=cells)

@@ -352,6 +352,43 @@ class TestBatchedKernel:
         ]
         assert got == [vote_probability(d, n, "exact", fallback=True) for d, n in cells]
 
+    def test_each_support_and_n_reaches_the_kernel_once(self, monkeypatch):
+        real = votemath._exact_kernel
+        rows = []
+
+        def kernel(supports, n):
+            rows.extend((support, n) for support in supports)
+            return real(supports, n)
+
+        first = AnswerDistribution((0.5, 0.3, 0.2), 0)
+        second = AnswerDistribution((0.3, 0.5, 0.2), 1)  # the same support as first
+        wide = AnswerDistribution((0.2,) + (0.1,) * 8)  # nine nonzero answers
+        capped = AnswerDistribution((0.6, 0.4))  # capped at n = 61
+        cells = [
+            (EASY, 5),
+            (first, 5),
+            (wide, 5),
+            (EASY, 1),
+            (second, 5),
+            (EASY, 5),
+            (AnswerDistribution((0.0, 0.6, 0.4)), 5),  # the correct answer is never sampled
+            (second, 9),
+            (capped, 61),
+            (first, 9),
+            (EASY, 5),
+        ]
+        with monkeypatch.context() as patch:
+            patch.setattr(votemath, "_exact_kernel", kernel)
+            got = exact_majority_probs(cells, fallback=True)
+        assert rows == [((0.64, 0.35, 0.01), 5), ((0.5, 0.3, 0.2), 5), ((0.5, 0.3, 0.2), 9)]
+        lone = [
+            normal_approx_prob(d, n) if d in (wide, capped) else exact_majority_prob(d, n)
+            for d, n in cells
+        ]
+        assert got == lone
+        assert [vp.n for vp in got] == [n for _, n in cells]
+        assert got[1] == got[4] and got[7] == got[9]
+
     def test_first_capped_cell_in_order_raises(self):
         cells = [
             (EASY, 5),
