@@ -16,14 +16,16 @@ The three point commands are one command under three names. A report is a
 list of ``(file name, header, rows)`` tables: ``predict`` builds the
 strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
-so a failing run leaves no partial report. All tables of a run read one
-cell table, so each cell is evaluated once. Every input file is streamed
-a block at a time through one reader that names the file and line of the
-first bad or repeated line in reading order. The logs go through one pass
-(:func:`votescale.records.group_logs`) straight into per-pool samples; once
-reading ends it checks the pools, and names the line of a record key
-repeated across log lines or files, or of a logged question without ground
-truth, from the line numbers kept per sample.
+so a failing run leaves no partial report. All tables of a report read
+one :class:`votescale.selection.Run`: its curves evaluate every grid cell in
+one estimator call, and the selections and oracles reduce those cells,
+evaluating at most the hard questions' n = 1 cells in one more call. Every
+input file is streamed a block at a time through one reader that names the
+file and line of the first bad or repeated line in reading order. The logs
+go through one pass (:func:`votescale.records.group_logs`) straight into
+per-pool samples; once reading ends it checks the pools, and names the line
+of a record key repeated across log lines or files, or of a logged question
+without ground truth, from the line numbers kept per sample.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -53,24 +55,21 @@ from typing import Iterator
 
 import numpy as np
 
-from .difficulty import classify, kl_to_uniform
+from .difficulty import kl_to_uniform
 from .distribution import AnswerDistribution
 from .errors import CapExceeded, DuplicateKey, MalformedLine, NoWrongMass, VoteScaleError
 from .records import CostModel, answer_support, group_logs, load_ground_truth
 
-# bench/tracer.py times the record-at-a-time steps under these names; the
-# CLI itself reads logs with group_logs
+# bench/tracer.py times the record-at-a-time steps and the free reductions
+# under these names; the CLI itself reads logs with group_logs and reduces
+# with one Run
 from .records import group_records, parse_records  # noqa: F401
+from .selection import adaptive_curve, best_for_n, best_under_cost, combined_curve, dynamic_curve  # noqa: F401
 from .selection import (
+    Run,
     StrategyDataset,
-    accuracy_curve,
-    adaptive_curve,
-    best_for_n,
-    best_under_cost,
-    combined_curve,
     datasets_from_samples,
     dominance_count,
-    dynamic_curve,
     extreme_performance,
     load_scenario,
 )
@@ -239,16 +238,15 @@ def _curve_rows(curves) -> list[list]:
     return rows
 
 
-def _evaluation(cfg: RunConfig) -> dict:
-    """Estimator keywords for one run, with the run's one cell table."""
-    return dict(method=cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback, cells={})
+def _run(dss, cfg: RunConfig) -> Run:
+    return Run(dss, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
 
 
-def _strategy_tables(dss, cfg: RunConfig, evaluation: dict) -> list[tuple]:
+def _strategy_tables(run: Run, cfg: RunConfig) -> list[tuple]:
     """Per-strategy curves, the best strategy per n and, under a budget, the
     best (strategy, n) that fits it."""
-    curves = [accuracy_curve(ds, cfg.grid, **evaluation) for ds in dss]
-    picks = [best_for_n(dss, n, **evaluation) for n in cfg.grid]
+    curves = run.curves()
+    picks = [run.best_for_n(n) for n in cfg.grid]
     tables = [
         ("curves.csv", ["strategy_id", "n", "accuracy", "method"], _curve_rows(curves)),
         (
@@ -258,7 +256,7 @@ def _strategy_tables(dss, cfg: RunConfig, evaluation: dict) -> list[tuple]:
         ),
     ]
     if cfg.budget is not None:
-        r = best_under_cost(dss, cfg.budget, cfg.cost_model, cfg.grid, **evaluation)
+        r = run.best_under_cost(cfg.budget, cfg.cost_model)
         tables.append(
             (
                 "budget_selection.csv",
@@ -272,7 +270,7 @@ def _strategy_tables(dss, cfg: RunConfig, evaluation: dict) -> list[tuple]:
 def cmd_predict(args) -> int:
     cfg = _config(args)
     dss = _load_scenario_file(args.scenario)
-    _write_report(cfg.out, _strategy_tables(dss, cfg, _evaluation(cfg)))
+    _write_report(cfg.out, _strategy_tables(_run(dss, cfg), cfg))
     return 0
 
 
@@ -298,17 +296,18 @@ def cmd_analyze(args) -> int:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)
 
-    evaluation = _evaluation(cfg)
-    tables = _strategy_tables(dss, cfg, evaluation)
-    oracle_curves = [adaptive_curve(ds, cfg.grid, **evaluation) for ds in dss]
-    oracle_curves.append(dynamic_curve(dss, cfg.grid, **evaluation))
-    oracle_curves.append(combined_curve(dss, cfg.grid, **evaluation))
+    run = _run(dss, cfg)
+    tables = _strategy_tables(run, cfg)
+    oracle_curves = run.oracles()
 
-    dists = {(q.question_id, ds.strategy_id): q.dist for ds in dss for q in ds.questions}
+    labelled = {
+        (q.question_id, ds.strategy_id): (q.dist, label.kind.value)
+        for ds, labels in zip(dss, run.labels)
+        for q, label in zip(ds.questions, labels)
+    }
     distribution_rows = []
     for (question_id, strategy_id), samples in groups.items():
-        dist = dists[question_id, strategy_id]
-        label = classify(dist).kind.value
+        dist, label = labelled[question_id, strategy_id]
         for j, answer in enumerate(answer_support(samples)):
             distribution_rows.append(
                 [

@@ -52,6 +52,11 @@ class DifficultyLabel:
         if self.kind is Difficulty.MODERATE and self.tie_count < 2:
             raise ValueError("a moderate question ties at least two answers")
 
+    @property
+    def limit(self) -> float:
+        """Large-n limit of the vote success probability: 1, 1/|S|, or 0."""
+        return 0.0 if self.kind is Difficulty.HARD else 1.0 / self.tie_count
+
 
 def classify(
     dist: AnswerDistribution, *, tolerance: float = TIE_TOLERANCE
@@ -72,13 +77,8 @@ def classify(
 
 
 def limit_prob(dist: AnswerDistribution) -> float:
-    """Large-n limit of the vote success probability: 1, 1/|S|, or 0."""
-    label = classify(dist)
-    if label.kind is Difficulty.EASY:
-        return 1.0
-    if label.kind is Difficulty.MODERATE:
-        return 1.0 / label.tie_count
-    return 0.0
+    """Large-n limit of the vote success probability (:attr:`DifficultyLabel.limit`)."""
+    return classify(dist).limit
 
 
 def crossover_condition(

@@ -12,17 +12,15 @@ computes three oracle curves that bound what smarter sampling could do:
 * dynamic   -- pick the best strategy per question;
 * combined  -- both at once.
 
-Every curve, selection and oracle is a reduction over (strategy, question,
-effective n) cells kept in a cell table, a dict the caller owns: one table
-passed as ``cells=`` to every reduction of a run evaluates each cell once,
-and a call without one keeps nothing. The table holds columns only, one
-array per (dataset, n, estimator settings) with a (value, estimator,
-standard error) row per question, so a reduction stacks columns, takes each
-question's best strategy with ``argmax`` and averages with ``math.fsum``.
-A reduction evaluates its missing exact cells in one
+Every curve, selection and oracle is a reduction over the (strategy,
+question, effective n) cells of a :class:`Run`, which holds strategy
+datasets on one grid under one estimator setting. A reduction evaluates the
+cells it reads that are still missing in one estimator call (one
 :func:`votescale.votemath.exact_majority_probs` call, which evaluates each
-distinct kernel input once, and its missing Monte Carlo cells in one
-:func:`votescale.votemath.monte_carlo_majority_probs` call.
+distinct kernel input once, one Monte Carlo batch, or ``vote_probability``
+per cell), takes each question's best strategy with ``argmax`` and averages
+with ``math.fsum``. The free functions (:func:`accuracy_curve`, ...) each
+evaluate a one-off run, only the cells they read, and keep nothing.
 Monte Carlo cells derive their sub-seed from (strategy, question position,
 effective n), so a cell has one value however it is reached and the
 documented dominance relations between curves survive sampling noise. A
@@ -30,6 +28,7 @@ dataset point is tagged with the least exact estimator among its cells.
 """
 from __future__ import annotations
 
+import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -38,7 +37,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from .distribution import METHODS, AnswerDistribution, VoteProbability
-from .difficulty import Difficulty, classify, crossover_condition, limit_prob
+from .difficulty import Difficulty, classify, crossover_condition
 from .errors import (
     DuplicateKey,
     IdMismatch,
@@ -88,13 +87,8 @@ class StrategyDataset:
         ids = tuple(q.question_id for q in self.questions)
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate question_ids in strategy {self.strategy_id!r}")
-        # reductions read the ids and cell tables look datasets up by hash
-        # many times per run; equality is unchanged
+        # reductions read the ids many times per run; equality is unchanged
         object.__setattr__(self, "_question_ids", ids)
-        object.__setattr__(self, "_hash", hash((self.strategy_id, self.questions)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def question_ids(self) -> tuple[str, ...]:
@@ -135,117 +129,167 @@ class ExtremePerformance(NamedTuple):
     limit_accuracy: float
 
 
-def _row(vp: VoteProbability) -> tuple[float, int, float]:
-    return (vp.value, METHODS.index(vp.method), vp.stderr or 0.0)
+class Run:
+    """Strategy datasets evaluated on one grid under one estimator setting.
 
-
-def _columns(cells: dict, requests: list[tuple], settings: tuple) -> list[np.ndarray]:
-    """The column of each ``(dataset, n, rows)`` request, after evaluating
-    the missing cells of the questions the boolean mask ``rows`` marks.
-
-    A column is keyed ``(dataset, n, settings)`` in the cell table ``cells``
-    and holds one (value, estimator index in ``METHODS``, standard error) row
-    per question of the dataset, NaN until evaluated. The missing cells of
-    all requests are gathered into one list: exact cells go to one
-    :func:`exact_majority_probs` call, Monte Carlo cells to one batch, each
-    with its own sub-seed, and the others to ``vote_probability`` in order.
+    Grid and method are checked once, and each question is classified once
+    (``labels``, per strategy in dataset order). Per strategy, the run owns
+    one (n, question, 3) array of (value, estimator index in ``METHODS``,
+    standard error) rows over the grid and n = 1, NaN until evaluated.
+    :meth:`curves` fills every grid cell in one estimator call, so the
+    oracles and selections after it evaluate at most the hard questions'
+    n = 1 cells, in one more.
     """
-    method, trials, seed, fallback = settings
-    columns, missing = [], []
-    for ds, n, rows in requests:
-        column = cells.get((ds, n, settings))
-        if column is None:
-            column = cells[ds, n, settings] = np.full((len(ds.questions), 3), np.nan)
-        columns.append(column)
-        missing += [(column, qi, ds, n) for qi in np.flatnonzero(np.isnan(column[:, 0]) & rows).tolist()]
-    if not missing:
-        return columns
-    batch = [(ds.questions[qi].dist, n) for _, qi, ds, n in missing]
-    if method == "exact":
-        values = exact_majority_probs(batch, fallback=fallback)
-    elif method == "monte_carlo":
-        drawn = [
-            (dist, n, np.random.SeedSequence([seed, zlib.crc32(ds.strategy_id.encode("utf-8")), qi, n]))
-            for (dist, n), (_, qi, ds, _) in zip(batch, missing)
+
+    def __init__(
+        self,
+        datasets,
+        grid,
+        method: str = "exact",
+        *,
+        trials: int = 10_000,
+        seed: int = 0,
+        fallback: bool = False,
+    ):
+        self.grid = check_grid(grid)
+        self.method = canonical_method(method)
+        self.datasets = tuple(datasets)
+        if not self.datasets:
+            raise ValueError("need at least one strategy dataset")
+        self.trials, self.seed, self.fallback = trials, seed, fallback
+        self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
+        self._hard = [np.array([lb.kind is Difficulty.HARD for lb in labels], bool) for labels in self.labels]
+        self._index = {n: i for i, n in enumerate(sorted({1, *self.grid}))}
+        self._cells = [np.full((len(self._index), len(ds.questions), 3), np.nan) for ds in self.datasets]
+
+    @functools.cached_property
+    def _positions(self) -> list[list[int]]:
+        """Per dataset, where the first dataset's questions sit in it."""
+        first = self.datasets[0]
+        order, reference = first.question_ids, set(first.question_ids)
+        for ds in self.datasets[1:]:
+            ids = set(ds.question_ids)
+            if ids != reference:
+                # the first dataset's questions in reading order, then ds's
+                question_id = next(q for q in order + ds.question_ids if (q in ids) != (q in reference))
+                lacking = ds if question_id in reference else first
+                raise IdMismatch(
+                    f"strategy {ds.strategy_id!r} covers different questions than "
+                    f"{first.strategy_id!r}: {lacking.strategy_id!r} lacks question {question_id!r}"
+                )
+        where = [{question_id: qi for qi, question_id in enumerate(ds.question_ids)} for ds in self.datasets]
+        return [[positions[question_id] for question_id in order] for positions in where]
+
+    def _fill(self, requests) -> None:
+        """Evaluate the missing cells of non-overlapping ``(strategy, n,
+        rows)`` requests (``rows`` a question mask, or True), in order, in one
+        estimator call: :func:`exact_majority_probs`, one Monte Carlo batch
+        with a sub-seed per cell, or ``vote_probability`` per cell."""
+        todo = []
+        for s, n, rows in requests:
+            qis = np.flatnonzero(np.isnan(self._cells[s][self._index[n], :, 0]) & rows)
+            if len(qis):
+                todo.append((s, n, qis))
+        if not todo:
+            return
+        # generated, so that a large batch's cells are not held twice
+        cells = ((s, self.datasets[s].questions[qi].dist, n, qi) for s, n, qis in todo for qi in qis.tolist())
+        if self.method == "exact":
+            values = exact_majority_probs(((dist, n) for _, dist, n, _ in cells), fallback=self.fallback)
+        elif self.method == "monte_carlo":
+            crc = [zlib.crc32(ds.strategy_id.encode("utf-8")) for ds in self.datasets]
+            seeded = ((d, n, np.random.SeedSequence([self.seed, crc[s], qi, n])) for s, d, n, qi in cells)
+            values = monte_carlo_majority_probs(seeded, self.trials)
+        else:
+            values = [vote_probability(d, n, self.method, fallback=self.fallback) for _, d, n, _ in cells]
+        values = iter(values)
+        for s, n, qis in todo:
+            rows = [(vp.value, METHODS.index(vp.method), vp.stderr or 0.0) for _, vp in zip(qis, values)]
+            self._cells[s][self._index[n], qis] = rows
+
+    def _curve(self, strategies, ns, adaptive: bool, curve_id: str) -> ScalingCurve:
+        """The one reduction: per n of ``ns`` and question, the best of
+        ``strategies``' cells (the earliest on ties) -- at n = 1 for a
+        strategy's hard questions if ``adaptive`` -- averaged over questions
+        with ``math.fsum``, and tagged with the least exact cell's estimator.
+        Evaluates the cells it reads that are missing first."""
+        positions = self._positions if len(strategies) > 1 else None
+        if not self.datasets[strategies[0]].questions:
+            raise ValueError("dataset has no questions")
+        requests = [(s, n, ~self._hard[s] if adaptive else True) for s in strategies for n in ns]
+        self._fill(requests + [(s, 1, self._hard[s]) for s in strategies if adaptive])
+        blocks = []
+        for s in strategies:
+            block = self._cells[s][[self._index[n] for n in ns]]
+            if adaptive:
+                block[:, self._hard[s]] = self._cells[s][self._index[1], self._hard[s]]
+            blocks.append(block if positions is None else block[:, positions[s]])
+        table = np.stack(blocks)  # (strategy, n, question, 3)
+        best = table[..., 0].argmax(axis=0)  # the first maximum wins ties
+        winners = np.take_along_axis(table, best[None, :, :, None], axis=0)[0]
+        count = table.shape[2]
+        points = []
+        for n, (values, codes, stderrs) in zip(ns, winners.transpose(0, 2, 1)):
+            tag = METHODS[int(codes.max())]  # the least exact cell's estimator
+            mean = math.fsum(values.tolist()) / count
+            stderr = None
+            if tag == "monte_carlo":
+                stderr = math.sqrt(math.fsum(e**2 for e in stderrs.tolist())) / count
+            points.append(VoteProbability(mean, tag, n, stderr=stderr))
+        return ScalingCurve(tuple(points), self.method, curve_id=curve_id)
+
+    def curves(self) -> list[ScalingCurve]:
+        """Each strategy's accuracy curve; every grid cell in one call."""
+        self._fill([(s, n, True) for s in range(len(self.datasets)) for n in self.grid])
+        return [self._curve([s], self.grid, False, ds.strategy_id) for s, ds in enumerate(self.datasets)]
+
+    def oracles(self) -> list[ScalingCurve]:
+        """Each strategy's adaptive curve, then the dynamic and the combined
+        curve; the cells they miss are evaluated in one call."""
+        grid, everyone = self.grid, range(len(self.datasets))
+        hard = [(s, 1, self._hard[s]) for s in everyone if 1 not in grid]
+        self._fill([(s, n, True) for s in everyone for n in grid] + hard)
+        adaptive = [
+            self._curve([s], grid, True, f"{ds.strategy_id}+adaptive") for s, ds in enumerate(self.datasets)
         ]
-        values = monte_carlo_majority_probs(drawn, trials)
-    else:
-        values = [vote_probability(dist, n, method, fallback=fallback) for dist, n in batch]
-    for (column, qi, _, _), vp in zip(missing, values):
-        column[qi] = _row(vp)
-    return columns
+        return adaptive + [
+            self._curve(everyone, grid, False, "dynamic"),
+            self._curve(everyone, grid, True, "combined"),
+        ]
 
+    def _best(self, candidates, budget) -> SelectionResult | None:
+        """The (strategy, n) candidate of highest predicted accuracy, the
+        earliest on ties, or None: the candidates' cells are evaluated in one
+        call, and each strategy's n's are scored by one curve."""
+        grids: dict[int, list[int]] = {}
+        for s, n in candidates:
+            grids.setdefault(s, []).append(n)
+        self._fill([(s, n, True) for s, n in candidates])
+        curves = {s: self._curve([s], ns, False, "") for s, ns in grids.items()}
+        scored = [(curves[s].value_at(n), self.datasets[s].strategy_id, n) for s, n in candidates]
+        if not scored:
+            return None
+        value, strategy_id, n = max(scored, key=lambda score: score[0])
+        return SelectionResult(budget, strategy_id, n, value)
 
-def _shared_order(dss: list[StrategyDataset]) -> list[str]:
-    if not dss:
-        raise ValueError("need at least one strategy dataset")
-    first = dss[0].question_ids
-    reference = set(first)
-    for ds in dss[1:]:
-        ids = set(ds.question_ids)
-        if ids != reference:
-            # dss[0]'s questions in reading order, then ds's
-            question_id = next(q for q in first + ds.question_ids if (q in ids) != (q in reference))
-            lacking = ds if question_id in reference else dss[0]
-            raise IdMismatch(
-                f"strategy {ds.strategy_id!r} covers different questions than "
-                f"{dss[0].strategy_id!r}: {lacking.strategy_id!r} lacks question {question_id!r}"
-            )
-    return list(first)
+    def best_for_n(self, n: int) -> SelectionResult:
+        """Best strategy at the grid point ``n``; ties keep the earliest."""
+        if n not in self.grid:
+            raise ValueError(f"n={n!r} is not on the run's grid")
+        return self._best([(s, n) for s in range(len(self.datasets))], ("samples", float(n)))
 
-
-def _reduce(
-    dss: list[StrategyDataset],
-    ns,
-    method: str,
-    trials: int,
-    seed: int,
-    fallback: bool,
-    cells: dict | None,
-    *,
-    adaptive: bool,
-    curve_id: str,
-) -> ScalingCurve:
-    """The one reduction behind every dataset curve.
-
-    Per grid point and question (in the first dataset's order), takes the
-    best strategy's cell, at n=1 where ``adaptive`` is set and that
-    strategy finds the question hard, and averages over questions. Ties
-    keep the earliest strategy in the input. The cells missing from the
-    table are evaluated first (:func:`_columns`): each strategy's grid
-    columns without its hard questions, then each one's hard n=1 cells.
-    """
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    settings = (method, trials, seed, fallback)
-    order = _shared_order(dss)
-    if not order:
-        raise ValueError("dataset has no questions")
-    hard = np.array(
-        [[adaptive and classify(q.dist).kind is Difficulty.HARD for q in ds.questions] for ds in dss]
-    )
-    requests = [(ds, n, ~rows) for ds, rows in zip(dss, hard) for n in grid]
-    requests += [(ds, 1, rows) for ds, rows in zip(dss, hard)]
-    columns = np.stack(_columns({} if cells is None else cells, requests, settings))
-    # (strategy, n, question, 3); hard questions read their n=1 cell at every n
-    table = columns[: -len(dss)].reshape(len(dss), len(grid), len(order), 3)
-    table = np.where(hard[:, None, :, None], columns[-len(dss) :, None], table)
-    for s, ds in enumerate(dss):
-        if list(ds.question_ids) != order:
-            position = {question_id: qi for qi, question_id in enumerate(ds.question_ids)}
-            table[s] = table[s][:, [position[question_id] for question_id in order]]
-    # the first maximum wins ties
-    best = table[..., 0].argmax(axis=0)
-    winners = np.take_along_axis(table, best[None, :, :, None], axis=0)[0]
-    points = []
-    for n, (values, codes, stderrs) in zip(grid, winners.transpose(0, 2, 1)):
-        tag = METHODS[int(codes.max())]  # the least exact cell's estimator
-        mean = math.fsum(values.tolist()) / len(order)
-        stderr = None
-        if tag == "monte_carlo":
-            stderr = math.sqrt(math.fsum(e**2 for e in stderrs.tolist())) / len(order)
-        points.append(VoteProbability(mean, tag, n, stderr=stderr))
-    return ScalingCurve(tuple(points), method, curve_id=curve_id)
+    def best_under_cost(self, budget: float, model: CostModel) -> SelectionResult:
+        """Best (strategy, n) on the grid that fits the budget (see
+        :func:`best_under_cost`); only feasible points are evaluated."""
+        if not budget >= 0:
+            raise ValueError("budget must be >= 0")
+        costs = [dataset_sample_cost(ds, model) for ds in self.datasets]
+        # a NaN cost (zero tokens at an infinite price) fits no budget
+        candidates = [(s, n) for s, cost in enumerate(costs) for n in self.grid if n * cost <= budget]
+        best = self._best(candidates, ("cost", float(budget)))
+        if best is None:
+            raise NoFeasibleChoice(f"no strategy fits a dataset-total budget of {budget!r}")
+        return best
 
 
 def accuracy_curve(
@@ -256,22 +300,14 @@ def accuracy_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> ScalingCurve:
     """Dataset accuracy versus sampling time: per-question estimator, averaged.
 
     Cap overflows in the exact estimator propagate unless ``fallback``
     substitutes the normal approximation for the offending questions; a
     point is then tagged with the least exact estimator among its cells.
-    ``cells`` is the run's cell table (a dict, filled in place), which holds
-    columns only: one of per-question values for each (dataset, n,
-    estimator settings). Pass the same one to every reduction of a run so
-    that each cell is evaluated once. Without it the call uses a fresh
-    table.
     """
-    return _reduce(
-        [ds], ns, method, trials, seed, fallback, cells, adaptive=False, curve_id=ds.strategy_id
-    )
+    return Run([ds], ns, method, trials=trials, seed=seed, fallback=fallback).curves()[0]
 
 
 def adaptive_curve(
@@ -282,7 +318,6 @@ def adaptive_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> ScalingCurve:
     """Oracle curve that refuses to scale on hard questions.
 
@@ -290,13 +325,10 @@ def adaptive_curve(
     (one sample, no vote); the rest scale normally. This needs the true
     difficulty label, hence "oracle". Not pointwise above the vanilla
     curve at small n; its advantage is in the tail, where hard questions
-    would otherwise decay toward zero. ``cells`` as in
-    :func:`accuracy_curve`.
+    would otherwise decay toward zero.
     """
-    curve_id = f"{ds.strategy_id}+adaptive"
-    return _reduce(
-        [ds], ns, method, trials, seed, fallback, cells, adaptive=True, curve_id=curve_id
-    )
+    run = Run([ds], ns, method, trials=trials, seed=seed, fallback=fallback)
+    return run._curve([0], run.grid, True, f"{ds.strategy_id}+adaptive")
 
 
 def dynamic_curve(
@@ -307,18 +339,15 @@ def dynamic_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> ScalingCurve:
     """Oracle curve that picks the best strategy per question.
 
     All datasets must cover the same question ids. Per question and grid
     point, the largest per-strategy estimate wins; the mean over questions
-    therefore dominates every single strategy's curve pointwise. ``cells``
-    as in :func:`accuracy_curve`.
+    therefore dominates every single strategy's curve pointwise.
     """
-    return _reduce(
-        dss, ns, method, trials, seed, fallback, cells, adaptive=False, curve_id="dynamic"
-    )
+    run = Run(dss, ns, method, trials=trials, seed=seed, fallback=fallback)
+    return run._curve(range(len(run.datasets)), run.grid, False, "dynamic")
 
 
 def combined_curve(
@@ -329,14 +358,11 @@ def combined_curve(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> ScalingCurve:
     """Adaptive and dynamic at once: per strategy, use n=1 where that
-    strategy finds the question hard; then take the per-question max.
-    ``cells`` as in :func:`accuracy_curve`."""
-    return _reduce(
-        dss, ns, method, trials, seed, fallback, cells, adaptive=True, curve_id="combined"
-    )
+    strategy finds the question hard; then take the per-question max."""
+    run = Run(dss, ns, method, trials=trials, seed=seed, fallback=fallback)
+    return run._curve(range(len(run.datasets)), run.grid, True, "combined")
 
 
 def extreme_performance(ds: StrategyDataset) -> ExtremePerformance:
@@ -346,8 +372,9 @@ def extreme_performance(ds: StrategyDataset) -> ExtremePerformance:
     kinds = {Difficulty.EASY: 0, Difficulty.MODERATE: 0, Difficulty.HARD: 0}
     limits = []
     for q in ds.questions:
-        kinds[classify(q.dist).kind] += 1
-        limits.append(limit_prob(q.dist))
+        label = classify(q.dist)
+        kinds[label.kind] += 1
+        limits.append(label.limit)
     total = len(ds.questions)
     return ExtremePerformance(
         easy_frac=kinds[Difficulty.EASY] / total,
@@ -364,16 +391,17 @@ def adaptive_limit(ds: StrategyDataset) -> float:
         raise ValueError("dataset has no questions")
     terms = []
     for q in ds.questions:
-        if classify(q.dist).kind is Difficulty.HARD:
-            terms.append(q.dist.correct_prob)
-        else:
-            terms.append(limit_prob(q.dist))
+        label = classify(q.dist)
+        terms.append(q.dist.correct_prob if label.kind is Difficulty.HARD else label.limit)
     return math.fsum(terms) / len(ds.questions)
 
 
 def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
-    """Number of shared questions where ``ds_a`` is behind at n=1 but
-    guaranteed to overtake ``ds_b`` as the sampling time grows.
+    """Number of shared questions where ``crossover_condition(a, b)`` holds:
+    ``ds_a``'s correct-vs-strongest-wrong gap is strictly larger and its
+    variance proxy strictly smaller, so that, should it be behind, it is
+    guaranteed to overtake ``ds_b`` as the sampling time grows. Whether it
+    is behind at n=1 is not checked.
 
     Counts over the id intersection; disjoint datasets are an error.
     Identical datasets score 0 (the condition is strict).
@@ -390,22 +418,6 @@ def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
     )
 
 
-def _best(candidates, budget, method, trials, seed, fallback, cells) -> SelectionResult | None:
-    """The argmax behind both selections: the (dataset, n) candidate of highest
-    predicted accuracy, the earliest on ties; None without candidates. Each
-    dataset's candidates are scored by one accuracy curve over their n's."""
-    grids: dict[StrategyDataset, set[int]] = {}
-    for ds, n in candidates:
-        grids.setdefault(ds, set()).add(n)
-    kwargs = dict(trials=trials, seed=seed, fallback=fallback, cells=cells)
-    curves = {ds: accuracy_curve(ds, sorted(ns), method, **kwargs) for ds, ns in grids.items()}
-    scored = [(curves[ds].value_at(n), ds.strategy_id, n) for ds, n in candidates]
-    if not scored:
-        return None
-    value, strategy_id, n = max(scored, key=lambda score: score[0])
-    return SelectionResult(budget, strategy_id, n, value)
-
-
 def best_for_n(
     dss: list[StrategyDataset],
     n: int,
@@ -414,14 +426,9 @@ def best_for_n(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> SelectionResult:
-    """Best strategy at a fixed sampling time; ties keep the earliest input.
-    ``cells`` as in :func:`accuracy_curve`."""
-    if not dss:
-        raise ValueError("need at least one strategy dataset")
-    candidates = [(ds, n) for ds in dss]
-    return _best(candidates, ("samples", float(n)), method, trials, seed, fallback, cells)
+    """Best strategy at a fixed sampling time; ties keep the earliest input."""
+    return Run(dss, [n], method, trials=trials, seed=seed, fallback=fallback).best_for_n(n)
 
 
 def dataset_sample_cost(ds: StrategyDataset, model: CostModel) -> float:
@@ -442,30 +449,20 @@ def best_under_cost(
     trials: int = 10_000,
     seed: int = 0,
     fallback: bool = False,
-    cells: dict | None = None,
 ) -> SelectionResult:
     """Best (strategy, n) whose dataset-total cost fits the budget.
 
     Maximizes predicted accuracy over all feasible grid points of all
-    strategies. Ties keep the earliest strategy in the input and the
-    smallest n (which is also the cheapest). Note this maximizes accuracy,
-    not n: on declining (hard-dominated) datasets a small n can win even
-    under a generous budget. Raises :class:`NoFeasibleChoice` when no
-    strategy affords even its smallest grid point, and ``ValueError`` for a
-    negative or NaN budget. ``cells`` as in :func:`accuracy_curve`.
+    strategies, and evaluates the cells of those points only. Ties keep the
+    earliest strategy in the input and the smallest n (which is also the
+    cheapest). Note this maximizes accuracy, not n: on declining
+    (hard-dominated) datasets a small n can win even under a generous
+    budget. Raises :class:`NoFeasibleChoice` when no strategy affords even
+    its smallest grid point, and ``ValueError`` for a negative or NaN
+    budget.
     """
-    grid = check_grid(ns)
-    if not dss:
-        raise ValueError("need at least one strategy dataset")
-    if not budget >= 0:
-        raise ValueError("budget must be >= 0")
-    costs = [dataset_sample_cost(ds, model) for ds in dss]
-    # a NaN cost (zero tokens at an infinite price) fits no budget
-    candidates = [(ds, n) for ds, cost in zip(dss, costs) for n in grid if n * cost <= budget]
-    best = _best(candidates, ("cost", float(budget)), method, trials, seed, fallback, cells)
-    if best is None:
-        raise NoFeasibleChoice(f"no strategy fits a dataset-total budget of {budget!r}")
-    return best
+    run = Run(dss, ns, method, trials=trials, seed=seed, fallback=fallback)
+    return run.best_under_cost(budget, model)
 
 
 def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:

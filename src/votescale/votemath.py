@@ -284,7 +284,8 @@ def exact_majority_probs(
         else:
             batches.setdefault((len(case), n), {}).setdefault(case, []).append(len(results))
             results.append(None)
-    for (m, n), waiting in batches.items():
+    for m, n in list(batches):
+        waiting = batches.pop((m, n))  # released once its values are in place
         supports = list(waiting)
         step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
         for start in range(0, len(supports), step):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
 
@@ -645,6 +646,105 @@ class TestSynthAnalyze:
         # (s1's q1) at n=1 for the adaptive and combined oracles
         assert len(calls) == len(set(calls)) == 9
         assert [n for _, n, _ in calls].count(1) == 1
+
+    @pytest.mark.parametrize("grid, batches", [("1,3,5", 1), ("3,5", 2)])
+    def test_analyze_draws_its_cells_in_one_batch(self, capsys, tmp_path, monkeypatch, grid, batches):
+        """On two CPUs, every Monte Carlo cell of a report is drawn in one
+        batch, split over one forked worker; a grid without 1 adds a batch
+        for the hard pool's n = 1 cell."""
+        import votescale.selection as selection
+        import votescale.votemath as votemath
+
+        data = self.synth(capsys, tmp_path, samples=40)
+        real = selection.monte_carlo_majority_probs
+        sizes = []
+
+        def counting(cells, trials):
+            cells = list(cells)
+            sizes.append(len(cells))
+            return real(cells, trials)
+
+        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
+        monkeypatch.setattr(votemath, "_cpu_count", lambda: 2)
+        argv = ["analyze", "--log", str(data / "log.jsonl"), "--truth", str(data / "truth.jsonl"),
+                "--grid", grid, "--method", "mc", "--trials", "9000", "--budget", "1",
+                "--out", str(tmp_path / "report")]
+        with mock.patch("os.fork", wraps=os.fork) as fork:
+            code, _, err = run(capsys, argv)
+        assert code == 0, err
+        # 2 strategies x 2 questions per grid point, then s1's hard q1 at n = 1
+        assert sizes == ([12] if batches == 1 else [8, 1])
+        # a one-cell batch is drawn in process
+        assert fork.call_count == 1
+
+    def test_analyze_sends_each_kernel_input_once(self, capsys, tmp_path, monkeypatch):
+        """An exact report makes one exact batch, which sends each distinct
+        (support, n) to the kernel once, across strategies."""
+        import votescale.selection as selection
+        import votescale.votemath as votemath
+
+        pools = {("q0", "s1"): "a0 a0 a1 a2 a0", ("q0", "s2"): "a0 a0 a1 a2 a0",
+                 ("q1", "s1"): "a0 a1 a1", ("q1", "s2"): "a1 a0 a0 a2"}
+        write_lines(tmp_path / "log.jsonl", [
+            log_line(qid, sid, i, answer)
+            for (qid, sid), answers in pools.items()
+            for i, answer in enumerate(answers.split())
+        ])
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0"), truth_line("q1")])
+        real_batch, real_kernel = selection.exact_majority_probs, votemath._exact_kernel
+        batches, rows = [], []
+
+        def batch(cells, **kwargs):
+            cells = list(cells)
+            batches.append(len(cells))
+            return real_batch(cells, **kwargs)
+
+        def kernel(supports, n):
+            rows.extend((support, n) for support in supports)
+            return real_kernel(supports, n)
+
+        monkeypatch.setattr(selection, "exact_majority_probs", batch)
+        monkeypatch.setattr(votemath, "_exact_kernel", kernel)
+        code, _, err = run(capsys, [
+            "analyze", "--log", str(tmp_path / "log.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
+            "--grid", "1,3,5", "--budget", "1", "--out", str(tmp_path / "report"),
+        ])
+        assert code == 0, err
+        assert batches == [12]
+        # q0's pool is the same under both strategies: 3 distinct supports at n = 3 and 5
+        assert len(rows) == len(set(rows)) == 6
+
+    def test_analyze_classifies_each_pool_at_most_twice(self, capsys, tmp_path, monkeypatch):
+        """A log of the benchmark's log-exact shape, 3 strategies x 300
+        questions x 64 samples: the run labels each of the 900 pools once,
+        and the difficulty table once more."""
+        import votescale.cli as cli
+        import votescale.difficulty as difficulty
+        import votescale.selection as selection
+
+        write_lines(tmp_path / "log.jsonl", [
+            log_line(f"q{q:04d}", f"s{s}", i, f"a{(i * 7 + q * (s + 1)) % (2 + q % 4)}")
+            for s in range(3)
+            for q in range(300)
+            for i in range(64)
+        ])
+        write_lines(tmp_path / "truth.jsonl", [truth_line(f"q{q:04d}") for q in range(300)])
+        real = difficulty.classify
+        calls = []
+
+        def counting(dist, **kwargs):
+            calls.append(dist)
+            return real(dist, **kwargs)
+
+        for module in (difficulty, selection, cli):
+            if hasattr(module, "classify"):
+                monkeypatch.setattr(module, "classify", counting)
+        code, _, err = run(capsys, [
+            "analyze", "--log", str(tmp_path / "log.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
+            "--grid", "1,3,5,9,15,31", "--budget", "1", "--out", str(tmp_path / "report"),
+        ])
+        assert code == 0, err
+        assert len(calls) <= 1800
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
     def test_analyze_rejects_bad_smoothing(self, capsys, tmp_path, smoothing):

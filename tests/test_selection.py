@@ -18,6 +18,7 @@ from votescale import (
     NoFeasibleChoice,
     QuestionEntry,
     QuestionSamples,
+    Run,
     SelectionResult,
     StrategyDataset,
     accuracy_curve,
@@ -73,26 +74,13 @@ class TestDatasets:
         object.__setattr__(ds, "questions", ())
         assert ds.question_ids is ids
 
-    def test_hash_is_computed_once_and_equality_is_unchanged(self, monkeypatch):
+    def test_hash_and_equality_follow_the_fields(self):
         ds = dataset("s", [EARLY, LATE])
         same = dataset("s", [EARLY, LATE])
         swapped = dataset("s", [LATE, EARLY])
         assert ds == same and hash(ds) == hash(same) == hash((ds.strategy_id, ds.questions))
         assert ds != swapped and ds != dataset("t", [EARLY, LATE])
         assert [f.name for f in dataclasses.fields(ds)] == ["strategy_id", "questions"]
-        # the hash is kept from construction: it no longer reads the fields
-        object.__setattr__(same, "questions", ())
-        assert hash(same) == hash(ds)
-        # swapped questions under the same id read none of the other's columns
-        calls = counted_cells(monkeypatch)
-        cells = {}
-        curve = accuracy_curve(ds, [3, 5], "approx", cells=cells)
-        assert len(calls) == 4
-        moved = accuracy_curve(swapped, [3, 5], "approx", cells=cells)
-        assert len(calls) == 8
-        assert moved == accuracy_curve(swapped, [3, 5], "approx")
-        assert curve == accuracy_curve(ds, [3, 5], "approx", cells=cells)
-        assert len(calls) == 12
 
     def test_selection_result_validation(self):
         with pytest.raises(ValueError):
@@ -220,70 +208,58 @@ class TestAccuracyCurve:
         assert len(calls) == 12
 
     def test_shared_table_evaluates_each_cell_once(self, monkeypatch):
+        """One run's curves, selections and oracles share its cells: the
+        curves evaluate every grid cell in one batch, and the rest reduce it."""
         calls = counted_cells(monkeypatch)
         batches = kernel_batches(monkeypatch)
         hard = AnswerDistribution((0.3, 0.6, 0.1))
         dss = [dataset("early", [EARLY, hard]), dataset("late", [LATE, EARLY])]
         model = CostModel.from_per_million(0.15, 0.60)
-        cells = {}
-        curves = [accuracy_curve(ds, [1, 3, 5], cells=cells) for ds in dss]
+        run = Run(dss, [1, 3, 5])
+        curves = run.curves()
         # 2 strategies x 2 questions x 3 grid points, each requested once
         assert len(calls) == 12
-        for n in (1, 3, 5):
-            best_for_n(dss, n, cells=cells)
-        best_under_cost(dss, math.inf, model, [1, 3, 5], cells=cells)
-        shared = dynamic_curve(dss, [1, 3, 5], cells=cells)
+        picks = [run.best_for_n(n) for n in (1, 3, 5)]
+        budget_pick = run.best_under_cost(math.inf, model)
+        # the oracles read hard questions from the n=1 cells, already there
+        oracles = run.oracles()
         assert len(calls) == 12
-        # the oracles read hard questions from the n=1 column, already there
-        combined_curve(dss, [1, 3, 5], cells=cells)
-        adaptive_curve(dss[0], [1, 3, 5], cells=cells)
-        assert len(calls) == 12
-        # the table holds columns only, one per (dataset, n, settings)
-        assert sorted((ds.strategy_id, n) for ds, n, _ in cells) == [
-            (sid, n) for sid in ("early", "late") for n in (1, 3, 5)
-        ]
-        # each batch sends a distinct (support, n) to the kernel once; EARLY
-        # under both strategies is in two batches, one per curve
-        assert all(len(rows) == len(set(rows)) for rows in batches)
-        assert sum(map(len, batches)) == 8
-        assert curves == [accuracy_curve(ds, [1, 3, 5]) for ds in dss]
-        batches.clear()
-        assert dynamic_curve(dss, [1, 3, 5]) == shared
         # one batch holds EARLY under both strategies: one kernel row per n > 1
         assert batches == [[(d.correct_first(), n) for n in (3, 5) for d in (EARLY, hard, LATE)]]
+        assert curves == [accuracy_curve(ds, [1, 3, 5]) for ds in dss]
+        assert picks == [best_for_n(dss, n) for n in (1, 3, 5)]
+        assert budget_pick == best_under_cost(dss, math.inf, model, [1, 3, 5])
+        assert oracles == [adaptive_curve(ds, [1, 3, 5]) for ds in dss] + [
+            dynamic_curve(dss, [1, 3, 5]),
+            combined_curve(dss, [1, 3, 5]),
+        ]
+        with pytest.raises(ValueError, match="not on the run's grid"):
+            run.best_for_n(7)
 
     def test_shared_table_keeps_settings_apart(self, monkeypatch):
+        """Each run holds the values of its own estimator setting, and two
+        datasets under one strategy id each read their own cells."""
         calls = counted_cells(monkeypatch)
-        ds = dataset("s", [EARLY, LATE])
-        cells = {}
-        exact = accuracy_curve(ds, [5], cells=cells)
-        approx = accuracy_curve(ds, [5], "approx", cells=cells)
-        mc = accuracy_curve(ds, [5], "mc", trials=2000, seed=1, cells=cells)
-        other_seed = accuracy_curve(ds, [5], "mc", trials=2000, seed=2, cells=cells)
-        assert approx == accuracy_curve(ds, [5], "approx")
-        assert mc == accuracy_curve(ds, [5], "mc", trials=2000, seed=1)
-        assert other_seed == accuracy_curve(ds, [5], "mc", trials=2000, seed=2)
-        assert exact.points[0].method == "exact"
-        assert approx.points[0].method == "normal_approx"
-        assert mc.values != other_seed.values
-        # another distribution under the same strategy id and position does
-        # not read the old one's cell: the swapped questions are a new dataset
-        evaluated = len(calls)
-        moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], cells=cells)
-        assert len(calls) == evaluated + 2
-        assert moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5])
-        evaluated = len(calls)
-        mc_moved = accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1, cells=cells)
-        # Monte Carlo cells keep strategy and position in their seed: two new cells
-        assert len(calls) == evaluated + 2
-        assert mc_moved == accuracy_curve(dataset("s", [LATE, EARLY]), [5], "mc", trials=2000, seed=1)
+        ds, moved = dataset("s", [EARLY, LATE]), dataset("s", [LATE, EARLY])
+        settings = [("exact", 0), ("approx", 0), ("mc", 1), ("mc", 2)]
+        curves = {
+            (method, seed): Run([ds, moved], [5], method, trials=2000, seed=seed).curves()
+            for method, seed in settings
+        }
+        # each run evaluates its 2 datasets x 2 questions once
+        assert len(calls) == 16
+        for (method, seed), pair in curves.items():
+            fresh = [accuracy_curve(d, [5], method, trials=2000, seed=seed) for d in (ds, moved)]
+            assert pair == fresh
+        assert curves["exact", 0][0].points[0].method == "exact"
+        assert curves["approx", 0][0].points[0].method == "normal_approx"
+        assert curves["mc", 1][0].values != curves["mc", 2][0].values
 
     def test_shared_table_keeps_fallback_apart(self):
         wide = dataset("s", [AnswerDistribution((0.2,) + (0.1,) * 8)])
-        cells = {}
-        assert accuracy_curve(wide, [5], fallback=True, cells=cells).points[0].method == "normal_approx"
+        assert Run([wide], [5], fallback=True).curves()[0].points[0].method == "normal_approx"
         with pytest.raises(CapExceeded):
-            accuracy_curve(wide, [5], cells=cells)
+            Run([wide], [5]).curves()
 
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
@@ -370,17 +346,19 @@ class TestBudgetSelection:
     @pytest.mark.parametrize("method", ["exact", "mc"])
     def test_one_curve_per_dataset_scores_every_candidate(self, monkeypatch, method):
         """Each dataset's feasible n's are scored by one curve, with the
-        values and the earliest-on-ties choice of one curve per candidate."""
+        values and the earliest-on-ties choice of one curve per candidate;
+        only the feasible points' cells are evaluated."""
         import votescale.selection as selection
 
-        real = selection.accuracy_curve
+        real = selection.Run._curve
         grids = []
 
-        def counting(ds, ns, *args, **kwargs):
-            grids.append((ds.strategy_id, tuple(ns)))
-            return real(ds, ns, *args, **kwargs)
+        def counting(run, strategies, ns, *args):
+            grids.append((tuple(run.datasets[s].strategy_id for s in strategies), tuple(ns)))
+            return real(run, strategies, ns, *args)
 
-        monkeypatch.setattr(selection, "accuracy_curve", counting)
+        monkeypatch.setattr(selection.Run, "_curve", counting)
+        calls = counted_cells(monkeypatch)
         dss = [
             dataset("a", [EARLY, LATE], pt=100.0, ct=50.0),
             dataset("b", [LATE, EARLY], pt=200.0, ct=100.0),
@@ -390,15 +368,28 @@ class TestBudgetSelection:
         budget = 9 * dataset_sample_cost(dss[0], self.MODEL)
         kwargs = dict(trials=500, seed=4)
         pick = best_under_cost(dss, budget, self.MODEL, grid, method, **kwargs)
-        assert grids == [("a", (1, 3, 5, 9)), ("b", (1, 3)), ("c", (1, 3, 5, 9))]
+        assert grids == [(("a",), (1, 3, 5, 9)), (("b",), (1, 3)), (("c",), (1, 3, 5, 9))]
+        # 2 questions at each of the 10 feasible points
+        assert len(calls) == 20
         scored = [
-            (real(ds, [n], method, **kwargs).values[0], ds.strategy_id, n)
+            (accuracy_curve(ds, [n], method, **kwargs).values[0], ds.strategy_id, n)
             for ds in dss
             for n in grid
             if n * dataset_sample_cost(ds, self.MODEL) <= budget
         ]
         value, strategy_id, n = max(scored, key=lambda score: score[0])
         assert (pick.predicted_accuracy, pick.chosen_strategy, pick.chosen_n) == (value, strategy_id, n)
+
+    def test_infeasible_points_are_not_evaluated(self):
+        """A grid point beyond the budget is never evaluated, so one beyond
+        the exact cap raises nothing without --fallback."""
+        ds = dataset("s", [EARLY, LATE], pt=1000.0, ct=500.0)
+        budget = 5 * dataset_sample_cost(ds, self.MODEL)
+        pick = best_under_cost([ds], budget, self.MODEL, [1, 5, 61])
+        assert (pick.chosen_n, pick.predicted_accuracy) == (5, accuracy_curve(ds, [5]).values[0])
+        assert Run([ds], [1, 5, 61]).best_under_cost(budget, self.MODEL) == pick
+        with pytest.raises(CapExceeded):
+            Run([ds], [1, 5, 61]).curves()
 
     def test_declining_dataset_prefers_one_sample(self):
         # binary hard questions decay monotonically, so more votes only
@@ -697,16 +688,22 @@ class TestColumnReductions:
         data=st.data(),
     )
     def test_equal_to_the_per_cell_reduction(self, dss, grid, method, seed, budget_share, data):
-        """Every curve and selection of a run sharing one table, called in a
-        drawn order, equals the per-cell reference point for point."""
+        """Every curve and selection, as a free function and as a method of
+        one run, called in a drawn order, equals the per-cell reference
+        point for point."""
         estimator = (method, 64, seed, True)
-        cells, reference_cells = {}, {}
-        kwargs = dict(trials=64, seed=seed, fallback=True, cells=cells)
+        reference_cells = {}
+        kwargs = dict(trials=64, seed=seed, fallback=True)
+        run = Run(dss, grid, method, **kwargs)
 
         def reference(subset, ns, adaptive, curve_id):
             return reference_reduce(
                 subset, ns, *estimator, reference_cells, adaptive=adaptive, curve_id=curve_id
             )
+
+        def reference_oracles():
+            adaptive = [reference([ds], grid, True, f"{ds.strategy_id}+adaptive") for ds in dss]
+            return adaptive + [reference(dss, grid, False, "dynamic"), reference(dss, grid, True, "combined")]
 
         costs = [dataset_sample_cost(ds, self.MODEL) for ds in dss]
         budget = budget_share * max(costs) * grid[-1]
@@ -726,12 +723,21 @@ class TestColumnReductions:
              lambda: reference(dss, grid, True, "combined")),
             (lambda: best_under_cost(dss, budget, self.MODEL, grid, method, **kwargs),
              lambda: reference_best(feasible, ("cost", budget), *estimator, reference_cells)),
+            (run.curves, lambda: [reference([ds], grid, False, ds.strategy_id) for ds in dss]),
+            (run.oracles, reference_oracles),
+            (lambda: run.best_under_cost(budget, self.MODEL),
+             lambda: reference_best(feasible, ("cost", budget), *estimator, reference_cells)),
         ] + [
-            # n = 1 completes a column the adaptive oracles may have left partial
             (lambda n=n: best_for_n(dss, n, method, **kwargs),
              lambda n=n: reference_best([(ds, n) for ds in dss], ("samples", float(n)),
                                         *estimator, reference_cells))
             for n in sorted({1, *grid})
+        ] + [
+            # the run's n = 1 cells may hold hard questions only, from its oracles
+            (lambda n=n: run.best_for_n(n),
+             lambda n=n: reference_best([(ds, n) for ds in dss], ("samples", float(n)),
+                                        *estimator, reference_cells))
+            for n in grid
         ]
         for i in data.draw(st.permutations(range(len(checks)))):
             new, old = checks[i]
