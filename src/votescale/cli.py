@@ -17,7 +17,9 @@ list of ``(file name, header, rows)`` tables: ``predict`` builds the
 strategy tables (curves, per-n selection, budget selection), ``analyze``
 appends its own, and one writer writes them once every table is computed,
 so a failing run leaves no partial report. All tables of a report read
-one :class:`votescale.selection.Run`: its curves evaluate every grid cell in
+one :class:`votescale.selection.Run`, which checks when it is built that
+every strategy covers the same questions (so a mismatch exits 2, not 3,
+before any cell is evaluated). Its curves evaluate every grid cell in
 one estimator call, and the selections and oracles reduce those cells,
 evaluating at most the hard questions' n = 1 cells in one more call. Every
 input file is streamed a block at a time through one reader that names the
@@ -65,14 +67,8 @@ from .records import CostModel, answer_support, group_logs, load_ground_truth
 # with one Run
 from .records import group_records, parse_records  # noqa: F401
 from .selection import adaptive_curve, best_for_n, best_under_cost, combined_curve, dynamic_curve  # noqa: F401
-from .selection import (
-    Run,
-    StrategyDataset,
-    datasets_from_samples,
-    dominance_count,
-    extreme_performance,
-    load_scenario,
-)
+from .selection import extreme_performance  # noqa: F401
+from .selection import Run, StrategyDataset, datasets_from_samples, dominance_count, load_scenario
 from .votemath import _MAX_DRAW, check_grid, scaling_curve
 
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
@@ -324,7 +320,7 @@ def cmd_analyze(args) -> int:
         (
             "difficulty_table.csv",
             ["strategy_id", "easy_frac", "moderate_frac", "hard_frac", "limit_accuracy"],
-            [[ds.strategy_id, *map(_fmt, extreme_performance(ds))] for ds in dss],
+            [[ds.strategy_id, *map(_fmt, xp)] for ds, xp in zip(dss, run.extreme_performance())],
         ),
         (
             "dominance.csv",

@@ -14,21 +14,23 @@ computes three oracle curves that bound what smarter sampling could do:
 
 Every curve, selection and oracle is a reduction over the (strategy,
 question, effective n) cells of a :class:`Run`, which holds strategy
-datasets on one grid under one estimator setting. A reduction evaluates the
-cells it reads that are still missing in one estimator call (one
-:func:`votescale.votemath.exact_majority_probs` call, which evaluates each
-distinct kernel input once, one Monte Carlo batch, or ``vote_probability``
-per cell), takes each question's best strategy with ``argmax`` and averages
-with ``math.fsum``. The free functions (:func:`accuracy_curve`, ...) each
-evaluate a one-off run, only the cells they read, and keep nothing.
-Monte Carlo cells derive their sub-seed from (strategy, question position,
-effective n), so a cell has one value however it is reached and the
+datasets on one grid under one estimator setting. Every strategy of a run
+covers the same questions, which is checked when the run is built, so
+every reduction compares means over one question set. A reduction
+evaluates the cells it reads that are still missing in one estimator call
+(one :func:`votescale.votemath.exact_majority_probs` call, which evaluates
+each distinct kernel input once, one Monte Carlo batch, or
+``vote_probability`` per cell), takes each question's best strategy with
+``argmax`` and averages with ``math.fsum``. The free functions
+(:func:`accuracy_curve`, ...) each evaluate a one-off run, only the cells
+they read, and keep nothing. Monte Carlo cells derive their sub-seed from
+(strategy, the question's position in its own dataset, effective n), so a
+cell has one value however it is reached and the
 documented dominance relations between curves survive sampling noise. A
 dataset point is tagged with the least exact estimator among its cells.
 """
 from __future__ import annotations
 
-import functools
 import math
 import zlib
 from dataclasses import dataclass
@@ -84,15 +86,12 @@ class StrategyDataset:
     questions: tuple[QuestionEntry, ...]
 
     def __post_init__(self):
-        ids = tuple(q.question_id for q in self.questions)
-        if len(set(ids)) != len(ids):
+        if len(set(self.question_ids)) != len(self.questions):
             raise ValueError(f"duplicate question_ids in strategy {self.strategy_id!r}")
-        # reductions read the ids many times per run; equality is unchanged
-        object.__setattr__(self, "_question_ids", ids)
 
     @property
     def question_ids(self) -> tuple[str, ...]:
-        return self._question_ids
+        return tuple(q.question_id for q in self.questions)
 
     def by_id(self) -> dict[str, QuestionEntry]:
         return {q.question_id: q for q in self.questions}
@@ -132,10 +131,14 @@ class ExtremePerformance(NamedTuple):
 class Run:
     """Strategy datasets evaluated on one grid under one estimator setting.
 
-    Grid and method are checked once, and each question is classified once
-    (``labels``, per strategy in dataset order). Per strategy, the run owns
-    one (n, question, 3) array of (value, estimator index in ``METHODS``,
-    standard error) rows over the grid and n = 1, NaN until evaluated.
+    Every strategy of a run covers the same questions: this is checked when
+    the run is built, and :class:`IdMismatch` names a question one strategy
+    lacks. Grid and method are checked once, and each question is classified
+    once (``labels``, per strategy in dataset order). The run owns one
+    (strategy, n, question, 3) array of (value, estimator index in
+    ``METHODS``, standard error) rows over the grid and n = 1, NaN until
+    evaluated, and one (strategy, question) hard-question mask; their
+    question axis follows the first dataset.
     :meth:`curves` fills every grid cell in one estimator call, so the
     oracles and selections after it evaluate at most the hard questions'
     n = 1 cells, in one more.
@@ -156,56 +159,59 @@ class Run:
         self.datasets = tuple(datasets)
         if not self.datasets:
             raise ValueError("need at least one strategy dataset")
-        self.trials, self.seed, self.fallback = trials, seed, fallback
-        self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
-        self._hard = [np.array([lb.kind is Difficulty.HARD for lb in labels], bool) for labels in self.labels]
-        self._index = {n: i for i, n in enumerate(sorted({1, *self.grid}))}
-        self._cells = [np.full((len(self._index), len(ds.questions), 3), np.nan) for ds in self.datasets]
-
-    @functools.cached_property
-    def _positions(self) -> list[list[int]]:
-        """Per dataset, where the first dataset's questions sit in it."""
         first = self.datasets[0]
-        order, reference = first.question_ids, set(first.question_ids)
-        for ds in self.datasets[1:]:
-            ids = set(ds.question_ids)
-            if ids != reference:
+        ids = [ds.question_ids for ds in self.datasets]
+        order, reference = ids[0], set(ids[0])
+        for ds, own in zip(self.datasets[1:], ids[1:]):
+            if set(own) != reference:
                 # the first dataset's questions in reading order, then ds's
-                question_id = next(q for q in order + ds.question_ids if (q in ids) != (q in reference))
+                question_id = next(q for q in order + own if (q in own) != (q in reference))
                 lacking = ds if question_id in reference else first
                 raise IdMismatch(
                     f"strategy {ds.strategy_id!r} covers different questions than "
                     f"{first.strategy_id!r}: {lacking.strategy_id!r} lacks question {question_id!r}"
                 )
-        where = [{question_id: qi for qi, question_id in enumerate(ds.question_ids)} for ds in self.datasets]
-        return [[positions[question_id] for question_id in order] for positions in where]
+        if not order:
+            raise ValueError("dataset has no questions")
+        self.trials, self.seed, self.fallback = trials, seed, fallback
+        self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
+        # per strategy, where each of the first dataset's questions sits in its own dataset
+        where = [{question_id: qi for qi, question_id in enumerate(own)} for own in ids]
+        self._own = np.array([[positions[question_id] for question_id in order] for positions in where])
+        hard = np.array([[lb.kind is Difficulty.HARD for lb in labels] for labels in self.labels], bool)
+        self._hard = np.take_along_axis(hard, self._own, axis=1)
+        self._index = {n: i for i, n in enumerate(sorted({1, *self.grid}))}
+        self._cells = np.full((len(self.datasets), len(self._index), len(order), 3), np.nan)
 
     def _fill(self, requests) -> None:
         """Evaluate the missing cells of non-overlapping ``(strategy, n,
         rows)`` requests (``rows`` a question mask, or True), in order, in one
         estimator call: :func:`exact_majority_probs`, one Monte Carlo batch
-        with a sub-seed per cell, or ``vote_probability`` per cell."""
+        with a sub-seed per cell, or ``vote_probability`` per cell. A cell's
+        distribution and sub-seed use its position in its own dataset."""
         todo = []
         for s, n, rows in requests:
-            qis = np.flatnonzero(np.isnan(self._cells[s][self._index[n], :, 0]) & rows)
-            if len(qis):
-                todo.append((s, n, qis))
+            columns = np.flatnonzero(np.isnan(self._cells[s, self._index[n], :, 0]) & rows)
+            if len(columns):
+                todo.append((s, n, columns))
         if not todo:
             return
         # generated, so that a large batch's cells are not held twice
-        cells = ((s, self.datasets[s].questions[qi].dist, n, qi) for s, n, qis in todo for qi in qis.tolist())
+        own = ((s, n, qi) for s, n, columns in todo for qi in self._own[s, columns].tolist())
+        cells = ((s, self.datasets[s].questions[qi].dist, n, qi) for s, n, qi in own)
         if self.method == "exact":
             values = exact_majority_probs(((dist, n) for _, dist, n, _ in cells), fallback=self.fallback)
         elif self.method == "monte_carlo":
             crc = [zlib.crc32(ds.strategy_id.encode("utf-8")) for ds in self.datasets]
-            seeded = ((d, n, np.random.SeedSequence([self.seed, crc[s], qi, n])) for s, d, n, qi in cells)
+            # the entropy tuple seeds default_rng as SeedSequence([...]) would
+            seeded = ((d, n, (self.seed, crc[s], qi, n)) for s, d, n, qi in cells)
             values = monte_carlo_majority_probs(seeded, self.trials)
         else:
             values = [vote_probability(d, n, self.method, fallback=self.fallback) for _, d, n, _ in cells]
         values = iter(values)
-        for s, n, qis in todo:
-            rows = [(vp.value, METHODS.index(vp.method), vp.stderr or 0.0) for _, vp in zip(qis, values)]
-            self._cells[s][self._index[n], qis] = rows
+        for s, n, columns in todo:
+            rows = [(vp.value, METHODS.index(vp.method), vp.stderr or 0.0) for _, vp in zip(columns, values)]
+            self._cells[s, self._index[n], columns] = rows
 
     def _curve(self, strategies, ns, adaptive: bool, curve_id: str) -> ScalingCurve:
         """The one reduction: per n of ``ns`` and question, the best of
@@ -213,18 +219,13 @@ class Run:
         strategy's hard questions if ``adaptive`` -- averaged over questions
         with ``math.fsum``, and tagged with the least exact cell's estimator.
         Evaluates the cells it reads that are missing first."""
-        positions = self._positions if len(strategies) > 1 else None
-        if not self.datasets[strategies[0]].questions:
-            raise ValueError("dataset has no questions")
+        strategies = list(strategies)
         requests = [(s, n, ~self._hard[s] if adaptive else True) for s in strategies for n in ns]
         self._fill(requests + [(s, 1, self._hard[s]) for s in strategies if adaptive])
-        blocks = []
-        for s in strategies:
-            block = self._cells[s][[self._index[n] for n in ns]]
-            if adaptive:
-                block[:, self._hard[s]] = self._cells[s][self._index[1], self._hard[s]]
-            blocks.append(block if positions is None else block[:, positions[s]])
-        table = np.stack(blocks)  # (strategy, n, question, 3)
+        table = self._cells[np.ix_(strategies, [self._index[n] for n in ns])]  # (strategy, n, question, 3)
+        if adaptive:
+            one = self._cells[strategies, self._index[1]]  # (strategy, question, 3)
+            table = np.where(self._hard[strategies][:, None, :, None], one[:, None], table)
         best = table[..., 0].argmax(axis=0)  # the first maximum wins ties
         winners = np.take_along_axis(table, best[None, :, :, None], axis=0)[0]
         count = table.shape[2]
@@ -256,6 +257,16 @@ class Run:
             self._curve(everyone, grid, False, "dynamic"),
             self._curve(everyone, grid, True, "combined"),
         ]
+
+    def extreme_performance(self) -> list[ExtremePerformance]:
+        """Per strategy, the difficulty fractions of its labels and the
+        accuracy it scales toward."""
+        rows = []
+        for labels in self.labels:
+            kinds, total = [label.kind for label in labels], len(labels)
+            fractions = [kinds.count(kind) / total for kind in Difficulty]  # easy, moderate, hard
+            rows.append(ExtremePerformance(*fractions, math.fsum(label.limit for label in labels) / total))
+        return rows
 
     def _best(self, candidates, budget) -> SelectionResult | None:
         """The (strategy, n) candidate of highest predicted accuracy, the
@@ -367,21 +378,7 @@ def combined_curve(
 
 def extreme_performance(ds: StrategyDataset) -> ExtremePerformance:
     """Difficulty fractions and the accuracy this strategy scales toward."""
-    if not ds.questions:
-        raise ValueError("dataset has no questions")
-    kinds = {Difficulty.EASY: 0, Difficulty.MODERATE: 0, Difficulty.HARD: 0}
-    limits = []
-    for q in ds.questions:
-        label = classify(q.dist)
-        kinds[label.kind] += 1
-        limits.append(label.limit)
-    total = len(ds.questions)
-    return ExtremePerformance(
-        easy_frac=kinds[Difficulty.EASY] / total,
-        moderate_frac=kinds[Difficulty.MODERATE] / total,
-        hard_frac=kinds[Difficulty.HARD] / total,
-        limit_accuracy=math.fsum(limits) / total,
-    )
+    return Run([ds], [1]).extreme_performance()[0]
 
 
 def adaptive_limit(ds: StrategyDataset) -> float:

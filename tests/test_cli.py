@@ -292,6 +292,19 @@ class TestPredict:
         )
         assert code == 2
 
+    def test_mismatched_questions_exit_2(self, capsys, tmp_path):
+        """Strategies over different questions are not compared; the check
+        comes before any cell, so an above-cap cell does not exit 3 first."""
+        path = tmp_path / "scenario.jsonl"
+        write_lines(path, [scenario_line("a", "q0", (0.6, 0.4)), scenario_line("b", "q1", (0.6, 0.4))])
+        code, _, err = run(
+            capsys,
+            ["predict", "--scenario", str(path), "--grid", "1,61", "--method", "exact", "--out", str(tmp_path / "r")],
+        )
+        assert code == 2
+        assert err == "error: strategy 'b' covers different questions than 'a': 'b' lacks question 'q0'\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize("flags", [["--budget", "nan"], ["--prices", "nan,0.6", "--budget", "1.0"]])
     def test_nan_budget_or_price_exits_2(self, capsys, tmp_path, flags):
         out_dir = tmp_path / "r"
@@ -580,8 +593,8 @@ class TestSynthAnalyze:
 
         def counting(cells, trials):
             cells = list(cells)
-            # a Monte Carlo cell's seed entropy is (seed, strategy, question, n)
-            calls.extend((dist, n, tuple(seed.entropy)) for dist, n, seed in cells)
+            # a Monte Carlo cell's seed is the entropy (seed, strategy, question, n)
+            calls.extend(cells)
             return real(cells, trials)
 
         monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
@@ -619,7 +632,7 @@ class TestSynthAnalyze:
 
         def counting(cells, trials):
             cells = list(cells)
-            calls.extend((dist, n, tuple(seed.entropy)) for dist, n, seed in cells)
+            calls.extend(cells)
             return real(cells, trials)
 
         monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
@@ -714,10 +727,10 @@ class TestSynthAnalyze:
         # q0's pool is the same under both strategies: 3 distinct supports at n = 3 and 5
         assert len(rows) == len(set(rows)) == 6
 
-    def test_analyze_classifies_each_pool_at_most_twice(self, capsys, tmp_path, monkeypatch):
+    def test_analyze_classifies_each_pool_once(self, capsys, tmp_path, monkeypatch):
         """A log of the benchmark's log-exact shape, 3 strategies x 300
         questions x 64 samples: the run labels each of the 900 pools once,
-        and the difficulty table once more."""
+        and the difficulty table reads those labels."""
         import votescale.cli as cli
         import votescale.difficulty as difficulty
         import votescale.selection as selection
@@ -744,7 +757,7 @@ class TestSynthAnalyze:
             "--grid", "1,3,5,9,15,31", "--budget", "1", "--out", str(tmp_path / "report"),
         ])
         assert code == 0, err
-        assert len(calls) <= 1800
+        assert len(calls) == 900
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
     def test_analyze_rejects_bad_smoothing(self, capsys, tmp_path, smoothing):
@@ -814,7 +827,20 @@ class TestSynthAnalyze:
         assert code == 2
         assert "no records" in err
 
-    def test_analyze_mismatched_strategies_exit_2(self, capsys, tmp_path):
+    def test_analyze_mismatched_strategies_exit_2(self, capsys, tmp_path, monkeypatch):
+        """The run checks the shared question set before any cell is
+        evaluated."""
+        import votescale.selection as selection
+
+        real = selection.exact_majority_probs
+        calls = []
+
+        def counting(cells, **kwargs):
+            cells = list(cells)
+            calls.extend(cells)
+            return real(cells, **kwargs)
+
+        monkeypatch.setattr(selection, "exact_majority_probs", counting)
         write_lines(
             tmp_path / "log.jsonl",
             [log_line("q0", "s1", 0), log_line("q1", "s1", 0), log_line("q0", "s2", 0)],
@@ -837,6 +863,7 @@ class TestSynthAnalyze:
         assert code == 2
         assert "different questions" in err
         assert not (tmp_path / "r").exists()
+        assert calls == []
 
     @pytest.mark.parametrize(
         "questions, message",

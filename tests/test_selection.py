@@ -65,14 +65,9 @@ class TestDatasets:
         assert ds.question_ids == ("q0", "q1")
         assert ds.by_id()["q1"].dist == LATE
 
-    def test_question_ids_are_computed_once(self):
+    def test_question_ids_follow_the_questions(self):
         ds = dataset("s", [EARLY, LATE, EARLY])
-        ids = ds.question_ids
-        assert ids == tuple(q.question_id for q in ds.questions) == ("q0", "q1", "q2")
-        # the tuple is kept from construction: every read returns it
-        assert ds.question_ids is ids
-        object.__setattr__(ds, "questions", ())
-        assert ds.question_ids is ids
+        assert ds.question_ids == tuple(q.question_id for q in ds.questions) == ("q0", "q1", "q2")
 
     def test_hash_and_equality_follow_the_fields(self):
         ds = dataset("s", [EARLY, LATE])
@@ -525,6 +520,20 @@ class TestDynamicCurve:
         b = StrategyDataset("b", (QuestionEntry("q1", LATE),))
         with pytest.raises(IdMismatch, match="'b' lacks question 'q0'"):
             dynamic_curve([a, b], [1, 3])
+
+    def test_a_run_checks_question_sets_when_built(self):
+        """Single-strategy reductions compare strategies too: a run, and the
+        selections, refuse strategies over different questions."""
+        a = StrategyDataset("a", (QuestionEntry("q0", EARLY),))
+        b = StrategyDataset("b", (QuestionEntry("q1", LATE),))
+        model = CostModel.from_per_million(0.15, 0.60)
+        for build in (
+            lambda: Run([a, b], [1, 3]),
+            lambda: best_for_n([a, b], 3),
+            lambda: best_under_cost([a, b], 1.0, model, [1, 3]),
+        ):
+            with pytest.raises(IdMismatch, match="'b' lacks question 'q0'"):
+                build()
 
 
 class TestCombinedCurve:
