@@ -32,7 +32,9 @@ one by one, from the line numbers kept per sample, for a question without
 ground truth and for a repeated key; the error raised is that of the first
 such record in reading order, with file and line.
 :func:`parse_records` and :func:`group_records` are the same steps one
-record at a time.
+record at a time. :func:`replay_majority` is exact: the mean vote over
+every n-subset of a pool, from :mod:`votescale.votemath`'s one Levin sum
+over binomial rows (plug-in cells give it Poisson rows).
 """
 from __future__ import annotations
 
@@ -42,12 +44,11 @@ import re
 import sys
 from array import array
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from itertools import groupby, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .distribution import AnswerDistribution, check_sampling_time
 from .errors import (
@@ -57,7 +58,7 @@ from .errors import (
     NotEnoughSamples,
     VoteScaleError,
 )
-from .votemath import _modal_winners, check_trials
+from .votemath import _pool_majority_prob
 
 #: Sentinel stored for unparseable or empty answers.
 UNPARSEABLE = "∅"
@@ -97,10 +98,6 @@ _CANONICAL_RECORD = re.compile(
 #: Log lines parsed as one JSON array. Small, so that the chunk's text and
 #: objects stay a small share of peak memory next to the records.
 _CHUNK_LINES = 256
-
-#: Upper bound on cells (rows x pool) materialized per block during replay.
-#: Fixed: the block layout is part of the deterministic random stream.
-_REPLAY_BLOCK_CELLS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -619,6 +616,12 @@ def answer_support(samples: QuestionSamples) -> tuple[str, ...]:
     return tuple(support)
 
 
+def _answer_counts(samples: QuestionSamples) -> tuple[tuple[str, ...], list[int]]:
+    """The pool's :func:`answer_support` and each of its answers' counts."""
+    support, counts = answer_support(samples), Counter(samples.answers)
+    return support, [counts[answer] for answer in support]
+
+
 def estimate_distribution(
     samples: QuestionSamples, *, smoothing: float = 0.0
 ) -> AnswerDistribution:
@@ -634,53 +637,24 @@ def estimate_distribution(
         raise ValueError("cannot estimate a distribution from zero samples")
     if not 0 <= smoothing < math.inf:
         raise ValueError("smoothing must be a finite number >= 0")
-    support = answer_support(samples)
-    counts = {answer: 0 for answer in support}
-    for answer in samples.answers:
-        counts[answer] += 1
+    support, counts = _answer_counts(samples)
     total = len(samples.answers) + smoothing * len(support)
-    probs = tuple((counts[a] + smoothing) / total for a in support)
+    probs = tuple((c + smoothing) / total for c in counts)
     return AnswerDistribution(probs, support.index(samples.correct_answer))
 
 
-def replay_majority(samples: QuestionSamples, n: int, trials: int, seed) -> float:
-    """Accuracy of an n-sample majority vote replayed from the recorded pool.
-
-    Each trial subsamples n answers uniformly without replacement (a fresh
-    subsample per trial; trials are not disjoint), majority-votes with
-    uniform tie-breaking, and scores against the correct answer. Returns
-    the success fraction over trials; deterministic for a fixed seed. A
-    draw with replacement is a vote over the pool's plug-in distribution,
-    whose exact value is
-    ``exact_majority_prob(estimate_distribution(samples), n)``.
-    """
+def replay_majority(samples: QuestionSamples, n: int) -> float:
+    """Accuracy of an n-sample majority vote replayed from the recorded pool:
+    the exact mean, over every n-subset of the pool, of the vote's success
+    with uniform tie-breaking, which is unbiased for majority@n accuracy.
+    Caps as for :func:`exact_majority_prob` (``CapExceeded``). A draw with
+    replacement is a vote over the pool's plug-in distribution, whose exact
+    value is ``exact_majority_prob(estimate_distribution(samples), n)``."""
     n = check_sampling_time(n)
-    trials = check_trials(trials)
-    pool = samples.pool_size
-    if pool < n:
-        raise NotEnoughSamples(f"pool has {pool} samples, vote needs {n}")
-
-    support = answer_support(samples)
-    index = {answer: code for code, answer in enumerate(support)}
-    codes = np.array([index[a] for a in samples.answers], dtype=np.int64)
-    correct_code = index[samples.correct_answer]
-    m = len(support)
-
-    rng = np.random.default_rng(seed)
-    block_rows = max(1, _REPLAY_BLOCK_CELLS // pool)
-    hits = 0
-    done = 0
-    while done < trials:
-        size = min(block_rows, trials - done)
-        # the n smallest of i.i.d. uniform keys form a uniform n-subset
-        keys = rng.random((size, pool))
-        picked = codes[np.argpartition(keys, n - 1, axis=1)[:, :n]]
-        # one bincount over codes shifted into per-row blocks of width m
-        offsets = picked + np.arange(size)[:, None] * m
-        counts = np.bincount(offsets.ravel(), minlength=size * m).reshape(size, m)
-        hits += int((_modal_winners(counts, rng) == correct_code).sum())
-        done += size
-    return hits / trials
+    if samples.pool_size < n:
+        raise NotEnoughSamples(f"pool has {samples.pool_size} samples, vote needs {n}")
+    support, counts = _answer_counts(samples)
+    return _pool_majority_prob(counts, support.index(samples.correct_answer), n)
 
 
 def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
@@ -695,21 +669,9 @@ def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
     )
 
 
-def mean_replay_accuracy(
-    groups: Iterable[QuestionSamples],
-    n: int,
-    trials: int,
-    seed,
-) -> float:
-    """Mean replayed accuracy over a collection of (question, strategy) pools.
-
-    Sub-seeds are derived per pool from ``seed`` and the pool's position,
-    so the result does not depend on how callers batch the work.
-    """
-    groups = list(groups)
-    if not groups:
+def mean_replay_accuracy(groups: Iterable[QuestionSamples], n: int) -> float:
+    """Mean of :func:`replay_majority` over (question, strategy) pools."""
+    values = [replay_majority(g, n) for g in groups]
+    if not values:
         raise ValueError("no sample pools to replay")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(groups))
-    values = [replay_majority(g, n, trials, children[i]) for i, g in enumerate(groups)]
     return float(math.fsum(values) / len(values))

@@ -15,7 +15,9 @@ Four estimators are provided:
   tie-break). Levin's Poisson representation of the multinomial turns that
   sum into, per correct count ``k``, one coefficient of a product of
   truncated Poisson polynomials, so time and memory are polynomial in ``n``
-  and the number of answers.
+  and the number of answers. One Levin sum takes Poisson rows for these
+  plug-in cells and binomial rows for a recorded pool's ``n``-subsets
+  (:func:`votescale.records.replay_majority`, the exact mean over them).
 * :func:`closed_form_majority_prob` evaluates the degree-3/degree-5
   polynomials available for three-answer spaces at ``n`` in {3, 5}.
 * :func:`monte_carlo_majority_prob` simulates complete votes with a seeded
@@ -322,11 +324,18 @@ def _exact_case(dist: AnswerDistribution, n: int, max_n: int) -> float | tuple[f
 def _exact_kernel(supports: list[tuple[float, ...]], n: int) -> np.ndarray:
     """Levin's sum (see :func:`exact_majority_prob`) for a batch of supports
     of one size ``m >= 2``, correct answer first and every entry nonzero, at
-    ``n >= 2``: one unclipped value per support. Axis 0 is the batch; no
-    operation mixes rows, so a row's value does not depend on the batch."""
+    ``n >= 2``: one unclipped value per support, from Poisson rows."""
     plan = _kernel_plan(n, len(supports[0]))
     rates = np.array([[(math.log(n * p), n * p, 1.0) for p in support] for support in supports])
     pmf = np.exp(rates @ plan.powers)  # Poisson(n p_j) over c = 0..n, correct answer first
+    return plan.prefactor * _levin_sum(pmf, n, plan)
+
+
+def _levin_sum(pmf: np.ndarray, n: int, plan: _KernelPlan) -> np.ndarray:
+    """Levin's sum (see :func:`exact_majority_prob`) without its prefactor,
+    over per-answer weight rows ``q_j(c)`` of shape (batch, m, n + 1), correct
+    answer first, with ``plan = _kernel_plan(n, m)``. No operation mixes rows
+    (axis 0), so a row's value does not depend on the batch."""
     waves = pmf[:, 1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
     prefix = np.cumsum(waves, axis=3)
     half, k0 = n // 2, plan.k0
@@ -337,7 +346,32 @@ def _exact_kernel(supports: list[tuple[float, ...]], n: int) -> np.ndarray:
         # k <= n/2: the sum over c < k plus y times the tie at k
         tied = prefix[:, None, :, :, k0 - 1 : half] + plan.nodes * waves[:, None, :, :, k0 : half + 1]
         total += _row_dots(plan.tied * pmf[:, 0, None, None, k0 : half + 1], tied.prod(axis=2))
-    return plan.prefactor * total.real
+    return total.real
+
+
+def _pool_majority_prob(counts: list[int], correct_index: int, n: int) -> float:
+    """Mean, over every ``n``-subset of a pool of ``K >= n`` samples holding
+    ``counts[j]`` of answer ``j``, of the vote's success (uniform tie-break).
+    A subset's counts are independent Binomial(K_j, n/K) counts conditioned
+    on summing to ``n``: Levin's sum over binomial rows divided by the
+    Binomial(K, n/K) pmf at ``n``. Special cases and caps are
+    :func:`_exact_case`'s for the pool's frequencies."""
+    pool = sum(counts)
+    case = _exact_case(AnswerDistribution(tuple(c / pool for c in counts), correct_index), n, EXACT_MAX_N)
+    if isinstance(case, float):
+        return case
+    if n == pool:  # the one subset is the pool itself (and log(1 - n/K) is -inf)
+        top = max(counts)
+        return 1.0 / counts.count(top) if counts[correct_index] == top else 0.0
+    wrong = [c for j, c in enumerate(counts) if j != correct_index and c > 0]
+    sizes, c = np.array([counts[correct_index], *wrong, pool], dtype=float)[:, None], np.arange(n + 1.0)
+    # log C(K_j, c) as cumulative sums of log((K_j - i) / (i + 1)), -inf past K_j
+    ratios = (sizes - c[:-1]) / c[1:]
+    steps = np.log(ratios, out=np.full(ratios.shape, -np.inf), where=ratios > 0)
+    log_pmf = np.cumsum(np.hstack([np.zeros_like(sizes), steps]), axis=1) + c * math.log(n / pool)
+    pmf = np.exp(log_pmf + (sizes - c) * math.log1p(-n / pool))
+    value = float(_levin_sum(pmf[None, :-1], n, _kernel_plan(n, len(case)))[0] / pmf[-1, n])
+    return min(max(value, 0.0), 1.0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -646,9 +680,9 @@ def scaling_curve(
     (:func:`monte_carlo_majority_probs`).
     """
     grid = check_grid(ns)
-    children = np.random.SeedSequence(seed).spawn(len(grid))
     method = canonical_method(method)
     if method == "monte_carlo":
+        children = np.random.SeedSequence(seed).spawn(len(grid))
         points = monte_carlo_majority_probs([(dist, n, child) for n, child in zip(grid, children)], trials)
     else:
         points = [vote_probability(dist, n, method, fallback=fallback) for n in grid]

@@ -1,7 +1,10 @@
 """Log parsing, distribution estimation from pools, replay, and cost."""
+import itertools
 import json
 import math
 import tracemalloc
+from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import votescale.records as records_module
 
 from votescale import (
+    CapExceeded,
     CostModel,
     Difficulty,
     DuplicateKey,
@@ -33,8 +37,10 @@ from votescale import (
     monte_carlo_majority_prob,
     parse_records,
     replay_majority,
+    simulate_votes,
 )
 from votescale.records import _RECORD_FIELDS, _json_lines
+from votescale.votemath import _modal_winners, check_trials
 
 
 def record_line(qid="q1", sid="s1", idx=0, answer="42", pt=100, ct=50):
@@ -532,57 +538,166 @@ class TestEstimateDistribution:
         assert classify(dist).kind is Difficulty.EASY
 
 
+#: Upper bound on cells (rows x pool) materialized per block during a
+#: sampled replay. Fixed: the block layout is part of the random stream.
+_REPLAY_BLOCK_CELLS = 1 << 24
+
+
+def sampled_replay(samples, n, trials, seed):
+    """Monte Carlo cross-check of :func:`replay_majority`: each trial votes
+    over a fresh uniform n-subset of the pool (uniform tie-break), and the
+    success fraction over trials is returned; deterministic for a fixed seed."""
+    trials = check_trials(trials)
+    support = answer_support(samples)
+    index = {answer: code for code, answer in enumerate(support)}
+    codes = np.array([index[a] for a in samples.answers], dtype=np.int64)
+    pool_size, m = samples.pool_size, len(support)
+    rng = np.random.default_rng(seed)
+    block_rows = max(1, _REPLAY_BLOCK_CELLS // pool_size)
+    hits = done = 0
+    while done < trials:
+        size = min(block_rows, trials - done)
+        # the n smallest of i.i.d. uniform keys form a uniform n-subset
+        keys = rng.random((size, pool_size))
+        picked = codes[np.argpartition(keys, n - 1, axis=1)[:, :n]]
+        # one bincount over codes shifted into per-row blocks of width m
+        offsets = picked + np.arange(size)[:, None] * m
+        counts = np.bincount(offsets.ravel(), minlength=size * m).reshape(size, m)
+        hits += int((_modal_winners(counts, rng) == index[samples.correct_answer]).sum())
+        done += size
+    return hits / trials
+
+
+def subset_mean(answers, correct, n):
+    """Brute force: the vote's success averaged over every n-subset, as a Fraction."""
+    total = Fraction(0)
+    subsets = list(itertools.combinations(answers, n))
+    for subset in subsets:
+        counts = Counter(subset)
+        top = max(counts.values())
+        if counts[correct] == top:
+            total += Fraction(1, sum(c == top for c in counts.values()))
+    return total / len(subsets)
+
+
+def count_mean(counts, n):
+    """The same mean from answer counts, correct answer first: each vote
+    count vector weighted by its number of subsets, as a Fraction."""
+    total = Fraction(0)
+    for votes in itertools.product(*(range(min(c, n) + 1) for c in counts)):
+        if sum(votes) == n and votes[0] == max(votes):
+            weight = math.prod(math.comb(c, v) for c, v in zip(counts, votes))
+            total += Fraction(weight, votes.count(votes[0]))
+    return total / math.comb(sum(counts), n)
+
+
+def counted_pool(counts):
+    """A pool holding counts[j] samples of answer chr(97 + j); 'a' is correct."""
+    return pool([chr(97 + j) for j, c in enumerate(counts) for _ in range(c)])
+
+
 class TestReplay:
     def test_unanimous_pool(self):
-        assert replay_majority(pool(["a"] * 10), 3, 200, seed=0) == 1.0
-        assert replay_majority(pool(["b"] * 10, correct="a"), 3, 200, seed=0) == 0.0
+        assert replay_majority(pool(["a"] * 10), 3) == 1.0
+        assert replay_majority(pool(["b"] * 10, correct="a"), 3) == 0.0
 
     def test_forced_tie_breaks_evenly(self):
-        value = replay_majority(pool(["a", "b"]), 2, 40_000, seed=1)
-        assert value == pytest.approx(0.5, abs=0.01)
+        """n = pool size: the one subset is the pool, tied two ways."""
+        assert replay_majority(pool(["a", "b"]), 2) == 0.5
+        assert replay_majority(pool(list("abcab")), 5) == 0.5
 
     def test_pool_too_small(self):
         with pytest.raises(NotEnoughSamples):
-            replay_majority(pool(["a", "b"]), 3, 10, seed=0)
+            replay_majority(pool(["a", "b"]), 3)
 
     def test_full_pool_vote_is_deterministic(self):
         p = pool(["a", "a", "b"])
-        assert replay_majority(p, 3, 50, seed=3) == 1.0
+        assert replay_majority(p, 3) == 1.0
+
+    def test_one_sample_vote_is_the_correct_frequency(self):
+        assert replay_majority(pool(list("abacab")), 1) == 3 / 6
+
+    def test_correct_answer_never_sampled(self):
+        assert replay_majority(pool(list("bcbcb")), 3) == 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.sampled_from("abcd"), min_size=1, max_size=10))
+    def test_matches_brute_force_subsets(self, answers):
+        for n in range(1, len(answers) + 1):
+            want = subset_mean(answers, "a", n)
+            assert abs(replay_majority(pool(answers), n) - want) <= 1e-14
+
+    @pytest.mark.parametrize(
+        "counts, n, digits",
+        [((9, 7), 9, 0.71416), ((6, 5, 5), 9, 0.47392), ((20, 19, 25), 31, 0.19180)],
+    )
+    def test_known_pools(self, counts, n, digits):
+        """The unbiased subset means, against the plug-in 0.651 / 0.430 / 0.233."""
+        got = replay_majority(counted_pool(counts), n)
+        assert abs(got - count_mean(counts, n)) <= 1e-14
+        assert got == pytest.approx(digits, abs=5e-6)
+
+    @pytest.mark.parametrize(
+        "answers, n, message",
+        [
+            ("abcdefghi", 3, "9 nonzero answers exceed the cap of 8"),
+            ("ab" * 31, 61, "n=61 exceeds the exact cap of 60"),
+        ],
+        ids=["answers", "n"],
+    )
+    def test_shares_the_plug_in_caps(self, answers, n, message):
+        p = pool(list(answers))
+        with pytest.raises(CapExceeded, match=message):
+            replay_majority(p, n)
+        with pytest.raises(CapExceeded, match=message):
+            exact_majority_prob(estimate_distribution(p), n)
+
+    def test_sampled_replay_agrees(self):
+        p = pool(list("aabbbcacbdaacb"))
+        for n in (2, 5, 9):
+            want = replay_majority(p, n)
+            got = sampled_replay(p, n, 20_000, seed=n)
+            assert got == pytest.approx(want, abs=4 * math.sqrt(want * (1 - want) / 20_000))
 
     def test_matches_exact_rate_for_big_pool(self):
         """A 100-sample pool at the same frequencies replays close to the
         closed-book vote probability for a small n."""
         p = pool(["a"] * 64 + ["b"] * 35 + ["c"] * 1)
-        value = replay_majority(p, 3, 30_000, seed=7)
+        value = replay_majority(p, 3)
         assert value == pytest.approx(0.709, abs=0.05)
 
     def test_converges_to_exact_with_huge_pool(self):
+        """Time and memory follow n, not the pool: well under 1 MiB here."""
         rng = np.random.default_rng(11)
         answers = rng.choice(["a", "b", "c"], size=10_000, p=[0.6, 0.2, 0.2])
         p = pool(answers.tolist())
         want = exact_majority_prob(estimate_distribution(p), 5).value
-        got = replay_majority(p, 5, 40_000, seed=13)
+        tracemalloc.start()
+        try:
+            got = replay_majority(p, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert got == pytest.approx(want, abs=0.02)
+        assert peak < 1 << 20
 
     def test_deterministic_under_seed(self):
         p = pool(["a", "a", "b", "c", "a", "b"])
-        a = replay_majority(p, 3, 5_000, seed=21)
-        b = replay_majority(p, 3, 5_000, seed=21)
+        a = sampled_replay(p, 3, 5_000, seed=21)
+        b = sampled_replay(p, 3, 5_000, seed=21)
         assert a == b
 
     def test_replay_stream_is_pinned(self):
         """Pinned values: changes to the counting or tie-break code must not
         change the random stream a seeded replay consumes."""
         p = pool(list("aabbbcacbd"))
-        got = [replay_majority(p, n, 1000, seed=3) for n in (1, 4, 7)]
+        got = [sampled_replay(p, n, 1000, seed=3) for n in (1, 4, 7)]
         assert got == [0.315, 0.303, 0.286]
 
     def test_argument_validation(self):
         p = pool(["a", "b", "c"])
         with pytest.raises(ValueError):
-            replay_majority(p, 0, 10, seed=0)
-        with pytest.raises(ValueError):
-            replay_majority(p, 1, 0, seed=0)
+            replay_majority(p, 0)
 
     @pytest.mark.parametrize(
         "trials, message",
@@ -593,26 +708,25 @@ class TestReplay:
         ],
         ids=["float", "str", "zero"],
     )
-    @pytest.mark.parametrize("estimate", ["replay", "monte_carlo"])
+    @pytest.mark.parametrize("estimate", ["simulate", "monte_carlo"])
     def test_trials_must_be_a_positive_integer(self, estimate, trials, message):
-        p = pool(["a", "b", "a"])
+        dist = estimate_distribution(pool(["a", "b", "a"]))
         with pytest.raises(ValueError, match=message):
-            if estimate == "replay":
-                replay_majority(p, 1, trials, seed=0)
+            if estimate == "simulate":
+                simulate_votes(dist, 3, trials, np.random.default_rng(0))
             else:
-                monte_carlo_majority_prob(estimate_distribution(p), 3, trials, 0)
+                monte_carlo_majority_prob(dist, 3, trials, 0)
 
     def test_mean_over_pools(self):
         groups = [pool(["a"] * 5), pool(["b"] * 5, correct="a")]
-        assert mean_replay_accuracy(groups, 3, 100, seed=0) == 0.5
+        assert mean_replay_accuracy(groups, 3) == 0.5
         with pytest.raises(ValueError):
-            mean_replay_accuracy([], 3, 100, seed=0)
+            mean_replay_accuracy([], 3)
 
     def test_mean_is_batch_invariant(self):
         groups = [pool(["a", "a", "b"]), pool(["a", "b", "b"])]
-        a = mean_replay_accuracy(groups, 3, 2_000, seed=9)
-        b = mean_replay_accuracy(groups, 3, 2_000, seed=9)
-        assert a == b
+        want = math.fsum(replay_majority(g, 3) for g in groups) / 2
+        assert mean_replay_accuracy(groups, 3) == mean_replay_accuracy(iter(groups), 3) == want
 
 
 class TestCost:

@@ -793,7 +793,7 @@ _POOL = QuestionSamples("q0", "s0", "a", ("a", "b", "a", "c"), 10.0, 5.0)
         lambda n: scaling_curve(_D, [1, n]),
         lambda n: check_grid([n]),
         lambda n: VoteProbability(0.5, "exact", n),
-        lambda n: replay_majority(_POOL, n, 100, 0),
+        lambda n: replay_majority(_POOL, n),
         lambda n: cost_of(_POOL, n, CostModel(1.0, 2.0)),
     ],
     ids=["exact", "approx", "mc", "simulate", "curve", "grid", "point", "replay", "cost"],
