@@ -385,11 +385,12 @@ def cmd_synth(args) -> int:
                             "answer": f"a{int(answer_index)}",
                             "prompt_tokens": prompt_tokens,
                             "completion_tokens": completion_tokens,
-                        }
+                        },
+                        ensure_ascii=False,
                     )
                 )
     truth_lines = [
-        json.dumps({"question_id": question_id, "correct_answer": answer})
+        json.dumps({"question_id": question_id, "correct_answer": answer}, ensure_ascii=False)
         for question_id, answer in correct_by_question.items()
     ]
 

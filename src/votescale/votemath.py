@@ -7,7 +7,7 @@ multinomial distribution. The vote returns an answer whose count attains the
 maximum, chosen uniformly at random when several answers tie. The quantity
 of interest is the probability that the returned answer is the correct one.
 
-Four estimators are provided:
+Three estimators are provided:
 
 * :func:`exact_majority_prob` gives the exact value: every count outcome
   where the correct count ties the maximum with ``t`` other answers
@@ -18,8 +18,6 @@ Four estimators are provided:
   and the number of answers. One Levin sum takes Poisson rows for these
   plug-in cells and binomial rows for a recorded pool's ``n``-subsets
   (:func:`votescale.records.replay_majority`, the exact mean over them).
-* :func:`closed_form_majority_prob` evaluates the degree-3/degree-5
-  polynomials available for three-answer spaces at ``n`` in {3, 5}.
 * :func:`monte_carlo_majority_prob` simulates complete votes with a seeded
   generator and reports the success fraction with its standard error. A
   cell costs about what its draws cost: the multinomial counts and the
@@ -32,6 +30,10 @@ Four estimators are provided:
 * :func:`normal_approx_prob` compares the correct count against the
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
+
+:func:`closed_form_majority_prob` is a check on the exact value, not a
+method: it evaluates the degree-3/degree-5 polynomials available for
+three-answer spaces at ``n`` in {3, 5}.
 
 The exact kernel's plan (correct-count range, roots of unity, extraction
 and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
@@ -55,7 +57,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -116,12 +118,13 @@ _METHOD_ALIASES = {
     "normal_approx": "normal_approx",
     "mc": "monte_carlo",
     "monte_carlo": "monte_carlo",
-    "closed_form": "closed_form",
 }
 
 
 def canonical_method(name: str) -> str:
-    """Map a method alias ('approx', 'mc', ...) to its canonical tag."""
+    """Map a method name or alias ('approx', 'mc') to its canonical tag:
+    'exact', 'normal_approx' or 'monte_carlo'. Any other name, 'closed_form'
+    included, is a ValueError."""
     try:
         return _METHOD_ALIASES[name]
     except KeyError:
@@ -415,39 +418,6 @@ def check_trials(trials) -> int:
     return value
 
 
-def simulate_votes(
-    dist: AnswerDistribution, n: int, trials: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Vectorized batch of independent majority votes; winning index per trial.
-
-    The occurrence vectors are multinomial draws and ties are broken
-    uniformly (via random scores restricted to the modal set).
-    """
-    n = check_sampling_time(n)
-    trials = check_trials(trials)
-    _check_draw(n)
-    winners = np.empty(trials, dtype=np.int64)
-    for start, block in zip(range(0, trials, _BLOCK), _block_winners(dist, n, trials, rng)):
-        winners[start : start + len(block)] = block
-    return winners
-
-
-def _block_winners(
-    dist: AnswerDistribution, n: int, trials: int, rng: np.random.Generator
-) -> Iterator[np.ndarray]:
-    """The one simulation loop: the winners of ``trials`` votes, one array
-    per block of at most ``_BLOCK`` trials, each block's multinomial counts
-    drawn before its tie-break scores; ``n`` has passed :func:`_check_draw`."""
-    for start in range(0, trials, _BLOCK):
-        yield _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
-
-
-def _check_draw(n: int) -> None:
-    """Raise ValueError for an ``n`` too large for numpy's int64 counts."""
-    if n > _MAX_DRAW:
-        raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
-
-
 def _modal_winners(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per row of occurrence counts, a uniformly random index among the
     row's maxima: random scores restricted to the modal set, then argmax."""
@@ -490,7 +460,8 @@ def monte_carlo_majority_probs(cells: Iterable[tuple], trials: int) -> list[Vote
     cells = [(dist, check_sampling_time(n), seed) for dist, n, seed in cells]
     trials = check_trials(trials)
     for _, n, _ in cells:
-        _check_draw(n)
+        if n > _MAX_DRAW:
+            raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
     workers = min(_cpu_count(), len(cells))
     if workers > 1 and len(cells) * trials >= _FORK_TRIALS and threading.active_count() == 1:
         hits = _forked_hits(cells, trials, workers)
@@ -516,8 +487,10 @@ def _shard_hits(cells: list[tuple], trials: int) -> list[int]:
     the correct answer, drawn from ``np.random.default_rng(seed)``."""
     hits = []
     for dist, n, seed in cells:
-        wins = 0
-        for winners in _block_winners(dist, n, trials, np.random.default_rng(seed)):
+        rng, wins = np.random.default_rng(seed), 0
+        for start in range(0, trials, _BLOCK):
+            # each block's multinomial counts are drawn before its tie-break scores
+            winners = _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
             wins += np.count_nonzero(winners == dist.correct_index)
             del winners  # not alive while the next block is simulated
         hits.append(int(wins))
@@ -636,7 +609,8 @@ def vote_probability(
     seed=0,
     fallback: bool = False,
 ) -> VoteProbability:
-    """Dispatch to one estimator by method name (aliases accepted).
+    """Dispatch to one estimator by method name (see :func:`canonical_method`):
+    exact, normal approximation or Monte Carlo.
 
     With ``method='exact'`` and ``fallback=True``, sizes beyond the exact
     caps are answered by :func:`normal_approx_prob` instead of raising.
@@ -646,11 +620,7 @@ def vote_probability(
         return exact_majority_probs([(dist, n)], fallback=fallback)[0]
     if method == "normal_approx":
         return normal_approx_prob(dist, n)
-    if method == "monte_carlo":
-        return monte_carlo_majority_prob(dist, n, trials, seed)
-    if method == "closed_form":
-        return closed_form_majority_prob(dist, n)
-    raise AssertionError(method)
+    return monte_carlo_majority_prob(dist, n, trials, seed)
 
 
 def check_grid(ns) -> tuple[int, ...]:

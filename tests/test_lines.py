@@ -359,6 +359,44 @@ class TestChunkedRecords:
             assert parse_records(streamed) == records
         assert loads.call_count == 0
 
+    def test_synth_writes_non_ascii_ids_as_utf8(self, tmp_path):
+        """Ids outside ASCII are written as UTF-8, not as \\u escapes, so
+        their lines take the pattern route too; the report is the one an
+        escaped copy of the same log gives."""
+        scenario = tmp_path / "scenario.jsonl"
+        with open(scenario, "w", encoding="utf-8") as fh:
+            for s, lift in (("sé", 0.0), ("s€", 0.2)):
+                for q in range(30):
+                    m = 2 + q % 4
+                    probs = [(1 - lift) / m] * m
+                    probs[q % m] += lift
+                    row = {**SCENARIO, "strategy_id": s, "question_id": f"q{q}ü", "probs": probs,
+                           "correct_index": q % m}
+                    fh.write(json.dumps(row) + "\n")
+        data, escaped = tmp_path / "data", tmp_path / "escaped"
+        assert cli.main(["synth", "--scenario", str(scenario), "--samples", "40", "--out", str(data)]) == 0
+        escaped.mkdir()
+        for name in ("log.jsonl", "truth.jsonl"):
+            text = (data / name).read_text(encoding="utf-8")
+            assert "ü" in text and "\\u" not in text
+            (escaped / name).write_text("".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()))
+        lines = list(cli._lines(str(data / "log.jsonl")))
+        assert len(lines) == 2 * 30 * 40 + 1
+        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+            records = parse_records(lines)
+        assert loads.call_count == 0
+        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+            assert parse_records(cli._lines(str(escaped / "log.jsonl"))) == records
+        assert loads.call_count == -(-len(lines) // _CHUNK_LINES)  # one JSON array per chunk
+        reports = {}
+        for source in (data, escaped):
+            out = tmp_path / f"report-{source.name}"
+            argv = ["analyze", "--log", str(source / "log.jsonl"), "--truth", str(source / "truth.jsonl"),
+                    "--grid", "1,3,5,9", "--out", str(out)]
+            assert cli.main(argv) == 0
+            reports[source.name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert reports["data"] == reports["escaped"]
+
     def test_identical_strings_share_one_object(self):
         records = parse_records(valid_lines(RECORD, 3) * 2)
         assert records[0].strategy_id is records[5].strategy_id

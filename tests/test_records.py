@@ -37,7 +37,7 @@ from votescale import (
     monte_carlo_majority_prob,
     parse_records,
     replay_majority,
-    simulate_votes,
+    scaling_curve,
 )
 from votescale.records import _RECORD_FIELDS, _json_lines
 from votescale.votemath import _modal_winners, check_trials
@@ -708,14 +708,14 @@ class TestReplay:
         ],
         ids=["float", "str", "zero"],
     )
-    @pytest.mark.parametrize("estimate", ["simulate", "monte_carlo"])
+    @pytest.mark.parametrize("estimate", ["monte_carlo", "curve"])
     def test_trials_must_be_a_positive_integer(self, estimate, trials, message):
         dist = estimate_distribution(pool(["a", "b", "a"]))
         with pytest.raises(ValueError, match=message):
-            if estimate == "simulate":
-                simulate_votes(dist, 3, trials, np.random.default_rng(0))
-            else:
+            if estimate == "monte_carlo":
                 monte_carlo_majority_prob(dist, 3, trials, 0)
+            else:
+                scaling_curve(dist, [1, 3], "mc", trials=trials)
 
     def test_mean_over_pools(self):
         groups = [pool(["a"] * 5), pool(["b"] * 5, correct="a")]

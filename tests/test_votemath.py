@@ -18,8 +18,11 @@ from votescale import (
     AnswerDistribution,
     CapExceeded,
     CostModel,
+    QuestionEntry,
     QuestionSamples,
+    Run,
     ScalingCurve,
+    StrategyDataset,
     VoteProbability,
     WrongArity,
     closed_form_majority_prob,
@@ -31,7 +34,6 @@ from votescale import (
     normal_approx_prob,
     replay_majority,
     scaling_curve,
-    simulate_votes,
     standard_normal_cdf,
     vote_probability,
 )
@@ -43,6 +45,7 @@ from votescale.votemath import (
     EXACT_MAX_ANSWERS,
     _kernel_plan,
     _modal_winners,
+    canonical_method,
     check_grid,
 )
 
@@ -450,29 +453,26 @@ class TestSimulation:
         probability within Monte Carlo noise."""
         d = AnswerDistribution((0.45, 0.35, 0.2))
         n, trials = 5, 20_000
-        batch_rate = float(
-            (simulate_votes(d, n, trials, np.random.default_rng(13)) == 0).mean()
-        )
+        batch_rate = monte_carlo_majority_prob(d, n, trials, 13).value
         exact = exact_majority_prob(d, n).value
         assert abs(batch_rate - exact) < 5 * math.sqrt(exact * (1 - exact) / trials)
 
     def test_tie_breaking_is_uniform(self):
         d = AnswerDistribution((0.5, 0.5))
-        winners = simulate_votes(d, 2, 40_000, np.random.default_rng(3))
         # half the trials split 1-1 and the coin decides; overall P(win)=0.5
-        rate = float((winners == 0).mean())
+        rate = monte_carlo_majority_prob(d, 2, 40_000, 3).value
         assert rate == pytest.approx(0.5, abs=0.01)
 
     def test_batch_winners_are_pinned(self):
         """Pinned winners: the multinomial draws and the tie-break scores
         keep their order in the random stream."""
         rng = np.random.default_rng(5)
-        winners = simulate_votes(AnswerDistribution((0.4, 0.3, 0.3)), 4, 20, rng)
+        winners = _modal_winners(rng.multinomial(4, (0.4, 0.3, 0.3), size=20), rng)
         assert winners.tolist() == [
             1, 0, 1, 2, 1, 0, 1, 0, 2, 0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 1
         ]
         rng = np.random.default_rng(9)
-        winners = simulate_votes(AnswerDistribution((0.25,) * 4), 2, 20, rng)
+        winners = _modal_winners(rng.multinomial(2, (0.25,) * 4, size=20), rng)
         assert winners.tolist() == [
             2, 1, 1, 3, 3, 0, 2, 3, 1, 0, 1, 2, 2, 3, 2, 3, 0, 1, 0, 0
         ]
@@ -513,9 +513,6 @@ class TestSimulation:
         vp = monte_carlo_majority_prob(dist, n, trials, seed)
         assert type(vp.value) is float and type(vp.stderr) is float
         assert (vp.value, vp.stderr) == (value, stderr)
-        # simulate_votes runs the same loop on the same stream
-        winners = simulate_votes(dist, n, trials, np.random.default_rng(seed))
-        assert np.count_nonzero(winners == correct) / trials == value
 
     def test_monte_carlo_memory_does_not_grow_with_trials(self):
         """Wins are counted per block: four blocks peak no higher than one."""
@@ -552,8 +549,6 @@ class TestSimulation:
         d = AnswerDistribution((0.5, 0.5))
         with pytest.raises(ValueError, match=r"^Monte Carlo needs n <= 2\^63 - 1, got 9223372036854775808$"):
             monte_carlo_majority_prob(d, 2**63, 1, seed=0)
-        with pytest.raises(ValueError, match=r"n <= 2\^63 - 1, got 100000000000000000000$"):
-            simulate_votes(d, 10**20, 1, np.random.default_rng(0))
         assert monte_carlo_majority_prob(d, 2**63 - 1, 1, seed=0).n == 2**63 - 1
 
     def test_rejects_bad_arguments(self):
@@ -747,6 +742,24 @@ class TestScalingCurve:
         assert scaling_curve(d, [3], "approx").method == "normal_approx"
         assert scaling_curve(d, [3], "mc", trials=100).method == "monte_carlo"
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            canonical_method,
+            lambda method: vote_probability(AnswerDistribution((0.5, 0.3, 0.2)), 3, method),
+            lambda method: scaling_curve(AnswerDistribution((0.5, 0.3, 0.2)), [3, 5], method),
+            lambda method: Run(
+                [StrategyDataset("s", (QuestionEntry("q0", AnswerDistribution((0.5, 0.3, 0.2))),))], [3, 5], method
+            ),
+        ],
+        ids=["canonical", "vote", "curve", "run"],
+    )
+    def test_closed_forms_are_not_a_method(self, call):
+        """Closed forms check the exact value (criterion 1); no estimator
+        setting selects them."""
+        with pytest.raises(ValueError, match=r"^unknown method 'closed_form'$"):
+            call("closed_form")
+
     def test_fallback_only_when_enabled(self):
         d = AnswerDistribution((0.6, 0.4))
         with pytest.raises(CapExceeded):
@@ -789,14 +802,13 @@ _POOL = QuestionSamples("q0", "s0", "a", ("a", "b", "a", "c"), 10.0, 5.0)
         lambda n: exact_majority_prob(_D, n),
         lambda n: normal_approx_prob(_D, n),
         lambda n: monte_carlo_majority_prob(_D, n, 100, 0),
-        lambda n: simulate_votes(_D, n, 100, np.random.default_rng(0)).tolist(),
         lambda n: scaling_curve(_D, [1, n]),
         lambda n: check_grid([n]),
         lambda n: VoteProbability(0.5, "exact", n),
         lambda n: replay_majority(_POOL, n),
         lambda n: cost_of(_POOL, n, CostModel(1.0, 2.0)),
     ],
-    ids=["exact", "approx", "mc", "simulate", "curve", "grid", "point", "replay", "cost"],
+    ids=["exact", "approx", "mc", "curve", "grid", "point", "replay", "cost"],
 )
 def test_sampling_times_must_be_integers(call):
     """Python and numpy integers give the same result; other numbers are
