@@ -62,12 +62,13 @@ from .distribution import AnswerDistribution
 from .errors import CapExceeded, DuplicateKey, MalformedLine, NoWrongMass, VoteScaleError
 from .records import CostModel, answer_support, group_logs, load_ground_truth
 
-# bench/tracer.py times the record-at-a-time steps and the free reductions
-# under these names; the CLI itself reads logs with group_logs and reduces
-# with one Run
+# bench/tracer.py times the record-at-a-time steps, the free reductions and
+# the per-cell estimator under these names; the CLI itself reads logs with
+# group_logs, reduces with one Run and evaluates cells with vote_probabilities
 from .records import group_records, parse_records  # noqa: F401
 from .selection import adaptive_curve, best_for_n, best_under_cost, combined_curve, dynamic_curve  # noqa: F401
 from .selection import extreme_performance  # noqa: F401
+from .votemath import vote_probability  # noqa: F401
 from .selection import Run, StrategyDataset, datasets_from_samples, dominance_count, load_scenario
 from .votemath import _MAX_DRAW, check_grid, scaling_curve
 

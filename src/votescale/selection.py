@@ -17,17 +17,17 @@ question, effective n) cells of a :class:`Run`, which holds strategy
 datasets on one grid under one estimator setting. Every strategy of a run
 covers the same questions, which is checked when the run is built, so
 every reduction compares means over one question set. A reduction
-evaluates the cells it reads that are still missing in one estimator call
-(one :func:`votescale.votemath.exact_majority_probs` call, which evaluates
-each distinct kernel input once, one Monte Carlo batch, or
-``vote_probability`` per cell), takes each question's best strategy with
-``argmax`` and averages with ``math.fsum``. The free functions
-(:func:`accuracy_curve`, ...) each evaluate a one-off run, only the cells
-they read, and keep nothing. Monte Carlo cells derive their sub-seed from
-(strategy, the question's position in its own dataset, effective n), so a
-cell has one value however it is reached and the
-documented dominance relations between curves survive sampling noise. A
-dataset point is tagged with the least exact estimator among its cells.
+evaluates the cells it reads that are still missing in one
+:func:`votescale.votemath.vote_probabilities` call (for exact cells, one
+kernel batch that evaluates each distinct kernel input once), takes each
+question's best strategy with ``argmax`` and averages with ``math.fsum``.
+The free functions (:func:`accuracy_curve`, ...) each evaluate a one-off
+run, only the cells they read, and keep nothing. Monte Carlo cells derive
+their sub-seed from (strategy, the question's position in its own
+dataset, effective n), so a cell has one value however it is reached and
+the documented dominance relations between curves survive sampling
+noise. A dataset point is tagged with the least exact estimator among
+its cells.
 """
 from __future__ import annotations
 
@@ -49,14 +49,7 @@ from .errors import (
 )
 from .records import CostModel, QuestionSamples, estimate_distribution
 from .records import _json_lines, _number, _text
-from .votemath import (
-    ScalingCurve,
-    canonical_method,
-    check_grid,
-    exact_majority_probs,
-    monte_carlo_majority_probs,
-    vote_probability,
-)
+from .votemath import ScalingCurve, canonical_method, check_grid, vote_probabilities
 
 _SCENARIO_FIELDS = frozenset(
     {
@@ -174,6 +167,7 @@ class Run:
         if not order:
             raise ValueError("dataset has no questions")
         self.trials, self.seed, self.fallback = trials, seed, fallback
+        self._crc = [zlib.crc32(ds.strategy_id.encode("utf-8")) for ds in self.datasets]
         self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
         # per strategy, where each of the first dataset's questions sits in its own dataset
         where = [{question_id: qi for qi, question_id in enumerate(own)} for own in ids]
@@ -184,11 +178,10 @@ class Run:
         self._cells = np.full((len(self.datasets), len(self._index), len(order), 3), np.nan)
 
     def _fill(self, requests) -> None:
-        """Evaluate the missing cells of non-overlapping ``(strategy, n,
-        rows)`` requests (``rows`` a question mask, or True), in order, in one
-        estimator call: :func:`exact_majority_probs`, one Monte Carlo batch
-        with a sub-seed per cell, or ``vote_probability`` per cell. A cell's
-        distribution and sub-seed use its position in its own dataset."""
+        """Evaluate the missing cells of non-overlapping ``(strategy, n, rows)``
+        requests (``rows`` a question mask, or True), in order, in one
+        :func:`vote_probabilities` call; a cell's distribution and Monte Carlo
+        sub-seed use its position in its own dataset."""
         todo = []
         for s, n, rows in requests:
             columns = np.flatnonzero(np.isnan(self._cells[s, self._index[n], :, 0]) & rows)
@@ -196,19 +189,14 @@ class Run:
                 todo.append((s, n, columns))
         if not todo:
             return
-        # generated, so that a large batch's cells are not held twice
-        own = ((s, n, qi) for s, n, columns in todo for qi in self._own[s, columns].tolist())
-        cells = ((s, self.datasets[s].questions[qi].dist, n, qi) for s, n, qi in own)
-        if self.method == "exact":
-            values = exact_majority_probs(((dist, n) for _, dist, n, _ in cells), fallback=self.fallback)
-        elif self.method == "monte_carlo":
-            crc = [zlib.crc32(ds.strategy_id.encode("utf-8")) for ds in self.datasets]
-            # the entropy tuple seeds default_rng as SeedSequence([...]) would
-            seeded = ((d, n, (self.seed, crc[s], qi, n)) for s, d, n, qi in cells)
-            values = monte_carlo_majority_probs(seeded, self.trials)
-        else:
-            values = [vote_probability(d, n, self.method, fallback=self.fallback) for _, d, n, _ in cells]
-        values = iter(values)
+        # generated, so that a large batch's cells are not held twice; the
+        # entropy tuple seeds default_rng as SeedSequence([...]) would
+        cells = (
+            (self.datasets[s].questions[qi].dist, n, (self.seed, self._crc[s], qi, n))
+            for s, n, columns in todo
+            for qi in self._own[s, columns].tolist()
+        )
+        values = iter(vote_probabilities(cells, self.method, trials=self.trials, fallback=self.fallback))
         for s, n, columns in todo:
             rows = [(vp.value, METHODS.index(vp.method), vp.stderr or 0.0) for _, vp in zip(columns, values)]
             self._cells[s, self._index[n], columns] = rows

@@ -31,6 +31,9 @@ Three estimators are provided:
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
 
+:func:`vote_probabilities` is the one place where a method name picks one
+of them, for a batch of ``(dist, n, seed)`` cells; :func:`vote_probability`,
+:func:`scaling_curve` and :class:`votescale.selection.Run` go through it.
 :func:`closed_form_majority_prob` is a check on the exact value, not a
 method: it evaluates the degree-3/degree-5 polynomials available for
 three-answer spaces at ``n`` in {3, 5}.
@@ -600,6 +603,23 @@ def _margin_and_spread(dist: AnswerDistribution) -> tuple[float, float]:
     return p1 - p_max, p1 * (1.0 - p1) + p_max * (1.0 - p_max)
 
 
+def vote_probabilities(
+    cells: Iterable[tuple], method: str = "exact", *, trials: int = 100_000, fallback: bool = False
+) -> list[VoteProbability]:
+    """Each ``(dist, n, seed)`` cell's value under the estimator that
+    ``method`` names (see :func:`canonical_method`), in order: one
+    :func:`exact_majority_probs` call (``fallback`` as there), one
+    :func:`monte_carlo_majority_probs` batch drawing each cell from its
+    seed, or :func:`normal_approx_prob` per cell. Only Monte Carlo reads
+    the seeds."""
+    method = canonical_method(method)
+    if method == "exact":
+        return exact_majority_probs(((d, n) for d, n, _ in cells), fallback=fallback)
+    if method == "monte_carlo":
+        return monte_carlo_majority_probs(cells, trials)
+    return [normal_approx_prob(d, n) for d, n, _ in cells]
+
+
 def vote_probability(
     dist: AnswerDistribution,
     n: int,
@@ -609,18 +629,8 @@ def vote_probability(
     seed=0,
     fallback: bool = False,
 ) -> VoteProbability:
-    """Dispatch to one estimator by method name (see :func:`canonical_method`):
-    exact, normal approximation or Monte Carlo.
-
-    With ``method='exact'`` and ``fallback=True``, sizes beyond the exact
-    caps are answered by :func:`normal_approx_prob` instead of raising.
-    """
-    method = canonical_method(method)
-    if method == "exact":
-        return exact_majority_probs([(dist, n)], fallback=fallback)[0]
-    if method == "normal_approx":
-        return normal_approx_prob(dist, n)
-    return monte_carlo_majority_prob(dist, n, trials, seed)
+    """One cell's value by method name: the batch of one of :func:`vote_probabilities`."""
+    return vote_probabilities([(dist, n, seed)], method, trials=trials, fallback=fallback)[0]
 
 
 def check_grid(ns) -> tuple[int, ...]:
@@ -642,18 +652,17 @@ def scaling_curve(
     seed=0,
     fallback: bool = False,
 ) -> ScalingCurve:
-    """Evaluate one estimator over a grid of sampling times.
+    """Evaluate one estimator over a grid of sampling times, in one
+    :func:`vote_probabilities` call.
 
     Monte Carlo points get independent sub-seeds derived from ``seed`` and
     the point's position, so the curve is deterministic and points do not
-    share randomness; they are drawn as one batch
-    (:func:`monte_carlo_majority_probs`).
+    share randomness.
     """
     grid = check_grid(ns)
     method = canonical_method(method)
-    if method == "monte_carlo":
-        children = np.random.SeedSequence(seed).spawn(len(grid))
-        points = monte_carlo_majority_probs([(dist, n, child) for n, child in zip(grid, children)], trials)
-    else:
-        points = [vote_probability(dist, n, method, fallback=fallback) for n in grid]
+    # only Monte Carlo reads seeds: exact runs do not import numpy.random
+    seeds = np.random.SeedSequence(seed).spawn(len(grid)) if method == "monte_carlo" else [seed] * len(grid)
+    cells = [(dist, n, s) for n, s in zip(grid, seeds)]
+    points = vote_probabilities(cells, method, trials=trials, fallback=fallback)
     return ScalingCurve(points=tuple(points), method=method)

@@ -364,14 +364,15 @@ class TestPredict:
                 for q in range(1000)
             ],
         )
-        real = selection.vote_probability
+        real = selection.vote_probabilities
         calls = []
 
-        def counting(dist, n, method, **kwargs):
-            calls.append(n)
-            return real(dist, n, method, **kwargs)
+        def counting(cells, method, **kwargs):
+            cells = list(cells)
+            calls.extend(n for _, n, _ in cells)
+            return real(cells, method, **kwargs)
 
-        monkeypatch.setattr(selection, "vote_probability", counting)
+        monkeypatch.setattr(selection, "vote_probabilities", counting)
         code, _, err = run(
             capsys,
             [
@@ -585,10 +586,10 @@ class TestSynthAnalyze:
             assert (report_a / name).read_bytes() == (report_b / name).read_bytes()
 
     def test_analyze_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
-        import votescale.selection as selection
+        import votescale.votemath as votemath
 
         data = self.synth(capsys, tmp_path, samples=40)
-        real = selection.monte_carlo_majority_probs
+        real = votemath.monte_carlo_majority_probs
         calls = []
 
         def counting(cells, trials):
@@ -597,7 +598,7 @@ class TestSynthAnalyze:
             calls.extend(cells)
             return real(cells, trials)
 
-        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
+        monkeypatch.setattr(votemath, "monte_carlo_majority_probs", counting)
         code, _, err = run(
             capsys,
             [
@@ -624,10 +625,10 @@ class TestSynthAnalyze:
         assert len(calls) == len(set(calls)) == 12
 
     def test_analyze_draws_one_sample_cells_for_hard_pools_only(self, capsys, tmp_path, monkeypatch):
-        import votescale.selection as selection
+        import votescale.votemath as votemath
 
         data = self.synth(capsys, tmp_path, samples=40)
-        real = selection.monte_carlo_majority_probs
+        real = votemath.monte_carlo_majority_probs
         calls = []
 
         def counting(cells, trials):
@@ -635,7 +636,7 @@ class TestSynthAnalyze:
             calls.extend(cells)
             return real(cells, trials)
 
-        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
+        monkeypatch.setattr(votemath, "monte_carlo_majority_probs", counting)
         code, _, err = run(
             capsys,
             [
@@ -665,11 +666,10 @@ class TestSynthAnalyze:
         """On two CPUs, every Monte Carlo cell of a report is drawn in one
         batch, split over one forked worker; a grid without 1 adds a batch
         for the hard pool's n = 1 cell."""
-        import votescale.selection as selection
         import votescale.votemath as votemath
 
         data = self.synth(capsys, tmp_path, samples=40)
-        real = selection.monte_carlo_majority_probs
+        real = votemath.monte_carlo_majority_probs
         sizes = []
 
         def counting(cells, trials):
@@ -677,7 +677,7 @@ class TestSynthAnalyze:
             sizes.append(len(cells))
             return real(cells, trials)
 
-        monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting)
+        monkeypatch.setattr(votemath, "monte_carlo_majority_probs", counting)
         monkeypatch.setattr(votemath, "_cpu_count", lambda: 2)
         argv = ["analyze", "--log", str(data / "log.jsonl"), "--truth", str(data / "truth.jsonl"),
                 "--grid", grid, "--method", "mc", "--trials", "9000", "--budget", "1",
@@ -693,7 +693,6 @@ class TestSynthAnalyze:
     def test_analyze_sends_each_kernel_input_once(self, capsys, tmp_path, monkeypatch):
         """An exact report makes one exact batch, which sends each distinct
         (support, n) to the kernel once, across strategies."""
-        import votescale.selection as selection
         import votescale.votemath as votemath
 
         pools = {("q0", "s1"): "a0 a0 a1 a2 a0", ("q0", "s2"): "a0 a0 a1 a2 a0",
@@ -704,7 +703,7 @@ class TestSynthAnalyze:
             for i, answer in enumerate(answers.split())
         ])
         write_lines(tmp_path / "truth.jsonl", [truth_line("q0"), truth_line("q1")])
-        real_batch, real_kernel = selection.exact_majority_probs, votemath._exact_kernel
+        real_batch, real_kernel = votemath.exact_majority_probs, votemath._exact_kernel
         batches, rows = [], []
 
         def batch(cells, **kwargs):
@@ -716,7 +715,7 @@ class TestSynthAnalyze:
             rows.extend((support, n) for support in supports)
             return real_kernel(supports, n)
 
-        monkeypatch.setattr(selection, "exact_majority_probs", batch)
+        monkeypatch.setattr(votemath, "exact_majority_probs", batch)
         monkeypatch.setattr(votemath, "_exact_kernel", kernel)
         code, _, err = run(capsys, [
             "analyze", "--log", str(tmp_path / "log.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
@@ -832,15 +831,15 @@ class TestSynthAnalyze:
         evaluated."""
         import votescale.selection as selection
 
-        real = selection.exact_majority_probs
+        real = selection.vote_probabilities
         calls = []
 
-        def counting(cells, **kwargs):
+        def counting(cells, method, **kwargs):
             cells = list(cells)
             calls.extend(cells)
-            return real(cells, **kwargs)
+            return real(cells, method, **kwargs)
 
-        monkeypatch.setattr(selection, "exact_majority_probs", counting)
+        monkeypatch.setattr(selection, "vote_probabilities", counting)
         write_lines(
             tmp_path / "log.jsonl",
             [log_line("q0", "s1", 0), log_line("q1", "s1", 0), log_line("q0", "s2", 0)],

@@ -85,42 +85,28 @@ class TestDatasets:
 
 
 def counted_cells(monkeypatch):
-    """Record the (dist, n) of every cell selection evaluates: each
-    vote_probability call and each cell of a batched exact or Monte Carlo
-    call."""
+    """Record the (dist, n) of every cell selection evaluates: each cell of
+    each vote_probabilities call."""
     import votescale.selection as selection
 
-    real = selection.vote_probability
-    real_exact, real_drawn = selection.exact_majority_probs, selection.monte_carlo_majority_probs
+    real = selection.vote_probabilities
     calls = []
 
-    def counting(dist, n, method, **kwargs):
-        calls.append((dist, n))
-        return real(dist, n, method, **kwargs)
-
-    def counting_exact(cells, **kwargs):
-        cells = list(cells)
-        calls.extend(cells)
-        return real_exact(cells, **kwargs)
-
-    def counting_drawn(cells, trials):
+    def counting(cells, method, **kwargs):
         cells = list(cells)
         calls.extend((dist, n) for dist, n, _ in cells)
-        return real_drawn(cells, trials)
+        return real(cells, method, **kwargs)
 
-    monkeypatch.setattr(selection, "vote_probability", counting)
-    monkeypatch.setattr(selection, "exact_majority_probs", counting_exact)
-    monkeypatch.setattr(selection, "monte_carlo_majority_probs", counting_drawn)
+    monkeypatch.setattr(selection, "vote_probabilities", counting)
     return calls
 
 
 def kernel_batches(monkeypatch):
-    """Per exact_majority_probs call that selection makes, the (support, n)
-    rows the exact kernel evaluates."""
-    import votescale.selection as selection
+    """Per exact_majority_probs call, the (support, n) rows the exact kernel
+    evaluates."""
     import votescale.votemath as votemath
 
-    real_batch, real_kernel = selection.exact_majority_probs, votemath._exact_kernel
+    real_batch, real_kernel = votemath.exact_majority_probs, votemath._exact_kernel
     batches = []
 
     def batch(cells, **kwargs):
@@ -131,7 +117,7 @@ def kernel_batches(monkeypatch):
         batches[-1].extend((support, n) for support in supports)
         return real_kernel(supports, n)
 
-    monkeypatch.setattr(selection, "exact_majority_probs", batch)
+    monkeypatch.setattr(votemath, "exact_majority_probs", batch)
     monkeypatch.setattr(votemath, "_exact_kernel", kernel)
     return batches
 

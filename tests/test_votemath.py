@@ -35,6 +35,7 @@ from votescale import (
     replay_majority,
     scaling_curve,
     standard_normal_cdf,
+    vote_probabilities,
     vote_probability,
 )
 from votescale import votemath
@@ -747,18 +748,66 @@ class TestScalingCurve:
         [
             canonical_method,
             lambda method: vote_probability(AnswerDistribution((0.5, 0.3, 0.2)), 3, method),
+            lambda method: vote_probabilities([(AnswerDistribution((0.5, 0.3, 0.2)), 3, 0)], method),
             lambda method: scaling_curve(AnswerDistribution((0.5, 0.3, 0.2)), [3, 5], method),
             lambda method: Run(
                 [StrategyDataset("s", (QuestionEntry("q0", AnswerDistribution((0.5, 0.3, 0.2))),))], [3, 5], method
             ),
         ],
-        ids=["canonical", "vote", "curve", "run"],
+        ids=["canonical", "vote", "votes", "curve", "run"],
     )
     def test_closed_forms_are_not_a_method(self, call):
         """Closed forms check the exact value (criterion 1); no estimator
         setting selects them."""
         with pytest.raises(ValueError, match=r"^unknown method 'closed_form'$"):
             call("closed_form")
+
+    def test_exact_grid_is_one_kernel_call(self, monkeypatch):
+        """An exact curve sends its whole grid to one exact batch, with the
+        values of one call per n."""
+        d = AnswerDistribution((0.5, 0.3, 0.2))
+        expected = [exact_majority_prob(d, n) for n in (1, 3, 5, 9)]
+        real, batches = votemath.exact_majority_probs, []
+
+        def counting(cells, **kwargs):
+            cells = list(cells)
+            batches.append([n for _, n in cells])
+            return real(cells, **kwargs)
+
+        monkeypatch.setattr(votemath, "exact_majority_probs", counting)
+        curve = scaling_curve(d, [1, 3, 5, 9], "exact")
+        assert batches == [[1, 3, 5, 9]]
+        assert list(curve.points) == expected
+
+    def test_vote_probabilities_match_each_estimator(self):
+        """The method switch gives, cell by cell, the values of the
+        estimator its method names."""
+        dists = [
+            AnswerDistribution((0.5, 0.3, 0.2)),
+            AnswerDistribution((0.2, 0.5, 0.3), 2),
+            AnswerDistribution((1.0, 0.0)),
+            AnswerDistribution((0.0, 1.0)),
+            AnswerDistribution((0.4, 0.3, 0.2, 0.1)),
+        ]
+        cells = [(d, n, (7, i, n)) for i, d in enumerate(dists) for n in (1, 4, 9)]
+        pairs = [(d, n) for d, n, _ in cells]
+        assert vote_probabilities(cells) == exact_majority_probs(pairs)
+        assert vote_probabilities(iter(cells), "exact") == exact_majority_probs(pairs)
+        # nine nonzero answers exceed the exact cap of eight
+        wide = (AnswerDistribution((0.2,) + (0.1,) * 8), 5, 0)
+        with pytest.raises(CapExceeded):
+            vote_probabilities(cells + [wide])
+        substituted = vote_probabilities(cells + [wide], fallback=True)
+        assert substituted == exact_majority_probs(pairs) + [normal_approx_prob(wide[0], 5)]
+        assert substituted[-1].method == "normal_approx"
+        for name in ("approx", "normal_approx"):
+            assert vote_probabilities(cells, name) == [normal_approx_prob(d, n) for d, n in pairs]
+        for name in ("mc", "monte_carlo"):
+            assert vote_probabilities(cells, name, trials=3000) == monte_carlo_majority_probs(cells, 3000)
+        for d, n, seed in cells[:4]:
+            for method in ("exact", "approx", "mc"):
+                one = vote_probability(d, n, method, trials=500, seed=seed)
+                assert [one] == vote_probabilities([(d, n, seed)], method, trials=500)
 
     def test_fallback_only_when_enabled(self):
         d = AnswerDistribution((0.6, 0.4))
