@@ -22,12 +22,13 @@ every strategy covers the same questions (so a mismatch exits 2, not 3,
 before any cell is evaluated). Its curves evaluate every grid cell in
 one estimator call, and the selections and oracles reduce those cells,
 evaluating at most the hard questions' n = 1 cells in one more call. Every
-input file is streamed a block at a time through one reader that names the
-file and line of the first bad or repeated line in reading order. The logs
-go through one pass (:func:`votescale.records.group_logs`) straight into
-per-pool samples; once reading ends it checks the pools, and names the line
-of a record key repeated across log lines or files, or of a logged question
-without ground truth, from the line numbers kept per sample.
+input file is streamed a block at a time and split into lines, and the one
+line reader of :mod:`votescale.records` names the file and line of the
+first bad or repeated line in reading order. The logs go through one pass
+(:func:`votescale.records.group_logs`) straight into per-pool samples; once
+reading ends it checks the pools, and names the line of a record key
+repeated across log lines or files, or of a logged question without ground
+truth, from the line numbers kept per sample.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
@@ -148,25 +149,15 @@ def _config(args) -> RunConfig:
 
 
 def _lines(path: str) -> Iterator[str]:
-    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, as ``str.split``
-    gives them (a final line break ends the file with an empty line).
-
-    Bad UTF-8 is a MalformedLine, raised after the lines before it: bad
-    bytes decode to lone surrogates, which valid UTF-8 never decodes to.
+    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, without their line
+    breaks. Bytes that are not UTF-8 arrive as lone surrogates, which the
+    line reader of :mod:`votescale.records` reports with the line's number.
     Close the generator (``contextlib.closing``) to close the file when a
     reader stops early.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-        line = "\n"  # an empty file is one empty line
-        for line_number, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise MalformedLine(line_number, "not valid UTF-8") from None
+        for line in fh:
             yield line.removesuffix("\n")
-        if line.endswith("\n"):
-            yield ""
 
 
 def _read(path: str, parse):

@@ -11,7 +11,8 @@ empty or sentinel correct answer is rejected), so unparseable outputs count
 as wrong votes instead of silently inflating accuracy. Logs, ground truth
 and the scenario files of :mod:`votescale.selection` all go through this
 module's one line reader and typed field checks, so every bad line raises
-an error carrying its number.
+an error carrying its number, one holding a file's bad bytes (read as lone
+surrogates) included.
 
 Logs are the large input, so they are read a chunk of lines at a time, by
 the first of three routes that vouches for the whole chunk. A chunk of
@@ -20,7 +21,8 @@ canonical lines, as ``synth`` and ``json.dumps`` write them (the fields in
 no escapes, integers of at most 18 digits), is read by one scan of a
 compiled pattern whose every match passes every field check. Any other
 chunk is parsed by one ``json.loads`` of a JSON array and checked a column
-at a time. A chunk that fails that too goes back through the line reader.
+at a time. A chunk that fails that too, as every chunk holding a lone
+surrogate does, goes back through the line reader.
 So rows and errors are those of a line-by-line parse. Ids and answers that
 repeat share one string object. :func:`group_logs` is the one pass from the
 lines of one or more logs to the per-pool samples of :func:`group_records`:
@@ -167,11 +169,16 @@ def _json_lines(
 ) -> Iterator[tuple[int, dict]]:
     """The one reader of line-delimited JSON input: ``(line number, object)``
     for each nonblank line that holds one JSON object with exactly
-    ``fields``; anything else is a :class:`MalformedLine`. Lines are
-    numbered from ``start``."""
+    ``fields``; anything else, a line that is not UTF-8 included, is a
+    :class:`MalformedLine`. Lines are numbered from ``start``."""
     for line_number, line in enumerate(lines, start=start):
         if not line.strip():
             continue
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise MalformedLine(line_number, "not valid UTF-8") from None
         try:
             obj = json.loads(line)
         except RecursionError:
@@ -223,9 +230,7 @@ def parse_records(lines: Iterable[str]) -> list[SampleRecord]:
     or too deeply nested JSON, a wrong field set, a wrong field type, text
     that is not UTF-8, or a token count or sample index outside
     [0, sys.float_info.max]. A null answer becomes :data:`UNPARSEABLE`; an
-    empty one stays empty until :func:`group_records` maps it. When reading
-    ``lines`` itself raises a :class:`VoteScaleError`, the lines read before
-    it are checked first.
+    empty one stays empty until :func:`group_records` maps it.
     """
     # one object per distinct id and answer string; a null answer maps to the sentinel
     strings: dict[str | None, str] = {None: UNPARSEABLE}
@@ -257,21 +262,9 @@ def _log_rows(chunk: list[str], start: int, offset: int = 0) -> tuple[list[tuple
 
 
 def _chunks(lines: Iterable[str], size: int) -> Iterator[list[str]]:
-    """``lines`` in lists of ``size``. When reading them fails, the lines
-    read before the failure come first, so an earlier bad line is reported
-    before the failure."""
+    """``lines`` in lists of ``size``."""
     it = iter(lines)
-    while True:
-        chunk = []
-        try:
-            for line in islice(it, size):
-                chunk.append(line)
-        except VoteScaleError:
-            if chunk:
-                yield chunk
-            raise
-        if not chunk:
-            return
+    while chunk := list(islice(it, size)):
         yield chunk
 
 
@@ -354,9 +347,9 @@ def _canonical_rows(lines: list[str]) -> list[tuple] | None:
     """The rows of a chunk whose every line matches :data:`_CANONICAL_RECORD`
     whole, from one scan of the joined lines; ``None`` for any other chunk.
 
-    A last line that is empty, as a file's final line break gives, is
-    skipped like any blank line. The first line is tried alone, so a chunk
-    in another form costs no scan. With one newline between each two lines,
+    A last line that is empty, as ``str.split`` gives after a final line
+    break, is skipped like any blank line. The first line is tried alone,
+    so a chunk in another form costs no scan. With one newline between each two lines,
     no line holds a newline, and a match cannot span one; so one match per
     line means that every line is one whole match, in order.
     """

@@ -104,6 +104,12 @@ _BATCH_ENTRIES = 1 << 12
 #: deterministic random stream for Monte Carlo).
 _BLOCK = 1 << 19
 
+#: numpy's multinomial refuses probabilities whose Kahan sum before the last
+#: exceeds 1 + 1e-12, while :class:`AnswerDistribution` admits sums within
+#: 1e-9 of 1. Four ulps lower, ``math.fsum``'s sum clears the few ulps by
+#: which the two sums can differ.
+_MULTINOMIAL_MAX_SUM = 1.0 + 1e-12 - 4 * 2.0**-52
+
 #: Fewest trials, summed over a Monte Carlo batch's cells, for which the
 #: batch is split over forked workers. Forking and reaping a worker took 3
 #: to 6 ms at an ``analyze`` run's memory on a 2-CPU VM, and a trial 0.35 to
@@ -487,13 +493,18 @@ def _cpu_count() -> int:
 
 def _shard_hits(cells: list[tuple], trials: int) -> list[int]:
     """Per ``(dist, n, seed)`` cell, the votes out of ``trials`` that pick
-    the correct answer, drawn from ``np.random.default_rng(seed)``."""
+    the correct answer, drawn from ``np.random.default_rng(seed)``. A
+    distribution past :data:`_MULTINOMIAL_MAX_SUM` is drawn from its
+    probabilities divided by their sum, every other one as it stands."""
     hits = []
     for dist, n, seed in cells:
-        rng, wins = np.random.default_rng(seed), 0
+        rng, wins, probs = np.random.default_rng(seed), 0, dist.probs
+        if math.fsum(probs[:-1]) > _MULTINOMIAL_MAX_SUM:
+            total = math.fsum(probs)
+            probs = [p / total for p in probs]
         for start in range(0, trials, _BLOCK):
             # each block's multinomial counts are drawn before its tie-break scores
-            winners = _modal_winners(rng.multinomial(n, dist.probs, size=min(_BLOCK, trials - start)), rng)
+            winners = _modal_winners(rng.multinomial(n, probs, size=min(_BLOCK, trials - start)), rng)
             wins += np.count_nonzero(winners == dist.correct_index)
             del winners  # not alive while the next block is simulated
         hits.append(int(wins))

@@ -55,7 +55,9 @@ def truth_line(qid, answer="a0"):
 
 
 def write_lines(path, lines):
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write ``lines`` as UTF-8; a lone surrogate from U+DC80 to U+DCFF is
+    written as the byte it escapes, which is not UTF-8."""
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 class TestPointCommands:
@@ -110,6 +112,13 @@ class TestPointCommands:
         assert code == 2
         assert out == ""
         assert err == "error: Monte Carlo needs n <= 2^63 - 1, got 100000000000000000000\n"
+
+    def test_mc_draws_a_distribution_numpy_would_refuse(self, capsys):
+        """AnswerDistribution admits sums within 1e-9 of 1; numpy's
+        multinomial refuses those before the last summing past 1 + 1e-12."""
+        code, out, err = run(capsys, ["mc", "--dist", "0.5000000005,0.5,0", "--n", "3", "--trials", "100"])
+        assert code == 0, err
+        assert list(csv.reader(out.splitlines()))[1][2] == "monte_carlo"
 
     def test_out_file(self, capsys, tmp_path):
         out_file = tmp_path / "points.csv"
@@ -585,6 +594,22 @@ class TestSynthAnalyze:
         for name in ("curves.csv", "difficulty_table.csv", "distributions.csv"):
             assert (report_a / name).read_bytes() == (report_b / name).read_bytes()
 
+    def test_analyze_reads_every_line_end_alike(self, capsys, tmp_path):
+        """\\r\\n and \\r copies of a log give the \\n log's report byte for
+        byte."""
+        data = self.synth(capsys, tmp_path, samples=100)
+        text = (data / "log.jsonl").read_bytes()
+        reports = {}
+        for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            log, out = tmp_path / f"log-{name}.jsonl", tmp_path / f"report-{name}"
+            log.write_bytes(text.replace(b"\n", newline))
+            argv = ["analyze", "--log", str(log), "--truth", str(data / "truth.jsonl"), "--grid", "1,3,5"]
+            code, _, err = run(capsys, argv + ["--out", str(out)])
+            assert code == 0, err
+            reports[name] = {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+        assert reports["crlf"] == reports["lf"]
+        assert reports["cr"] == reports["lf"]
+
     def test_analyze_evaluates_each_cell_once(self, capsys, tmp_path, monkeypatch):
         import votescale.votemath as votemath
 
@@ -994,6 +1019,30 @@ class TestBadLines:
     def test_bad_line_outranks_later_bad_utf8(self, capsys, tmp_path, name):
         err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: "{", after=b"\xff\n")
         assert f"{tmp_path / name}: line 2: invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "name, field, separators",
+        [
+            ("log.jsonl", "answer", None),  # a canonical line: the pattern route's form
+            ("log.jsonl", "answer", (",", ":")),  # a compact line: the JSON array route's
+            ("truth.jsonl", "correct_answer", None),
+            ("scenario.jsonl", "question_id", None),
+        ],
+        ids=["canonical-log", "compact-log", "truth", "scenario"],
+    )
+    def test_bad_byte_in_a_field_names_file_and_line(self, capsys, tmp_path, name, field, separators):
+        def change(lines):
+            fields = json.loads(lines[1])
+            fields[field] += "\udcff"  # written as the byte 0xff
+            return json.dumps(fields, ensure_ascii=False, separators=separators)
+
+        err = self.run_with_line_2(capsys, tmp_path, name, change)
+        assert f"{tmp_path / name}: line 2: not valid UTF-8" in err
+
+    @pytest.mark.parametrize("name", ["log.jsonl", "truth.jsonl", "scenario.jsonl"])
+    def test_bad_utf8_outranks_later_bad_line(self, capsys, tmp_path, name):
+        err = self.run_with_line_2(capsys, tmp_path, name, lambda lines: "\udcff" + lines[1], after=b"{\n")
+        assert f"{tmp_path / name}: line 2: not valid UTF-8" in err
 
     def test_repeated_record_key_names_both_lines(self, capsys, tmp_path):
         log = tmp_path / "log.jsonl"

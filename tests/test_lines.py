@@ -170,6 +170,16 @@ def test_lone_surrogate_names_field_and_line(loader, field):
     assert err.value.line_number == 2
 
 
+@LOADERS
+def test_raw_lone_surrogate_is_not_utf8(loader):
+    """A raw lone surrogate, as a file's bad byte reads, fails the whole
+    line before its JSON is parsed; a JSON escape of one names the field."""
+    fields, _ = FORMATS[loader]
+    lines = valid_lines(fields, 1) + [raw_line(fields, "question_id", '"q\udcff"')]
+    with pytest.raises(MalformedLine, match="^line 2: not valid UTF-8$"):
+        loader(lines)
+
+
 @pytest.mark.parametrize("field", ["sample_index", "prompt_tokens", "completion_tokens"])
 def test_count_too_large_for_a_double_names_the_line(field):
     lines = valid_lines(RECORD, 1) + [raw_line(RECORD, field, str(10**400))]
@@ -351,12 +361,13 @@ class TestChunkedRecords:
             records = parse_records(lines)
         assert loads.call_count == 0
         assert records == line_by_line_records(lines)
-        # the CLI's reader ends the file with an empty line, which the
-        # pattern route skips as well
-        streamed = list(cli._lines(str(data / "log.jsonl")))
-        assert streamed == lines + [""] and len(streamed) % _CHUNK_LINES != 0
+        assert list(cli._lines(str(data / "log.jsonl"))) == lines
+        # str.split ends the text with an empty line, which the pattern route
+        # skips as well
+        split = (data / "log.jsonl").read_text(encoding="utf-8").split("\n")
+        assert split == lines + [""] and len(split) % _CHUNK_LINES != 0
         with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
-            assert parse_records(streamed) == records
+            assert parse_records(split) == records
         assert loads.call_count == 0
 
     def test_synth_writes_non_ascii_ids_as_utf8(self, tmp_path):
@@ -381,7 +392,7 @@ class TestChunkedRecords:
             assert "ü" in text and "\\u" not in text
             (escaped / name).write_text("".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()))
         lines = list(cli._lines(str(data / "log.jsonl")))
-        assert len(lines) == 2 * 30 * 40 + 1
+        assert len(lines) == 2 * 30 * 40
         with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
             records = parse_records(lines)
         assert loads.call_count == 0
@@ -402,52 +413,23 @@ class TestChunkedRecords:
         assert records[0].strategy_id is records[5].strategy_id
         assert records[1].question_id is records[4].question_id
 
-    def test_an_earlier_bad_line_outranks_a_failing_reader(self):
-        def lines():
-            yield from FILLER[:3]
-            yield "not json"
-            yield from FILLER[3:6]
-            raise MalformedLine(8, "not valid UTF-8")
 
-        with pytest.raises(MalformedLine, match="line 4: invalid JSON"):
-            parse_records(lines())
-        with pytest.raises(MalformedLine, match="line 8: not valid UTF-8"):
-            parse_records(line for line in lines() if line != "not json")
+def whole_file_lines(path) -> list[str]:
+    """The file's lines from one read, decode and split, bad bytes as lone
+    surrogates and without the empty line after a final line break: the
+    reader that _lines streams."""
+    text = path.read_bytes().decode("utf-8", errors="surrogateescape")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return lines[:-1] if lines[-1] == "" else lines
 
 
-def whole_file_lines(path) -> list[str] | int:
-    """The file's lines from one read, decode and split, or the number of
-    the first line that is not UTF-8: the reader that _lines streams."""
-    data = path.read_bytes()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        return head.count(b"\n") + 1
-    return text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
-
-
-def streamed_lines(path) -> list[str] | int:
-    """What _lines yields, or the line number of the error that ends it."""
-    lines = []
-    try:
-        for line in cli._lines(str(path)):
-            lines.append(line)
-    except MalformedLine as exc:
-        assert lines == whole_file_lines_before(path, exc.line_number)
-        return exc.line_number
-    return lines
-
-
-def whole_file_lines_before(path, line_number: int) -> list[str]:
-    """The lines of one whole-file read that come before ``line_number``."""
-    data = path.read_bytes().decode("utf-8", errors="replace")
-    return data.replace("\r\n", "\n").replace("\r", "\n").split("\n")[: line_number - 1]
+def streamed_lines(path) -> list[str]:
+    return list(cli._lines(str(path)))
 
 
 class TestStreamedLines:
-    """cli._lines reads the file in buffered chunks and yields the lines, and
-    raises the errors, of one whole-file read."""
+    """cli._lines reads the file in buffered chunks and yields the lines of
+    one whole-file read."""
 
     def test_blocks_split_inside_characters_and_line_breaks(self, tmp_path):
         block = io.DEFAULT_BUFFER_SIZE
@@ -460,7 +442,8 @@ class TestStreamedLines:
         assert streamed_lines(path)[-3:] == ["y" * len(second[:-2]), "z", "last"]
         bad = first + b"ok\n" + b"\xff" * 3 + second
         path.write_bytes(bad)
-        assert streamed_lines(path) == whole_file_lines(path) == 3
+        assert streamed_lines(path) == whole_file_lines(path)
+        assert streamed_lines(path)[2] == "\udcff" * 3 + "y" * len(second[:-2])
 
     @settings(max_examples=300, deadline=None)
     @given(

@@ -515,6 +515,13 @@ class TestSimulation:
         assert type(vp.value) is float and type(vp.stderr) is float
         assert (vp.value, vp.stderr) == (value, stderr)
 
+    def test_monte_carlo_draws_every_admitted_distribution(self):
+        """A distribution within AnswerDistribution's sum tolerance but past
+        numpy's multinomial bound is drawn from its normalized probabilities."""
+        dist = AnswerDistribution((0.5 + 5e-10, 0.5, 0.0))
+        vp = monte_carlo_majority_prob(dist, 5, 1000, 0)
+        assert abs(vp.value - exact_majority_prob(dist, 5).value) < 5 * vp.stderr
+
     def test_monte_carlo_memory_does_not_grow_with_trials(self):
         """Wins are counted per block: four blocks peak no higher than one."""
         d = AnswerDistribution((0.5, 0.3, 0.2))
