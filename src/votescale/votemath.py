@@ -25,8 +25,9 @@ Three estimators are provided:
   ``_BLOCK`` (2^19) trials at a time, so memory is bounded by one block
   whatever ``trials`` is. :func:`monte_carlo_majority_probs` is the batch
   entry point: it draws many ``(distribution, n, seed)`` cells in forked
-  workers, one per CPU the process may use, and each cell draws from its
-  own seed, so values do not depend on the number of CPUs.
+  workers, one per CPU the process may use, which write their win counts
+  into one array shared with the parent. Each cell draws from its own
+  seed, so values do not depend on the number of CPUs.
 * :func:`normal_approx_prob` compares the correct count against the
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
@@ -60,7 +61,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import BinaryIO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -459,10 +460,10 @@ def monte_carlo_majority_probs(cells: Iterable[tuple], trials: int) -> list[Vote
     cells are then dealt into strided shards (``cells[i::k]``; cells often
     come in order of ``n``, so halves would be uneven), one per CPU the
     process may use: shard 0 is drawn in process and each other one in a
-    forked worker that returns its win counts through a pipe. A batch is
-    drawn in process alone when it has one cell, holds fewer than
-    ``_FORK_TRIALS`` trials in all, or another thread is running. A shard
-    whose worker cannot be forked, fails or returns short data is drawn in
+    forked worker that writes its win counts into an array shared with the
+    parent. A batch is drawn in process alone when it has one cell, holds
+    fewer than ``_FORK_TRIALS`` trials in all, or another thread is running.
+    A shard whose worker cannot be forked or exits nonzero is drawn again in
     process. Each cell draws from its own seed, so values do not depend on
     the number of CPUs.
     """
@@ -515,68 +516,54 @@ def _forked_hits(cells: list[tuple], trials: int, workers: int) -> list[int]:
     """:func:`_shard_hits` of ``cells`` dealt into ``workers`` strided shards,
     shard 0 drawn in process and the others in forked workers.
 
-    Every worker is reaped before this returns or raises, and killed first
-    when drawing shard 0 or reading a reply raises (an interrupt, say).
+    The counts go into one anonymous shared int64 array, each shard's into
+    its own stride. A worker writes its shard there and leaves through
+    ``os._exit``: status 0 once written, 1 on any exception. Its exit status
+    alone decides: a shard whose worker could not be forked or did not exit
+    0 is drawn again in process, whatever the worker wrote. Every worker is
+    reaped before this returns or raises, and killed first when drawing
+    shard 0 raises (an interrupt, say).
     """
-    shards = [cells[i::workers] for i in range(workers)]
-    forked: dict[int, tuple[int, BinaryIO]] = {}  # shard -> (worker pid, read end of its pipe)
-    replies: dict[int, bytes] = {}
+    import mmap  # imported only here, as signal is below: a run that never forks skips its 0.5 ms
+
+    hits = np.frombuffer(mmap.mmap(-1, 8 * len(cells)), dtype=np.int64)
+
+    def draw(i: int) -> None:
+        shard = hits[i::workers]
+        # reshape raises on a wrong length, which a plain slice assignment would broadcast
+        shard[:] = np.reshape(_shard_hits(cells[i::workers], trials), shard.shape)
+
+    forked: dict[int, int] = {}  # shard -> worker pid
+    redraw = set(range(1, workers))
     try:
         for i in range(1, workers):
             try:
-                forked[i] = _fork_worker(shards[i], trials)
+                pid = os.fork()
             except OSError:
-                pass  # drawn in process below
-        hits = {0: _shard_hits(shards[0], trials)}
-        for i, (_, reply) in forked.items():
-            replies[i] = reply.read()
+                continue  # drawn in process below
+            if pid == 0:
+                status = 1
+                try:
+                    draw(i)
+                    status = 0
+                finally:
+                    # no atexit handlers, no flush of buffers copied from the parent
+                    os._exit(status)
+            forked[i] = pid
+        draw(0)
     except BaseException:
         import signal  # imported only here: at module level it costs every run 1.5 ms
 
-        for pid, _ in forked.values():
+        for pid in forked.values():
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        for i, (pid, reply) in forked.items():
-            reply.close()
-            if os.waitpid(pid, 0)[1] != 0:
-                replies.pop(i, None)
-    for i in range(1, workers):
-        reply = replies.get(i, b"")
-        if len(reply) == 8 * len(shards[i]):
-            hits[i] = np.frombuffer(reply, dtype=np.int64).tolist()
-        else:
-            hits[i] = _shard_hits(shards[i], trials)
-    merged = [0] * len(cells)
-    for i, shard_hits in hits.items():
-        merged[i::workers] = shard_hits
-    return merged
-
-
-def _fork_worker(shard: list[tuple], trials: int) -> tuple[int, BinaryIO]:
-    """Fork a worker that writes the shard's :func:`_shard_hits` as int64
-    bytes to a pipe and leaves through ``os._exit``: status 0 once written,
-    1 on any exception. Returns the worker's pid and the pipe's read end,
-    open for reading."""
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            with open(write_end, "wb") as reply:
-                reply.write(np.array(_shard_hits(shard, trials), dtype=np.int64).tobytes())
-            status = 0
-        finally:
-            # no atexit handlers, no flush of buffers copied from the parent
-            os._exit(status)
-    os.close(write_end)
-    return pid, open(read_end, "rb")
+        for i, pid in forked.items():
+            if os.waitpid(pid, 0)[1] == 0:
+                redraw.discard(i)
+    for i in redraw:
+        draw(i)
+    return hits.tolist()
 
 
 def normal_approx_prob(dist: AnswerDistribution, n: int) -> VoteProbability:

@@ -314,17 +314,33 @@ class TestPredict:
         assert err == "error: strategy 'b' covers different questions than 'a': 'b' lacks question 'q0'\n"
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("flags", [["--budget", "nan"], ["--prices", "nan,0.6", "--budget", "1.0"]])
-    def test_nan_budget_or_price_exits_2(self, capsys, tmp_path, flags):
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--budget", "nan"], "--budget must be >= 0"),
+            (["predict", "--prices", "nan,0.6", "--budget", "1.0"], "--prices must be >= 0"),
+            (["predict", "--prices", "a,b"], "--prices expects comma-separated numbers, got 'a,b'"),
+            (["predict", "--prices", "1"], "--prices expects 2 comma-separated numbers"),
+            (["predict", "--grid", "1,x"], "--grid expects comma-separated integers, got '1,x'"),
+            (["mc", "--dist", "0.6,0.4", "--trials", "0"], "--trials must be >= 1"),
+            (["mc", "--dist", "0.6,0.4", "--seed", "-1"], "--seed must be >= 0"),
+            (["synth", "--samples", "0"], "--samples must be >= 1"),
+            (["synth", "--samples", "5", "--seed", "-1"], "--seed must be >= 0"),
+        ],
+        ids=[
+            "budget-nan", "prices-nan", "prices-text", "prices-one", "grid-text",
+            "mc-trials-0", "mc-seed-negative", "synth-samples-0", "synth-seed-negative",
+        ],
+    )
+    def test_bad_flag_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
+        command, *flags = argv
         out_dir = tmp_path / "r"
-        code, _, err = run(
-            capsys,
-            ["predict", "--scenario", str(self.scenario(tmp_path)), "--grid", "1,3"]
-            + flags
-            + ["--out", str(out_dir)],
-        )
-        assert code == 2
-        assert "must be >= 0" in err
+        if command != "mc":
+            flags += ["--scenario", str(self.scenario(tmp_path))]
+        if command != "synth":
+            flags = ["--grid", "1,3", *flags]
+        code, out, err = run(capsys, [command, *flags, "--out", str(out_dir)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
         assert not out_dir.exists()
 
     def test_non_numeric_probability_names_the_file(self, capsys, tmp_path):
@@ -782,6 +798,36 @@ class TestSynthAnalyze:
         ])
         assert code == 0, err
         assert len(calls) == 900
+
+    def no_wrong_mass_log(self, tmp_path):
+        """``analyze`` flags for a log where both strategies answer q0 a four
+        times, s1 answers q1 a four times and s0 answers it a, a, b, c; the
+        correct answer is a."""
+        answers = {("s0", "q0"): "aaaa", ("s0", "q1"): "aabc", ("s1", "q0"): "aaaa", ("s1", "q1"): "aaaa"}
+        write_lines(
+            tmp_path / "log.jsonl",
+            [log_line(q, s, i, answer) for (s, q), text in answers.items() for i, answer in enumerate(text)],
+        )
+        write_lines(tmp_path / "truth.jsonl", [truth_line("q0", "a"), truth_line("q1", "a")])
+        return [
+            "analyze", "--log", str(tmp_path / "log.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
+            "--grid", "1,3", "--out", str(tmp_path / "report"),
+        ]
+
+    def test_kl_skips_pools_without_wrong_mass(self, capsys, tmp_path):
+        code, _, err = run(capsys, self.no_wrong_mass_log(tmp_path))
+        assert code == 0, err
+        assert read_csv(tmp_path / "report" / "kl.csv") == [
+            ["strategy_id", "mean_kl", "questions_with_wrong_mass"], ["s0", "0", "1"], ["s1", "", "0"]
+        ]
+
+    def test_analyze_smoothing_adds_a_pseudo_count_per_answer(self, capsys, tmp_path):
+        code, _, err = run(capsys, self.no_wrong_mass_log(tmp_path) + ["--smoothing", "1"])
+        assert code == 0, err
+        rows = read_csv(tmp_path / "report" / "distributions.csv")
+        assert [(r[2], r[3]) for r in rows if r[:2] == ["s0", "q1"]] == [
+            ("a", "0.428571428571"), ("b", "0.285714285714"), ("c", "0.285714285714")
+        ]
 
     @pytest.mark.parametrize("smoothing", ["nan", "inf", "-1"])
     def test_analyze_rejects_bad_smoothing(self, capsys, tmp_path, smoothing):

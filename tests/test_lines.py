@@ -335,6 +335,11 @@ class TestChunkedRecords:
     # line reader reports
     @example(lines=canonical_then(record_line(answer="\ud800")))
     @example(lines=canonical_then(record_line(answer="a\tb").replace("\\t", "\t")))
+    # a compact line with every field's count but a misspelled key: the JSON
+    # array route parses it and leaves it to the line reader
+    @example(lines=canonical_then(
+        json.dumps({"answr" if k == "answer" else k: v for k, v in RECORD.items()}, separators=(",", ":"))
+    ))
     # characters that str.splitlines breaks at, but not re.M
     @example(lines=canonical_then(record_line(answer="a\u2028b"), record_line(question_id="\x85")))
     def test_matches_line_by_line_parse(self, lines):

@@ -610,10 +610,11 @@ class TestMonteCarloBatch:
             assert monte_carlo_majority_probs(self.CELLS, 400) == expected
         assert fork.call_count == 2
 
-    @pytest.mark.parametrize("failure", ["raises", "short"])
+    @pytest.mark.parametrize("failure", ["raises", "short", "killed"])
     def test_a_failed_worker_is_redrawn_in_process(self, failure):
-        """A worker that exits nonzero before writing, or writes too few
-        counts, leaves its shard to the parent."""
+        """A worker that exits nonzero before writing, writes too few
+        counts, or writes wrong counts and is then killed, leaves its shard
+        to the parent: the exit status decides, not what was written."""
         expected = one_by_one(self.CELLS, 400)
         parent, real = os.getpid(), votemath._shard_hits
 
@@ -622,11 +623,18 @@ class TestMonteCarloBatch:
                 return real(cells, trials)
             if failure == "raises":
                 raise RuntimeError("worker fails")
+            if failure == "killed":
+                return [trials + 1] * len(cells)
             return real(cells, trials)[:-1]
+
+        def killed_on_exit(status):
+            # the worker inherits this patch; it never returns to the test
+            os.kill(os.getpid(), signal.SIGKILL)
 
         with mock.patch.object(votemath, "_cpu_count", return_value=2), \
                 mock.patch.object(votemath, "_FORK_TRIALS", 0), \
                 mock.patch.object(votemath, "_shard_hits", failing_in_workers), \
+                mock.patch("os._exit", killed_on_exit if failure == "killed" else os._exit), \
                 mock.patch("os.fork", wraps=os.fork) as fork:
             assert monte_carlo_majority_probs(self.CELLS, 400) == expected
         assert fork.call_count == 1
