@@ -8,10 +8,31 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import votescale
 from votescale import AnswerDistribution
+from votescale.votemath import EXACT_MAX_ANSWERS, EXACT_MAX_N
+
+#: the smallest sample count beyond the exact estimator's cap
+N_PAST_EXACT_CAP = EXACT_MAX_N + 1
+
+
+def answers_past_exact_cap() -> AnswerDistribution:
+    """One nonzero answer past the exact cap, the correct one first and twice as likely."""
+    wrong = 1.0 / (EXACT_MAX_ANSWERS + 2)
+    return AnswerDistribution((2 * wrong,) + (wrong,) * EXACT_MAX_ANSWERS)
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """``python *args`` in a fresh interpreter on this checkout's
+    ``votescale``, ``env`` added to its environment; output captured as text."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(votescale.__file__)), **env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
 def brute_force_vote_prob(dist: AnswerDistribution, n: int) -> float:

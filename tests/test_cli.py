@@ -3,13 +3,11 @@ import csv
 import json
 import math
 import os
-import subprocess
-import sys
 from unittest import mock
 
 import pytest
 
-import votescale
+from conftest import N_PAST_EXACT_CAP, run_python
 from votescale.cli import main
 
 
@@ -154,12 +152,11 @@ class TestPointCommands:
         assert code == 2
 
     def test_cap_exit_3_and_fallback(self, capsys):
-        code, _, err = run(capsys, ["exact", "--dist", "0.6,0.4", "--n", "100"])
+        argv = ["exact", "--dist", "0.6,0.4", "--n", str(N_PAST_EXACT_CAP)]
+        code, _, err = run(capsys, argv)
         assert code == 3
         assert "error:" in err
-        code, out, _ = run(
-            capsys, ["exact", "--dist", "0.6,0.4", "--n", "100", "--fallback"]
-        )
+        code, out, _ = run(capsys, argv + ["--fallback"])
         assert code == 0
         assert list(csv.reader(out.splitlines()))[1][2] == "normal_approx"
 
@@ -188,30 +185,22 @@ class TestPointCommands:
 class TestProcessEntry:
     """``python -m votescale.cli`` exits with main's code, its output whole."""
 
-    def cli(self, *argv):
-        src = os.path.dirname(os.path.dirname(votescale.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run(
-            [sys.executable, "-m", "votescale.cli", *argv],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-
     def test_point_command_exits_0_with_complete_output(self, capsys):
         # enough trials that the three points are drawn in a forked worker
         # where the process may use two CPUs
         argv = ["mc", "--dist", "0.6,0.2,0.2", "--grid", "1,3,5", "--trials", "30000", "--seed", "7"]
-        proc = self.cli(*argv)
+        proc = run_python("-m", "votescale.cli", *argv)
         code, out, _ = run(capsys, argv)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert proc.stdout == out and len(out.splitlines()) == 4 and code == 0
 
     def test_bad_input_exits_2_with_one_error_line(self):
-        proc = self.cli("exact", "--dist", "0.5,x", "--n", "3")
+        proc = run_python("-m", "votescale.cli", "exact", "--dist", "0.5,x", "--n", "3")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
     def test_cap_overflow_exits_3(self):
-        proc = self.cli("exact", "--dist", "0.5,0.5", "--n", "61")
+        proc = run_python("-m", "votescale.cli", "exact", "--dist", "0.5,0.5", "--n", str(N_PAST_EXACT_CAP))
         assert proc.returncode == 3 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
@@ -308,7 +297,8 @@ class TestPredict:
         write_lines(path, [scenario_line("a", "q0", (0.6, 0.4)), scenario_line("b", "q1", (0.6, 0.4))])
         code, _, err = run(
             capsys,
-            ["predict", "--scenario", str(path), "--grid", "1,61", "--method", "exact", "--out", str(tmp_path / "r")],
+            ["predict", "--scenario", str(path), "--grid", f"1,{N_PAST_EXACT_CAP}", "--method", "exact",
+             "--out", str(tmp_path / "r")],
         )
         assert code == 2
         assert err == "error: strategy 'b' covers different questions than 'a': 'b' lacks question 'q0'\n"
@@ -587,28 +577,26 @@ class TestSynthAnalyze:
         assert probs[("s2", "q1", "a0")] == pytest.approx(0.8, abs=0.06)
 
     def test_analyze_multiple_logs(self, capsys, tmp_path):
+        """A log split in halves, or into odd and even lines so that every
+        pool spans both logs, gives the whole log's report byte for byte."""
         data = self.synth(capsys, tmp_path, samples=40)
         lines = (data / "log.jsonl").read_text(encoding="utf-8").splitlines()
         half = len(lines) // 2
-        write_lines(tmp_path / "log_a.jsonl", lines[:half])
-        write_lines(tmp_path / "log_b.jsonl", lines[half:])
-        report_a = tmp_path / "report_split"
-        report_b = tmp_path / "report_whole"
-        base = ["--truth", str(data / "truth.jsonl"), "--grid", "1,3", "--method", "exact"]
-        code, _, _ = run(
-            capsys,
-            ["analyze", "--log", str(tmp_path / "log_a.jsonl"), "--log", str(tmp_path / "log_b.jsonl")]
-            + base
-            + ["--out", str(report_a)],
-        )
-        assert code == 0
-        code, _, _ = run(
-            capsys,
-            ["analyze", "--log", str(data / "log.jsonl")] + base + ["--out", str(report_b)],
-        )
-        assert code == 0
-        for name in ("curves.csv", "difficulty_table.csv", "distributions.csv"):
-            assert (report_a / name).read_bytes() == (report_b / name).read_bytes()
+        base = ["--truth", str(data / "truth.jsonl"), "--grid", "1,3,5,9", "--method", "exact",
+                "--prices", "0.15,0.6", "--budget", "0.05"]
+        reports = {}
+        for name, parts in (("whole", [lines]), ("halves", [lines[:half], lines[half:]]),
+                            ("odd-even", [lines[::2], lines[1::2]])):
+            logs = []
+            for i, part in enumerate(parts):
+                logs += ["--log", str(tmp_path / f"{name}-{i}.jsonl")]
+                write_lines(tmp_path / f"{name}-{i}.jsonl", part)
+            code, _, err = run(capsys, ["analyze", *logs, *base, "--out", str(tmp_path / name)])
+            assert code == 0, err
+            reports[name] = {f.name: f.read_bytes() for f in sorted((tmp_path / name).iterdir())}
+        assert "budget_selection.csv" in reports["whole"]
+        assert reports["halves"] == reports["whole"]
+        assert reports["odd-even"] == reports["whole"]
 
     def test_analyze_reads_every_line_end_alike(self, capsys, tmp_path):
         """\\r\\n and \\r copies of a log give the \\n log's report byte for
@@ -872,7 +860,7 @@ class TestSynthAnalyze:
             ],
         )
         assert code == 2
-        assert f"{log}: line 3: not valid UTF-8" in err
+        assert err == f"error: {log}: line 3: not valid UTF-8\n"
 
     def test_analyze_empty_log_exits_2(self, capsys, tmp_path):
         (tmp_path / "log.jsonl").write_text("\n", encoding="utf-8")
@@ -1083,7 +1071,7 @@ class TestBadLines:
             return json.dumps(fields, ensure_ascii=False, separators=separators)
 
         err = self.run_with_line_2(capsys, tmp_path, name, change)
-        assert f"{tmp_path / name}: line 2: not valid UTF-8" in err
+        assert err == f"error: {tmp_path / name}: line 2: not valid UTF-8\n"
 
     @pytest.mark.parametrize("name", ["log.jsonl", "truth.jsonl", "scenario.jsonl"])
     def test_bad_utf8_outranks_later_bad_line(self, capsys, tmp_path, name):

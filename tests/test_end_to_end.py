@@ -1,0 +1,142 @@
+"""Whole reports over one planted scenario and its ``synth`` log: README
+blocks, log routes and question order in process; string hashing, a fresh
+interpreter's imports and one pinned CPU in child interpreters."""
+import json
+import os
+import re
+from pathlib import Path
+
+import pytest
+
+from conftest import N_PAST_EXACT_CAP, run_python
+from votescale.cli import main
+
+REPORT = ["--grid", "1,3,5,9", "--prices", "0.15,0.6", "--budget", "0.05"]
+MC = ["--method", "mc", "--trials", "2000"]
+PREDICT = ["--grid", "1,3,5,9", "--method", "exact", "--fallback"]
+SYNTH = ["--samples", "40", "--seed", "3"]
+#: a child's script: main on every argv of the JSON list sys.argv[1]
+MAIN_EACH = """import json, sys
+from votescale.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+"""
+CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
+
+
+def report(argv, out):
+    """Every file that ``main(argv + ["--out", out])`` writes, as bytes."""
+    assert main([str(a) for a in [*argv, "--out", out]]) == 0
+    return tree(out)
+
+
+def tree(path):
+    return {str(f.relative_to(path)): f.read_bytes() for f in sorted(path.rglob("*")) if f.is_file()}
+
+
+def in_child(script, argvs, **env):
+    proc = run_python("-c", script, json.dumps([[str(a) for a in argv] for argv in argvs]), **env)
+    assert proc.returncode == 0, proc.stderr
+
+
+def logs(data):
+    return ["--log", data / "log.jsonl", "--truth", data / "truth.jsonl"]
+
+
+@pytest.fixture(scope="session")
+def planted(tmp_path_factory):
+    """s0 and s1 over 30 questions with 2 to 8 answers, so every
+    Gauss-Legendre table entry; s1 lifts the correct answer by 0.2."""
+    path = tmp_path_factory.mktemp("planted") / "planted.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for s, lift in (("s0", 0.0), ("s1", 0.2)):
+            for q in range(30):
+                m = 2 + q % 7
+                probs = [(1 - lift) / m] * m
+                probs[q % m] += lift
+                fh.write(json.dumps({"strategy_id": s, "question_id": f"q{q}", "probs": probs,
+                                     "correct_index": q % m, "mean_prompt_tokens": 50 + q,
+                                     "mean_completion_tokens": 100 + 2 * q}) + "\n")
+    return path
+
+
+@pytest.fixture(scope="session")
+def data(planted, tmp_path_factory):
+    """``synth``'s log, whose lines take the log reader's pattern route."""
+    data = tmp_path_factory.mktemp("synth") / "data"
+    assert main([str(a) for a in ["synth", "--scenario", planted, *SYNTH, "--out", data]]) == 0
+    return data
+
+
+@pytest.fixture(scope="session")
+def hashed(planted, tmp_path_factory):
+    """Per PYTHONHASHSEED 1 and 2, a fresh interpreter's log and reports."""
+    runs = {}
+    for seed in ("1", "2"):
+        out = runs[seed] = tmp_path_factory.mktemp(f"hashseed{seed}")
+        in_child(MAIN_EACH, [
+            ["synth", "--scenario", planted, *SYNTH, "--out", out / "data"],
+            ["analyze", *logs(out / "data"), *REPORT, "--out", out / "report"],
+            # Monte Carlo sub-seeds hash strategy ids with crc32, not hash()
+            ["analyze", *logs(out / "data"), *REPORT, *MC, "--out", out / "report-mc"],
+            # a grid without 1 draws the hard pools' n = 1 cells in a second batch
+            ["analyze", *logs(out / "data"), "--grid", "3,5,9", *MC, "--out", out / "report-mc-no-1"],
+            # s0 repeats one support per answer count: the exact batch groups cells by (support, n)
+            ["predict", "--scenario", planted, *PREDICT, "--out", out / "predict"],
+        ], PYTHONHASHSEED=seed)
+    return runs
+
+
+def test_readme_python_blocks_run():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert blocks, "README.md has no python blocks"
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i + 1}", "exec"), {})
+
+
+def test_compact_log_takes_the_json_array_route_to_the_same_report(data, tmp_path):
+    compact = tmp_path / "log.jsonl"
+    with open(data / "log.jsonl", encoding="utf-8") as src, open(compact, "w", encoding="utf-8") as out:
+        for line in src:
+            out.write(json.dumps(json.loads(line), separators=(",", ":")) + "\n")
+    analyze = ["analyze", "--truth", data / "truth.jsonl", *REPORT, "--log"]
+    canonical = report([*analyze, data / "log.jsonl"], tmp_path / "canonical")
+    assert report([*analyze, compact], tmp_path / "compact") == canonical
+
+
+def test_predict_aligns_strategies_to_the_first_ones_question_order(planted, tmp_path):
+    lines = planted.read_text(encoding="utf-8").splitlines(keepends=True)
+    reversed_ = tmp_path / "reversed.jsonl"
+    reversed_.write_text("".join(lines[:30] + lines[30:][::-1]), encoding="utf-8")  # s1's rows reversed
+    predict = ["predict", *PREDICT, "--scenario"]
+    planted_report = report([*predict, planted], tmp_path / "planted")
+    assert report([*predict, reversed_], tmp_path / "reversed") == planted_report
+
+
+def test_reports_do_not_depend_on_string_hashing(hashed):
+    assert tree(hashed["1"]) == tree(hashed["2"])
+
+
+def test_exact_runs_import_neither_numpy_polynomial_nor_numpy_random(planted, data, tmp_path):
+    """The kernel's Gauss-Legendre nodes come from a constant table, and only Monte Carlo
+    derives seeds (on numpy >= 2, which loads submodules lazily)."""
+    in_child(MAIN_EACH + """from votescale import QuestionSamples, replay_majority
+replay_majority(QuestionSamples("q0", "s0", "a", tuple("aabbbcacbd"), 1.0, 1.0), 5)
+for module in ("numpy.polynomial", "numpy.random"):
+    assert module not in sys.modules, f"an exact run imported {module}"
+""", [
+        ["analyze", *logs(data), "--grid", "1,3,5,9", "--out", tmp_path / "report"],
+        # the last grid point is beyond the exact cap: those cells fall back
+        ["predict", "--scenario", planted, "--grid", f"1,3,5,9,{N_PAST_EXACT_CAP}", "--fallback",
+         "--out", tmp_path / "predicted"],
+        ["exact", "--dist", "0.64,0.35,0.01", "--grid", "1,3,5"],
+    ])
+
+
+@pytest.mark.skipif(len(CPUS) < 2, reason="pinning one CPU needs sched_setaffinity and 2 CPUs")
+def test_monte_carlo_on_one_cpu_gives_the_forked_report(hashed, tmp_path):
+    """Cells drawn in one process, without forked workers, give the forked cells' report."""
+    pin = f"import os\nos.sched_setaffinity(0, {{{CPUS[0]}}})\n"
+    in_child(pin + MAIN_EACH, [["analyze", *logs(hashed["1"] / "data"), *REPORT, *MC, "--out", tmp_path]])
+    assert tree(tmp_path) == tree(hashed["1"] / "report-mc")

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import brute_force_vote_prob, constructed_moderate, random_easy
+from conftest import answers_past_exact_cap, brute_force_vote_prob, constructed_moderate, random_easy
 from votescale import (
     AnswerDistribution,
     CapExceeded,
@@ -156,9 +156,8 @@ class TestExactKnownValues:
 
 class TestExactCaps:
     def test_too_many_nonzero_answers(self):
-        probs = tuple([0.2] + [0.1] * 8)
         with pytest.raises(CapExceeded):
-            exact_majority_prob(AnswerDistribution(probs), 3)
+            exact_majority_prob(answers_past_exact_cap(), 3)
 
     def test_n_above_cap(self):
         with pytest.raises(CapExceeded):
@@ -263,7 +262,7 @@ class TestPoissonKernel:
 
     def test_one_sample_still_respects_the_answer_cap(self):
         with pytest.raises(CapExceeded):
-            exact_majority_prob(AnswerDistribution((0.2,) + (0.1,) * 8), 1)
+            exact_majority_prob(answers_past_exact_cap(), 1)
 
     @pytest.mark.parametrize("nodes", range(1, -(-EXACT_MAX_ANSWERS // 2) + 1))
     def test_quadrature_table_is_leggauss_bit_for_bit(self, nodes):
