@@ -20,12 +20,34 @@ from votescale.votemath import EXACT_MAX_ANSWERS, EXACT_MAX_N
 
 #: the smallest sample count beyond the exact estimator's cap
 N_PAST_EXACT_CAP = EXACT_MAX_N + 1
+#: ``CapExceeded``'s messages for ``N_PAST_EXACT_CAP`` and for one answer past the cap
+N_CAP_MESSAGE = f"n={N_PAST_EXACT_CAP} exceeds the exact cap of {EXACT_MAX_N}"
+ANSWER_CAP_MESSAGE = f"{EXACT_MAX_ANSWERS + 1} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}"
+
+
+def answers_at_exact_cap() -> AnswerDistribution:
+    """As many nonzero answers as the exact cap admits, the correct one first and twice as likely."""
+    wrong = 1.0 / (EXACT_MAX_ANSWERS + 1)
+    return AnswerDistribution((2 * wrong,) + (wrong,) * (EXACT_MAX_ANSWERS - 1))
 
 
 def answers_past_exact_cap() -> AnswerDistribution:
     """One nonzero answer past the exact cap, the correct one first and twice as likely."""
     wrong = 1.0 / (EXACT_MAX_ANSWERS + 2)
     return AnswerDistribution((2 * wrong,) + (wrong,) * EXACT_MAX_ANSWERS)
+
+
+def hard_past_exact_cap() -> AnswerDistribution:
+    """One nonzero answer past the exact cap, and hard: the correct answer
+    first at half a wrong answer's probability, the next one at 2.5 times it."""
+    wrong = 1.0 / (EXACT_MAX_ANSWERS + 2)
+    return AnswerDistribution((wrong / 2, 2.5 * wrong) + (wrong,) * (EXACT_MAX_ANSWERS - 1))
+
+
+def sure_past_exact_cap() -> AnswerDistribution:
+    """One nonzero answer past the exact cap, the correct one at 0.9: its
+    normal approximation reads 1.0 from n = 9."""
+    return AnswerDistribution((0.9,) + (0.1 / EXACT_MAX_ANSWERS,) * EXACT_MAX_ANSWERS)
 
 
 def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:

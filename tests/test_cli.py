@@ -7,8 +7,9 @@ from unittest import mock
 
 import pytest
 
-from conftest import N_PAST_EXACT_CAP, run_python
+from conftest import N_PAST_EXACT_CAP, answers_at_exact_cap, run_python
 from votescale.cli import main
+from votescale.votemath import EXACT_MAX_N
 
 
 def run(capsys, argv):
@@ -166,6 +167,11 @@ class TestPointCommands:
         )
         assert code == 0
         assert out.splitlines()[1] == "60,0.973575931758,exact,"
+        at_caps = ",".join(map(repr, answers_at_exact_cap().probs))
+        code, out, _ = run(capsys, ["exact", "--dist", at_caps, "--n", str(EXACT_MAX_N)])
+        assert code == 0
+        row = list(csv.reader(out.splitlines()))[1]
+        assert (row[0], row[2]) == (str(EXACT_MAX_N), "exact")
 
     def test_bad_correct_index(self, capsys):
         code, _, _ = run(

@@ -4,7 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import brute_force_vote_prob, constructed_moderate, random_easy, random_hard
+from conftest import N_PAST_EXACT_CAP, brute_force_vote_prob, constructed_moderate, random_easy, random_hard
 from votescale import (
     AnswerDistribution,
     CrossoverVerdict,
@@ -168,7 +168,7 @@ class TestCrossover:
     def test_fallback_controls_large_n(self):
         from votescale import CapExceeded
 
-        grid = [1, 3, 101]
+        grid = [1, 3, N_PAST_EXACT_CAP]
         verdict = find_crossover_n(self.AHEAD, self.BEHIND, grid)
         assert verdict.crossover_n is not None
         with pytest.raises(CapExceeded):

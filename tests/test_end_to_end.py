@@ -10,6 +10,7 @@ import pytest
 
 from conftest import N_PAST_EXACT_CAP, run_python
 from votescale.cli import main
+from votescale.votemath import EXACT_MAX_ANSWERS
 
 REPORT = ["--grid", "1,3,5,9", "--prices", "0.15,0.6", "--budget", "0.05"]
 MC = ["--method", "mc", "--trials", "2000"]
@@ -45,13 +46,13 @@ def logs(data):
 
 @pytest.fixture(scope="session")
 def planted(tmp_path_factory):
-    """s0 and s1 over 30 questions with 2 to 8 answers, so every
-    Gauss-Legendre table entry; s1 lifts the correct answer by 0.2."""
+    """s0 and s1 over 30 questions with 2 to ``EXACT_MAX_ANSWERS`` answers,
+    so every Gauss-Legendre table entry; s1 lifts the correct answer by 0.2."""
     path = tmp_path_factory.mktemp("planted") / "planted.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for s, lift in (("s0", 0.0), ("s1", 0.2)):
             for q in range(30):
-                m = 2 + q % 7
+                m = 2 + q % (EXACT_MAX_ANSWERS - 1)
                 probs = [(1 - lift) / m] * m
                 probs[q % m] += lift
                 fh.write(json.dumps({"strategy_id": s, "question_id": f"q{q}", "probs": probs,
@@ -114,13 +115,33 @@ def test_predict_aligns_strategies_to_the_first_ones_question_order(planted, tmp
     assert report([*predict, reversed_], tmp_path / "reversed") == planted_report
 
 
+def test_analyze_aligns_pools_to_the_first_strategys_question_order(data, tmp_path):
+    """s1's pools in reverse question order, each pool's samples in place: the
+    oracles pair s1's cells with s0's by question, and only the order of
+    ``distributions.csv``'s rows, which follows the log, changes."""
+    pools = {}
+    with open(data / "log.jsonl", encoding="utf-8") as fh:
+        for line in fh:
+            record = json.loads(line)
+            pools.setdefault((record["strategy_id"], record["question_id"]), []).append(line)
+    order = [key for key in pools if key[0] != "s1"] + [key for key in pools if key[0] == "s1"][::-1]
+    reordered = tmp_path / "reordered.jsonl"
+    reordered.write_text("".join(line for key in order for line in pools[key]), encoding="utf-8")
+    analyze = ["analyze", "--truth", data / "truth.jsonl", *REPORT, "--log"]
+    canonical = report([*analyze, data / "log.jsonl"], tmp_path / "canonical")
+    moved = report([*analyze, reordered], tmp_path / "reordered")
+    rows = [sorted(files.pop("distributions.csv").splitlines()) for files in (canonical, moved)]
+    assert rows[0] == rows[1]
+    assert moved == canonical
+
+
 def test_reports_do_not_depend_on_string_hashing(hashed):
     assert tree(hashed["1"]) == tree(hashed["2"])
 
 
 def test_exact_runs_import_neither_numpy_polynomial_nor_numpy_random(planted, data, tmp_path):
     """The kernel's Gauss-Legendre nodes come from a constant table, and only Monte Carlo
-    derives seeds (on numpy >= 2, which loads submodules lazily)."""
+    derives seeds."""
     in_child(MAIN_EACH + """from votescale import QuestionSamples, replay_majority
 replay_majority(QuestionSamples("q0", "s0", "a", tuple("aabbbcacbd"), 1.0, 1.0), 5)
 for module in ("numpy.polynomial", "numpy.random"):

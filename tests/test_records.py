@@ -2,6 +2,7 @@
 import itertools
 import json
 import math
+import string
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -13,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import votescale.records as records_module
 
+from conftest import ANSWER_CAP_MESSAGE, N_CAP_MESSAGE, N_PAST_EXACT_CAP
 from votescale import (
     CapExceeded,
     CostModel,
@@ -40,7 +42,7 @@ from votescale import (
     scaling_curve,
 )
 from votescale.records import _RECORD_FIELDS, _json_lines
-from votescale.votemath import _modal_winners, check_trials
+from votescale.votemath import EXACT_MAX_ANSWERS, _modal_winners, check_trials
 
 
 def record_line(qid="q1", sid="s1", idx=0, answer="42", pt=100, ct=50):
@@ -640,8 +642,8 @@ class TestReplay:
     @pytest.mark.parametrize(
         "answers, n, message",
         [
-            ("abcdefghi", 3, "9 nonzero answers exceed the cap of 8"),
-            ("ab" * 31, 61, "n=61 exceeds the exact cap of 60"),
+            (string.ascii_letters[: EXACT_MAX_ANSWERS + 1], 3, ANSWER_CAP_MESSAGE),
+            ("ab" * (N_PAST_EXACT_CAP // 2 + 1), N_PAST_EXACT_CAP, N_CAP_MESSAGE),
         ],
         ids=["answers", "n"],
     )

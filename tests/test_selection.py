@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import N_PAST_EXACT_CAP, answers_past_exact_cap, hard_past_exact_cap, sure_past_exact_cap
 from votescale import (
     AnswerDistribution,
     CapExceeded,
@@ -35,6 +36,7 @@ from votescale import (
     exact_majority_probs,
     extreme_performance,
     load_scenario,
+    normal_approx_prob,
     vote_probability,
 )
 from votescale.difficulty import Difficulty, classify
@@ -156,14 +158,13 @@ class TestAccuracyCurve:
             accuracy_curve(StrategyDataset("s", ()), [1])
 
     def test_fallback_point_is_tagged_with_the_approximation(self):
-        # nine nonzero answers exceed the exact cap of eight
-        wide = AnswerDistribution((0.2,) + (0.1,) * 8)
+        wide = answers_past_exact_cap()
         curve = accuracy_curve(dataset("s", [wide]), [5], "exact", fallback=True)
         assert curve.points[0].method == "normal_approx"
         assert curve.method == "exact"
 
     def test_point_tag_is_the_least_exact_cell(self):
-        wide = AnswerDistribution((0.2,) + (0.1,) * 8)
+        wide = answers_past_exact_cap()
         mixed = accuracy_curve(dataset("s", [EARLY, wide]), [1, 5], "exact", fallback=True)
         assert [p.method for p in mixed.points] == ["normal_approx", "normal_approx"]
         plain = accuracy_curve(dataset("s", [EARLY, LATE]), [1, 5], "exact", fallback=True)
@@ -237,7 +238,7 @@ class TestAccuracyCurve:
         assert curves["mc", 1][0].values != curves["mc", 2][0].values
 
     def test_shared_table_keeps_fallback_apart(self):
-        wide = dataset("s", [AnswerDistribution((0.2,) + (0.1,) * 8)])
+        wide = dataset("s", [answers_past_exact_cap()])
         assert Run([wide], [5], fallback=True).curves()[0].points[0].method == "normal_approx"
         with pytest.raises(CapExceeded):
             Run([wide], [5]).curves()
@@ -366,11 +367,11 @@ class TestBudgetSelection:
         the exact cap raises nothing without --fallback."""
         ds = dataset("s", [EARLY, LATE], pt=1000.0, ct=500.0)
         budget = 5 * dataset_sample_cost(ds, self.MODEL)
-        pick = best_under_cost([ds], budget, self.MODEL, [1, 5, 61])
+        pick = best_under_cost([ds], budget, self.MODEL, [1, 5, N_PAST_EXACT_CAP])
         assert (pick.chosen_n, pick.predicted_accuracy) == (5, accuracy_curve(ds, [5]).values[0])
-        assert Run([ds], [1, 5, 61]).best_under_cost(budget, self.MODEL) == pick
+        assert Run([ds], [1, 5, N_PAST_EXACT_CAP]).best_under_cost(budget, self.MODEL) == pick
         with pytest.raises(CapExceeded):
-            Run([ds], [1, 5, 61]).curves()
+            Run([ds], [1, 5, N_PAST_EXACT_CAP]).curves()
 
     def test_declining_dataset_prefers_one_sample(self):
         # binary hard questions decay monotonically, so more votes only
@@ -495,8 +496,9 @@ class TestDynamicCurve:
             assert all(d >= s for d, s in zip(dyn, single))
 
     def test_tie_keeps_the_earliest_strategys_cell(self):
-        # beyond the exact cap, the approximation reaches 1.0 at n = 9
-        sure = dataset("approx", [AnswerDistribution((0.9,) + (0.0125,) * 8)])
+        # beyond the exact cap, the approximation ties the exact 1.0 at n = 9
+        assert normal_approx_prob(sure_past_exact_cap(), 9).value == 1.0
+        sure = dataset("approx", [sure_past_exact_cap()])
         certain = dataset("exact", [AnswerDistribution((1.0, 0.0))])
         assert dynamic_curve([certain, sure], [9], fallback=True).points[0].method == "exact"
         assert dynamic_curve([sure, certain], [9], fallback=True).points[0].method == "normal_approx"
@@ -630,9 +632,9 @@ def reference_best(candidates, budget, method, trials, seed, fallback, cells):
 JUDGE_POOL = (
     EARLY,
     LATE,
-    AnswerDistribution((0.2,) + (0.1,) * 8),  # beyond the exact answer cap
-    AnswerDistribution((0.05, 0.25) + (0.1,) * 7),  # hard, beyond the answer cap
-    AnswerDistribution((0.9,) + (0.0125,) * 8),  # approximated as 1.0 from n = 9, a tie
+    answers_past_exact_cap(),
+    hard_past_exact_cap(),
+    sure_past_exact_cap(),  # approximated as 1.0 from n = 9, a tie
     AnswerDistribution((0.3, 0.6, 0.1)),  # hard
     AnswerDistribution((0.45, 0.55)),  # hard
     AnswerDistribution((0.5, 0.5)),  # moderate

@@ -13,7 +13,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import answers_past_exact_cap, brute_force_vote_prob, constructed_moderate, random_easy
+from conftest import (
+    ANSWER_CAP_MESSAGE,
+    N_CAP_MESSAGE,
+    N_PAST_EXACT_CAP,
+    answers_at_exact_cap,
+    answers_past_exact_cap,
+    brute_force_vote_prob,
+    constructed_moderate,
+    hard_past_exact_cap,
+    random_easy,
+    sure_past_exact_cap,
+)
 from votescale import (
     AnswerDistribution,
     CapExceeded,
@@ -44,6 +55,7 @@ from votescale.votemath import (
     _BLOCK,
     _GAUSS_LEGENDRE,
     EXACT_MAX_ANSWERS,
+    EXACT_MAX_N,
     _kernel_plan,
     _modal_winners,
     canonical_method,
@@ -156,16 +168,17 @@ class TestExactKnownValues:
 
 class TestExactCaps:
     def test_too_many_nonzero_answers(self):
-        with pytest.raises(CapExceeded):
-            exact_majority_prob(answers_past_exact_cap(), 3)
+        for dist in (answers_past_exact_cap(), hard_past_exact_cap(), sure_past_exact_cap()):
+            with pytest.raises(CapExceeded, match=f"^{ANSWER_CAP_MESSAGE}$"):
+                exact_majority_prob(dist, 3)
 
     def test_n_above_cap(self):
-        with pytest.raises(CapExceeded):
-            exact_majority_prob(AnswerDistribution((0.6, 0.4)), 61)
+        with pytest.raises(CapExceeded, match=f"^{N_CAP_MESSAGE}$"):
+            exact_majority_prob(AnswerDistribution((0.6, 0.4)), N_PAST_EXACT_CAP)
 
     def test_caps_are_parameters(self):
-        d = AnswerDistribution((0.6, 0.4))
-        value = exact_majority_prob(d, 101, max_n=101).value
+        d = AnswerDistribution((0.65, 0.35))  # above 0.97 from n = 61 to past 500
+        value = exact_majority_prob(d, N_PAST_EXACT_CAP, max_n=N_PAST_EXACT_CAP).value
         assert 0.97 < value < 1.0
 
     def test_eight_answers_at_the_n_cap(self):
@@ -173,9 +186,10 @@ class TestExactCaps:
         vp = exact_majority_prob(dist, 60)
         assert vp.method == "exact"
         assert vp.value == pytest.approx(direct_dp_vote_prob(dist, 60), abs=1e-12)
+        assert exact_majority_prob(answers_at_exact_cap(), EXACT_MAX_N).method == "exact"
 
     def test_zero_prob_answers_do_not_count_against_cap(self):
-        probs = tuple([0.5, 0.5] + [0.0] * 10)
+        probs = tuple([0.5, 0.5] + [0.0] * (EXACT_MAX_ANSWERS + 2))
         assert exact_majority_prob(AnswerDistribution(probs), 3).value == pytest.approx(
             0.5, abs=1e-12
         )
@@ -183,8 +197,8 @@ class TestExactCaps:
     def test_fallback_dispatch(self):
         d = AnswerDistribution((0.6, 0.4))
         with pytest.raises(CapExceeded):
-            vote_probability(d, 99, "exact")
-        vp = vote_probability(d, 99, "exact", fallback=True)
+            vote_probability(d, N_PAST_EXACT_CAP, "exact")
+        vp = vote_probability(d, N_PAST_EXACT_CAP, "exact", fallback=True)
         assert vp.method == "normal_approx"
 
 
@@ -331,15 +345,17 @@ class TestBatchedKernel:
         assert twice[0] == twice[2]
 
     def test_special_and_fallback_cells_mixed_into_a_batch(self):
-        wide = AnswerDistribution((0.2,) + (0.1,) * 8)  # nine nonzero answers
+        wide = answers_past_exact_cap()
+        # two nonzero answers past the answer cap, none of them correct
+        zero = AnswerDistribution((0.0,) + (1.0 / (EXACT_MAX_ANSWERS + 2),) * (EXACT_MAX_ANSWERS + 2), 0)
         cells = [
             (EASY, 5),
             (AnswerDistribution((0.0, 0.6, 0.4)), 7),  # the correct answer is never sampled
             (AnswerDistribution((0.0, 1.0, 0.0), 1), 9),  # one answer: always right
             (wide, 5),
             (EASY, 1),
-            (AnswerDistribution((0.6, 0.4)), 61),  # above the n cap
-            (AnswerDistribution((0.0,) + (0.1,) * 10, 0), 99),  # zero beats both caps
+            (AnswerDistribution((0.6, 0.4)), N_PAST_EXACT_CAP),  # above the n cap
+            (zero, N_PAST_EXACT_CAP),  # zero beats both caps
             (EASY, 5),
         ]
         got = exact_majority_probs(cells, fallback=True)
@@ -349,8 +365,8 @@ class TestBatchedKernel:
             VoteProbability(1.0, "exact", 9),
             normal_approx_prob(wide, 5),
             VoteProbability(EASY.correct_prob, "exact", 1),
-            normal_approx_prob(AnswerDistribution((0.6, 0.4)), 61),
-            VoteProbability(0.0, "exact", 99),
+            normal_approx_prob(AnswerDistribution((0.6, 0.4)), N_PAST_EXACT_CAP),
+            VoteProbability(0.0, "exact", N_PAST_EXACT_CAP),
             exact_majority_prob(EASY, 5),
         ]
         assert got == [vote_probability(d, n, "exact", fallback=True) for d, n in cells]
@@ -365,8 +381,8 @@ class TestBatchedKernel:
 
         first = AnswerDistribution((0.5, 0.3, 0.2), 0)
         second = AnswerDistribution((0.3, 0.5, 0.2), 1)  # the same support as first
-        wide = AnswerDistribution((0.2,) + (0.1,) * 8)  # nine nonzero answers
-        capped = AnswerDistribution((0.6, 0.4))  # capped at n = 61
+        wide = answers_past_exact_cap()
+        capped = AnswerDistribution((0.6, 0.4))  # capped at N_PAST_EXACT_CAP
         cells = [
             (EASY, 5),
             (first, 5),
@@ -376,7 +392,7 @@ class TestBatchedKernel:
             (EASY, 5),
             (AnswerDistribution((0.0, 0.6, 0.4)), 5),  # the correct answer is never sampled
             (second, 9),
-            (capped, 61),
+            (capped, N_PAST_EXACT_CAP),
             (first, 9),
             (EASY, 5),
         ]
@@ -395,12 +411,12 @@ class TestBatchedKernel:
     def test_first_capped_cell_in_order_raises(self):
         cells = [
             (EASY, 5),
-            (AnswerDistribution((0.6, 0.4)), 61),
-            (AnswerDistribution((0.2,) + (0.1,) * 8), 5),
+            (AnswerDistribution((0.6, 0.4)), N_PAST_EXACT_CAP),
+            (answers_past_exact_cap(), 5),
         ]
-        with pytest.raises(CapExceeded, match="^n=61 exceeds the exact cap of 60$"):
+        with pytest.raises(CapExceeded, match=f"^{N_CAP_MESSAGE}$"):
             exact_majority_probs(cells)
-        with pytest.raises(CapExceeded, match="^9 nonzero answers exceed the cap of 8$"):
+        with pytest.raises(CapExceeded, match=f"^{ANSWER_CAP_MESSAGE}$"):
             exact_majority_probs(cells[::-1])
         assert exact_majority_probs([]) == []
 
@@ -807,8 +823,7 @@ class TestScalingCurve:
         pairs = [(d, n) for d, n, _ in cells]
         assert vote_probabilities(cells) == exact_majority_probs(pairs)
         assert vote_probabilities(iter(cells), "exact") == exact_majority_probs(pairs)
-        # nine nonzero answers exceed the exact cap of eight
-        wide = (AnswerDistribution((0.2,) + (0.1,) * 8), 5, 0)
+        wide = (answers_past_exact_cap(), 5, 0)
         with pytest.raises(CapExceeded):
             vote_probabilities(cells + [wide])
         substituted = vote_probabilities(cells + [wide], fallback=True)
@@ -826,8 +841,8 @@ class TestScalingCurve:
     def test_fallback_only_when_enabled(self):
         d = AnswerDistribution((0.6, 0.4))
         with pytest.raises(CapExceeded):
-            scaling_curve(d, [5, 101], "exact")
-        curve = scaling_curve(d, [5, 101], "exact", fallback=True)
+            scaling_curve(d, [5, N_PAST_EXACT_CAP], "exact")
+        curve = scaling_curve(d, [5, N_PAST_EXACT_CAP], "exact", fallback=True)
         assert curve.points[0].method == "exact"
         assert curve.points[1].method == "normal_approx"
 
