@@ -70,8 +70,8 @@ from .records import group_records, parse_records  # noqa: F401
 from .selection import adaptive_curve, best_for_n, best_under_cost, combined_curve, dynamic_curve  # noqa: F401
 from .selection import extreme_performance  # noqa: F401
 from .votemath import vote_probability  # noqa: F401
-from .selection import Run, StrategyDataset, datasets_from_samples, dominance_count, load_scenario
-from .votemath import _MAX_DRAW, check_grid, scaling_curve
+from .selection import Run, StrategyDataset, datasets_from_samples, load_scenario, scaling_curve
+from .votemath import _MAX_DRAW, check_grid
 
 #: Default prices (currency per 1M prompt/completion tokens); the bundled
 #: cost examples use this quote.
@@ -287,6 +287,7 @@ def cmd_analyze(args) -> int:
     run = _run(dss, cfg)
     tables = _strategy_tables(run, cfg)
     oracle_curves = run.oracles()
+    overtakes = run.dominance()
 
     labelled = {
         (q.question_id, ds.strategy_id): (q.dist, label.kind.value)
@@ -318,10 +319,10 @@ def cmd_analyze(args) -> int:
             "dominance.csv",
             ["overtaker", "overtaken", "count"],
             [
-                [a.strategy_id, b.strategy_id, dominance_count(a, b)]
-                for a in dss
-                for b in dss
-                if a.strategy_id != b.strategy_id
+                [a.strategy_id, b.strategy_id, overtakes[i][j]]
+                for i, a in enumerate(dss)
+                for j, b in enumerate(dss)
+                if i != j
             ],
         ),
         (

@@ -13,9 +13,11 @@ answers attaining the maximum probability):
 
 Also here: the sufficient condition for a strategy that starts behind at
 n = 1 to overtake another at larger n (smaller correct-vs-strongest-wrong
-gap, larger variance proxy), a grid search for the first overtake point,
-and the KL divergence of the wrong-answer mass from uniform, which measures
-how concentrated a strategy's errors are.
+gap, larger variance proxy), and the KL divergence of the wrong-answer mass
+from uniform, which measures how concentrated a strategy's errors are.
+Nothing here evaluates a vote: counting overtakes over a dataset
+(:func:`votescale.selection.dominance_count`) and searching a grid for the
+first one (:func:`votescale.selection.find_crossover_n`) are runs.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from enum import Enum
 
 from .distribution import AnswerDistribution
 from .errors import NoWrongMass
-from .votemath import _margin_and_spread, check_grid, vote_probability
+from .votemath import _margin_and_spread
 
 #: Absolute tolerance when testing membership in the modal set.
 TIE_TOLERANCE = 1e-12
@@ -97,47 +99,6 @@ def crossover_condition(
     gap_b, v_b = _margin_and_spread(behind)
     gap_a, v_a = _margin_and_spread(ahead)
     return gap_a < gap_b and v_a > v_b
-
-
-@dataclass(frozen=True)
-class CrossoverVerdict:
-    """Outcome of checking one ordered strategy pair over a grid of n."""
-
-    condition_holds: bool
-    crossover_n: int | None
-    grid: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.crossover_n is not None and self.crossover_n not in self.grid:
-            raise ValueError("crossover point must come from the searched grid")
-
-
-def find_crossover_n(
-    behind: AnswerDistribution,
-    ahead: AnswerDistribution,
-    grid,
-    *,
-    fallback: bool = True,
-) -> CrossoverVerdict:
-    """First grid point where ``behind`` strictly beats ``ahead``, if any.
-
-    Probabilities come from the exact estimator, falling back to the normal
-    approximation above the exact caps unless ``fallback`` is disabled.
-    ``crossover_n`` is None when no searched point shows an overtake.
-    """
-    grid = check_grid(grid)
-    crossover_n = None
-    for n in grid:
-        value_b = vote_probability(behind, n, fallback=fallback).value
-        value_a = vote_probability(ahead, n, fallback=fallback).value
-        if value_b > value_a:
-            crossover_n = n
-            break
-    return CrossoverVerdict(
-        condition_holds=crossover_condition(behind, ahead),
-        crossover_n=crossover_n,
-        grid=grid,
-    )
 
 
 def kl_to_uniform(dist: AnswerDistribution) -> float:

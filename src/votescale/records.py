@@ -624,7 +624,8 @@ def estimate_distribution(
     with probability zero when never sampled, so the result always carries
     a valid correct_index. ``smoothing`` adds that many pseudo-counts to
     every answer in the support (add-one smoothing at 1.0) and must be
-    finite and >= 0; the default is the plain empirical estimator.
+    finite and >= 0, with a finite total; the default is the plain
+    empirical estimator.
     """
     if not samples.answers:
         raise ValueError("cannot estimate a distribution from zero samples")
@@ -632,6 +633,8 @@ def estimate_distribution(
         raise ValueError("smoothing must be a finite number >= 0")
     support, counts = _answer_counts(samples)
     total = len(samples.answers) + smoothing * len(support)
+    if not math.isfinite(total):
+        raise ValueError(f"smoothing={smoothing!r} over {len(support)} answers overflows the total count")
     probs = tuple((c + smoothing) / total for c in counts)
     return AnswerDistribution(probs, support.index(samples.correct_answer))
 

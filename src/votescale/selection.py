@@ -1,11 +1,12 @@
-"""Dataset-level accuracy curves, strategy selection, and oracle upgrades.
+"""Accuracy curves, strategy selection, overtakes and oracle upgrades.
 
 A strategy here is a fixed way of querying the model (a prompt, a
 temperature, a pipeline); for analysis purposes it is fully described by
 one answer distribution per question plus mean token usage. This module
 averages the per-question vote probabilities of :mod:`votescale.votemath`
 over a dataset, picks the best strategy under a sampling-time or cost
-budget, tabulates extreme performance and pairwise overtake counts, and
+budget, tabulates extreme performance and pairwise overtake counts, finds
+the first grid point where one distribution overtakes another, and
 computes three oracle curves that bound what smarter sampling could do:
 
 * adaptive  -- stop at one sample on questions where voting hurts;
@@ -21,13 +22,15 @@ evaluates the cells it reads that are still missing in one
 :func:`votescale.votemath.vote_probabilities` call (for exact cells, one
 kernel batch that evaluates each distinct kernel input once), takes each
 question's best strategy with ``argmax`` and averages with ``math.fsum``.
-The free functions (:func:`accuracy_curve`, ...) each evaluate a one-off
-run, only the cells they read, and keep nothing. Monte Carlo cells derive
-their sub-seed from (strategy, the question's position in its own
-dataset, effective n), so a cell has one value however it is reached and
-the documented dominance relations between curves survive sampling
-noise. A dataset point is tagged with the least exact estimator among
-its cells.
+The free functions (:func:`accuracy_curve`, :func:`dominance_count`,
+...) each evaluate a one-off run, only the cells they read, and keep
+nothing; :func:`scaling_curve` and :func:`find_crossover_n` are runs of
+one-question strategies. Monte Carlo cells derive their sub-seed from
+(seed, strategy, the question's position in its own dataset, effective
+n), so a cell has one value however it is reached -- a point's value does
+not depend on the rest of its grid -- and the documented dominance
+relations between curves survive sampling noise. A dataset point is
+tagged with the least exact estimator among its cells.
 """
 from __future__ import annotations
 
@@ -86,9 +89,6 @@ class StrategyDataset:
     def question_ids(self) -> tuple[str, ...]:
         return tuple(q.question_id for q in self.questions)
 
-    def by_id(self) -> dict[str, QuestionEntry]:
-        return {q.question_id: q for q in self.questions}
-
 
 @dataclass(frozen=True)
 class SelectionResult:
@@ -119,6 +119,19 @@ class ExtremePerformance(NamedTuple):
     moderate_frac: float
     hard_frac: float
     limit_accuracy: float
+
+
+@dataclass(frozen=True)
+class CrossoverVerdict:
+    """Outcome of checking one ordered strategy pair over a grid of n."""
+
+    condition_holds: bool
+    crossover_n: int | None
+    grid: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.crossover_n is not None and self.crossover_n not in self.grid:
+            raise ValueError("crossover point must come from the searched grid")
 
 
 class Run:
@@ -189,8 +202,8 @@ class Run:
                 todo.append((s, n, columns))
         if not todo:
             return
-        # generated, so that a large batch's cells are not held twice; the
-        # entropy tuple seeds default_rng as SeedSequence([...]) would
+        # generated, so that a large batch's cells are not held twice; a
+        # Monte Carlo cell's generator is seeded with the entropy tuple
         cells = (
             (self.datasets[s].questions[qi].dist, n, (self.seed, self._crc[s], qi, n))
             for s, n, columns in todo
@@ -255,6 +268,16 @@ class Run:
             fractions = [kinds.count(kind) / total for kind in Difficulty]  # easy, moderate, hard
             rows.append(ExtremePerformance(*fractions, math.fsum(label.limit for label in labels) / total))
         return rows
+
+    def dominance(self) -> list[list[int]]:
+        """Per ordered strategy pair (a, b), the questions where
+        ``crossover_condition`` holds for a's distribution against b's,
+        matched on the run's question axis; the diagonal reads 0 unevaluated."""
+        dists = [[ds.questions[qi].dist for qi in own] for ds, own in zip(self.datasets, self._own.tolist())]
+        return [
+            [0 if a == b else sum(map(crossover_condition, behind, ahead)) for b, ahead in enumerate(dists)]
+            for a, behind in enumerate(dists)
+        ]
 
     def _best(self, candidates, budget) -> SelectionResult | None:
         """The (strategy, n) candidate of highest predicted accuracy, the
@@ -382,25 +405,56 @@ def adaptive_limit(ds: StrategyDataset) -> float:
 
 
 def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
-    """Number of shared questions where ``crossover_condition(a, b)`` holds:
+    """Number of questions where ``crossover_condition(a, b)`` holds:
     ``ds_a``'s correct-vs-strongest-wrong gap is strictly larger and its
     variance proxy strictly smaller, so that, should it be behind, it is
     guaranteed to overtake ``ds_b`` as the sampling time grows. Whether it
     is behind at n=1 is not checked.
 
-    Counts over the id intersection; disjoint datasets are an error.
-    Identical datasets score 0 (the condition is strict).
+    The datasets must cover the same questions (:class:`IdMismatch`
+    otherwise). Identical datasets score 0 (the condition is strict).
     """
-    a_by_id = ds_a.by_id()
-    b_by_id = ds_b.by_id()
-    shared = [q for q in ds_a.question_ids if q in b_by_id]
-    if not shared:
-        raise IdMismatch(
-            f"strategies {ds_a.strategy_id!r} and {ds_b.strategy_id!r} share no questions"
-        )
-    return sum(
-        1 for q in shared if crossover_condition(a_by_id[q].dist, b_by_id[q].dist)
-    )
+    return Run([ds_a, ds_b], [1]).dominance()[0][1]
+
+
+def _one_question(strategy_id: str, dist: AnswerDistribution) -> StrategyDataset:
+    return StrategyDataset(strategy_id, (QuestionEntry("", dist),))
+
+
+def scaling_curve(
+    dist: AnswerDistribution,
+    ns,
+    method: str = "exact",
+    *,
+    trials: int = 100_000,
+    seed: int = 0,
+    fallback: bool = False,
+) -> ScalingCurve:
+    """One distribution's estimates over a grid of sampling times: the curve
+    of a one-question run, so every point is evaluated in one call. A Monte
+    Carlo point draws from the run's seed for its n, whatever the rest of
+    the grid."""
+    return Run([_one_question("", dist)], ns, method, trials=trials, seed=seed, fallback=fallback).curves()[0]
+
+
+def find_crossover_n(
+    behind: AnswerDistribution,
+    ahead: AnswerDistribution,
+    grid,
+    *,
+    fallback: bool = True,
+) -> CrossoverVerdict:
+    """First grid point where ``behind`` strictly beats ``ahead``, if any.
+
+    Both curves come from one exact run, which falls back to the normal
+    approximation above the exact caps unless ``fallback`` is disabled;
+    then any grid point past a cap raises :class:`CapExceeded`.
+    ``crossover_n`` is None when no searched point shows an overtake.
+    """
+    run = Run([_one_question("behind", behind), _one_question("ahead", ahead)], grid, fallback=fallback)
+    curve_b, curve_a = run.curves()
+    crossover_n = next((b.n for b, a in zip(curve_b.points, curve_a.points) if b.value > a.value), None)
+    return CrossoverVerdict(crossover_condition(behind, ahead), crossover_n, run.grid)
 
 
 def best_for_n(

@@ -33,8 +33,11 @@ Three estimators are provided:
   predictor whose error vanishes as ``n`` grows.
 
 :func:`vote_probabilities` is the one place where a method name picks one
-of them, for a batch of ``(dist, n, seed)`` cells; :func:`vote_probability`,
-:func:`scaling_curve` and :class:`votescale.selection.Run` go through it.
+of them, for a batch of ``(dist, n, seed)`` cells. :func:`vote_probability`
+is its batch of one, and :class:`votescale.selection.Run` its one other
+caller: the curves of one distribution
+(:func:`votescale.selection.scaling_curve`) and every dataset reduction are
+runs, so a Monte Carlo point's seed does not depend on its grid.
 :func:`closed_form_majority_prob` is a check on the exact value, not a
 method: it evaluates the degree-3/degree-5 polynomials available for
 three-answer spaces at ``n`` in {3, 5}.
@@ -637,28 +640,3 @@ def check_grid(ns) -> tuple[int, ...]:
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("grid must be strictly increasing")
     return grid
-
-
-def scaling_curve(
-    dist: AnswerDistribution,
-    ns,
-    method: str = "exact",
-    *,
-    trials: int = 100_000,
-    seed=0,
-    fallback: bool = False,
-) -> ScalingCurve:
-    """Evaluate one estimator over a grid of sampling times, in one
-    :func:`vote_probabilities` call.
-
-    Monte Carlo points get independent sub-seeds derived from ``seed`` and
-    the point's position, so the curve is deterministic and points do not
-    share randomness.
-    """
-    grid = check_grid(ns)
-    method = canonical_method(method)
-    # only Monte Carlo reads seeds: exact runs do not import numpy.random
-    seeds = np.random.SeedSequence(seed).spawn(len(grid)) if method == "monte_carlo" else [seed] * len(grid)
-    cells = [(dist, n, s) for n, s in zip(grid, seeds)]
-    points = vote_probabilities(cells, method, trials=trials, fallback=fallback)
-    return ScalingCurve(points=tuple(points), method=method)

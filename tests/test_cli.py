@@ -5,9 +5,11 @@ import math
 import os
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from conftest import N_PAST_EXACT_CAP, answers_at_exact_cap, run_python
+from votescale import AnswerDistribution, crossover_condition
 from votescale.cli import main
 from votescale.votemath import EXACT_MAX_N
 
@@ -103,6 +105,13 @@ class TestPointCommands:
         assert row[2] == "monte_carlo"
         assert stderr == pytest.approx(math.sqrt(value * (1 - value) / 20000), abs=1e-12)
         assert abs(value - 0.94208) < 5 * stderr
+
+    def test_mc_point_does_not_depend_on_its_grid(self, capsys):
+        flags = ["--dist", "0.6,0.2,0.2", "--trials", "20000", "--seed", "7"]
+        _, alone, _ = run(capsys, ["mc", *flags, "--n", "5"])
+        _, grid, _ = run(capsys, ["mc", *flags, "--grid", "1,5"])
+        assert alone.splitlines()[1].startswith("5,")
+        assert alone.splitlines()[1] == grid.splitlines()[2]
 
     def test_mc_sampling_time_beyond_int64_exits_2(self, capsys):
         code, out, err = run(
@@ -582,6 +591,39 @@ class TestSynthAnalyze:
         assert probs[("s1", "q0", "a0")] == pytest.approx(0.64, abs=0.06)
         assert probs[("s2", "q1", "a0")] == pytest.approx(0.8, abs=0.06)
 
+    def test_dominance_counts_questions_matched_by_id(self, capsys, tmp_path):
+        """dominance.csv against a count over the report's own distributions
+        (eighths, so written exactly), each question looked up by id; s1 logs
+        its questions in reverse order."""
+        rng = np.random.default_rng(5)
+        questions, strategies = [f"q{i}" for i in range(12)], ["s0", "s1", "s2"]
+        lines = []
+        for sid in strategies:
+            for qid in questions[::-1] if sid == "s1" else questions:
+                lines += [log_line(qid, sid, i, f"a{rng.integers(3)}") for i in range(8)]
+        write_lines(tmp_path / "log.jsonl", lines)
+        write_lines(tmp_path / "truth.jsonl", [truth_line(qid) for qid in questions])
+        report = tmp_path / "report"
+        code, _, err = run(capsys, [
+            "analyze", "--log", str(tmp_path / "log.jsonl"), "--truth", str(tmp_path / "truth.jsonl"),
+            "--n", "1", "--out", str(report),
+        ])
+        assert code == 0, err
+        probs, correct = {}, {}
+        for sid, qid, _, prob, is_correct, _ in read_csv(report / "distributions.csv")[1:]:
+            if is_correct == "1":
+                correct[sid, qid] = len(probs.get((sid, qid), ()))
+            probs.setdefault((sid, qid), []).append(float(prob))
+        dists = {key: AnswerDistribution(tuple(p), correct[key]) for key, p in probs.items()}
+        expected = [
+            [a, b, str(sum(crossover_condition(dists[a, qid], dists[b, qid]) for qid in questions))]
+            for a in strategies
+            for b in strategies
+            if a != b
+        ]
+        assert read_csv(report / "dominance.csv") == [["overtaker", "overtaken", "count"], *expected]
+        assert all(int(count) > 0 for _, _, count in expected)
+
     def test_analyze_multiple_logs(self, capsys, tmp_path):
         """A log split in halves, or into odd and even lines so that every
         pool spans both logs, gives the whole log's report byte for byte."""
@@ -844,6 +886,12 @@ class TestSynthAnalyze:
         )
         assert code == 2
         assert "--smoothing must be a finite number >= 0" in err
+        assert not (tmp_path / "report").exists()
+
+    def test_analyze_smoothing_that_overflows_is_named(self, capsys, tmp_path):
+        code, _, err = run(capsys, self.no_wrong_mass_log(tmp_path) + ["--smoothing", "1e308"])
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1 and "smoothing" in err
         assert not (tmp_path / "report").exists()
 
     def test_analyze_non_utf8_log_names_file_and_line(self, capsys, tmp_path):

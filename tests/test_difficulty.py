@@ -173,6 +173,12 @@ class TestCrossover:
         assert verdict.crossover_n is not None
         with pytest.raises(CapExceeded):
             find_crossover_n(self.AHEAD, self.BEHIND, grid, fallback=False)
+        # every grid point is evaluated, so an overtake earlier in the grid
+        # does not hide a point past the cap
+        early = [1, 3, 5, N_PAST_EXACT_CAP]
+        assert find_crossover_n(self.AHEAD, self.BEHIND, early).crossover_n == 5
+        with pytest.raises(CapExceeded):
+            find_crossover_n(self.AHEAD, self.BEHIND, early, fallback=False)
 
 
 class TestKL:

@@ -524,6 +524,10 @@ class TestEstimateDistribution:
         assert dist.probs == pytest.approx((4 / 6, 2 / 6), abs=1e-15)
         with pytest.raises(ValueError):
             estimate_distribution(pool(["a"]), smoothing=-0.1)
+        # a finite smoothing whose pseudo-counts overflow the total is named
+        assert estimate_distribution(pool(["a"]), smoothing=1e308).probs == (1.0,)
+        with pytest.raises(ValueError, match=r"^smoothing=1e\+308 over 2 answers overflows"):
+            estimate_distribution(pool(["a", "b"]), smoothing=1e308)
 
     @pytest.mark.parametrize("smoothing", [math.nan, math.inf])
     def test_non_finite_smoothing_rejected(self, smoothing):

@@ -39,7 +39,7 @@ from votescale import (
     normal_approx_prob,
     vote_probability,
 )
-from votescale.difficulty import Difficulty, classify
+from votescale.difficulty import Difficulty, classify, crossover_condition
 from votescale.distribution import METHODS, VoteProbability
 from votescale.votemath import ScalingCurve, canonical_method, check_grid
 
@@ -65,7 +65,6 @@ class TestDatasets:
     def test_lookup_helpers(self):
         ds = dataset("s", [EARLY, LATE])
         assert ds.question_ids == ("q0", "q1")
-        assert ds.by_id()["q1"].dist == LATE
 
     def test_question_ids_follow_the_questions(self):
         ds = dataset("s", [EARLY, LATE, EARLY])
@@ -434,6 +433,34 @@ class TestDominance:
         b = StrategyDataset("b", (QuestionEntry("other", EARLY),))
         with pytest.raises(IdMismatch):
             dominance_count(a, b)
+
+    def test_partly_overlapping_questions(self):
+        a = dataset("a", [EARLY, LATE])
+        b = dataset("b", [LATE])
+        with pytest.raises(IdMismatch, match="'b' lacks question 'q1'"):
+            dominance_count(a, b)
+
+    def test_run_matches_a_count_over_questions_matched_by_id(self):
+        """``Run.dominance()`` against a count that looks each question up by
+        id. The second strategy lists its questions in reverse order and the
+        third shuffled, so pairing questions by position gives other counts."""
+        rng = np.random.default_rng(11)
+
+        def draw():
+            return AnswerDistribution(tuple(rng.dirichlet(np.ones(int(rng.integers(2, 6))))))
+
+        dss = [dataset(sid, [draw() for _ in range(60)]) for sid in "abc"]
+        dss[1] = StrategyDataset("b", dss[1].questions[::-1])
+        dss[2] = StrategyDataset("c", tuple(dss[2].questions[i] for i in rng.permutation(60)))
+
+        def count(ds_a, ds_b):
+            b_by_id = {q.question_id: q.dist for q in ds_b.questions}
+            return sum(crossover_condition(q.dist, b_by_id[q.question_id]) for q in ds_a.questions)
+
+        expected = [[0 if a is b else count(a, b) for b in dss] for a in dss]
+        assert Run(dss, [1, 3]).dominance() == expected
+        assert dominance_count(dss[1], dss[2]) == expected[1][2]
+        assert all(expected[a][b] > 0 for a in range(3) for b in range(3) if a != b)
 
 
 class TestAdaptiveCurve:
