@@ -30,6 +30,12 @@ reading ends it checks the pools, and names the line of a record key
 repeated across log lines or files, or of a logged question without ground
 truth, from the line numbers kept per sample.
 
+No module of the package imports numpy when it is imported: the
+estimators and :class:`votescale.selection.Run` import it when a command
+first evaluates cells, and ``synth`` when it draws samples. ``--help``,
+usage errors and input rejected before any cell is evaluated return
+without loading it.
+
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:
 floats are formatted with repr-stable precision, rows follow input order,
@@ -55,8 +61,6 @@ import sys
 from contextlib import closing
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .difficulty import kl_to_uniform
 from .distribution import AnswerDistribution
@@ -360,6 +364,8 @@ def cmd_synth(args) -> int:
                     f"question {q.question_id!r} has conflicting correct answers "
                     f"across strategies ({previous} vs {label})"
                 )
+
+    import numpy as np
 
     rng = np.random.default_rng(args.seed)
     log_lines = []

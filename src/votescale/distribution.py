@@ -48,7 +48,10 @@ class AnswerDistribution:
     correct_index: int = 0
 
     def __post_init__(self):
-        probs = tuple(float(p) for p in self.probs)
+        try:
+            probs = tuple(float(p) for p in self.probs)
+        except OverflowError:  # an int or Fraction past the largest double
+            raise InvalidDistribution("a probability is too large for a double") from None
         object.__setattr__(self, "probs", probs)
         if len(probs) < 1:
             raise InvalidDistribution("need at least one answer")
@@ -57,7 +60,10 @@ class AnswerDistribution:
             raise InvalidDistribution(f"non-finite probability: {', '.join(non_finite)}")
         if any(p < 0.0 for p in probs):
             raise InvalidDistribution(f"negative probability in {probs}")
-        total = math.fsum(probs)
+        try:
+            total = math.fsum(probs)
+        except OverflowError:
+            raise InvalidDistribution("probabilities sum to more than the largest double, not 1") from None
         if not abs(total - 1.0) <= SUM_TOLERANCE:
             raise InvalidDistribution(f"probabilities sum to {total!r}, not 1")
         try:

@@ -31,6 +31,9 @@ n), so a cell has one value however it is reached -- a point's value does
 not depend on the rest of its grid -- and the documented dominance
 relations between curves survive sampling noise. A dataset point is
 tagged with the least exact estimator among its cells.
+
+numpy is imported in :class:`Run`'s methods that hold its arrays, as in
+:mod:`votescale.votemath`, so that importing this module does not load it.
 """
 from __future__ import annotations
 
@@ -38,8 +41,6 @@ import math
 import zlib
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
-
-import numpy as np
 
 from .distribution import METHODS, AnswerDistribution, VoteProbability
 from .difficulty import Difficulty, classify, crossover_condition
@@ -160,6 +161,8 @@ class Run:
         seed: int = 0,
         fallback: bool = False,
     ):
+        import numpy as np
+
         self.grid = check_grid(grid)
         self.method = canonical_method(method)
         self.datasets = tuple(datasets)
@@ -195,6 +198,8 @@ class Run:
         requests (``rows`` a question mask, or True), in order, in one
         :func:`vote_probabilities` call; a cell's distribution and Monte Carlo
         sub-seed use its position in its own dataset."""
+        import numpy as np
+
         todo = []
         for s, n, rows in requests:
             columns = np.flatnonzero(np.isnan(self._cells[s, self._index[n], :, 0]) & rows)
@@ -220,6 +225,8 @@ class Run:
         strategy's hard questions if ``adaptive`` -- averaged over questions
         with ``math.fsum``, and tagged with the least exact cell's estimator.
         Evaluates the cells it reads that are missing first."""
+        import numpy as np
+
         strategies = list(strategies)
         requests = [(s, n, ~self._hard[s] if adaptive else True) for s in strategies for n in ns]
         self._fill(requests + [(s, 1, self._hard[s]) for s in strategies if adaptive])
@@ -530,7 +537,7 @@ def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
         completion = _number(line_number, obj, "mean_completion_tokens")
         try:
             dist = AnswerDistribution(tuple(probs), obj["correct_index"])
-        except (InvalidDistribution, OverflowError) as exc:
+        except InvalidDistribution as exc:
             raise MalformedLine(line_number, str(exc)) from None
         if (strategy_id, question_id) in seen:
             raise DuplicateKey(

@@ -54,6 +54,11 @@ input (nonzero probabilities, correct first, and ``n``) once per call, in
 chunks of equal nonzero answers and ``n`` whose largest array holds at most
 ``_BATCH_ENTRIES`` (2^12) complex entries. :func:`exact_majority_prob` is
 its batch of one.
+
+numpy is imported inside the functions that build arrays (the kernel and
+its plan, the pool sum and the Monte Carlo draws), not when the module is:
+importing the package, or a command that fails before it evaluates a cell,
+skips numpy's import (55 to 75 ms in a fresh interpreter on a 2-CPU VM).
 """
 from __future__ import annotations
 
@@ -64,8 +69,6 @@ import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
-
-import numpy as np
 
 from .distribution import AnswerDistribution, VoteProbability, check_sampling_time
 from .errors import CapExceeded, WrongArity
@@ -208,6 +211,8 @@ class _KernelPlan:
 def _kernel_plan(n: int, m: int) -> _KernelPlan:
     """Build (and cache) the kernel plan for ``n >= 2`` samples and ``m >= 2``
     nonzero answers. The plan does not depend on the distribution."""
+    import numpy as np
+
     k0, half = -(-n // m), n // 2  # below ceil(n/m) the correct answer is never modal
     # L exceeds every coefficient index n - k, and the product's degree
     # (m - 1) * min(k, n - k) stays below n - k + L: x^(n-k) never aliases
@@ -339,6 +344,8 @@ def _exact_kernel(supports: list[tuple[float, ...]], n: int) -> np.ndarray:
     """Levin's sum (see :func:`exact_majority_prob`) for a batch of supports
     of one size ``m >= 2``, correct answer first and every entry nonzero, at
     ``n >= 2``: one unclipped value per support, from Poisson rows."""
+    import numpy as np
+
     plan = _kernel_plan(n, len(supports[0]))
     rates = np.array([[(math.log(n * p), n * p, 1.0) for p in support] for support in supports])
     pmf = np.exp(rates @ plan.powers)  # Poisson(n p_j) over c = 0..n, correct answer first
@@ -351,7 +358,7 @@ def _levin_sum(pmf: np.ndarray, n: int, plan: _KernelPlan) -> np.ndarray:
     answer first, with ``plan = _kernel_plan(n, m)``. No operation mixes rows
     (axis 0), so a row's value does not depend on the batch."""
     waves = pmf[:, 1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
-    prefix = np.cumsum(waves, axis=3)
+    prefix = waves.cumsum(axis=3)
     half, k0 = n // 2, plan.k0
     # k > n/2: the factor is the sum over c <= n - k, the same at every y
     untied = prefix[:, :, :, n - half - 1 :: -1].prod(axis=1)
@@ -370,6 +377,8 @@ def _pool_majority_prob(counts: list[int], correct_index: int, n: int) -> float:
     on summing to ``n``: Levin's sum over binomial rows divided by the
     Binomial(K, n/K) pmf at ``n``. Special cases and caps are
     :func:`_exact_case`'s for the pool's frequencies."""
+    import numpy as np
+
     pool = sum(counts)
     case = _exact_case(AnswerDistribution(tuple(c / pool for c in counts), correct_index), n, EXACT_MAX_N)
     if isinstance(case, float):
@@ -432,6 +441,8 @@ def check_trials(trials) -> int:
 def _modal_winners(counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Per row of occurrence counts, a uniformly random index among the
     row's maxima: random scores restricted to the modal set, then argmax."""
+    import numpy as np
+
     # a row maximum reduces a few columns of many rows, which numpy does
     # several times faster over a column-major copy
     modal = counts == np.asfortranarray(counts).max(axis=1)[:, None]
@@ -498,6 +509,8 @@ def _shard_hits(cells: list[tuple], trials: int) -> list[int]:
     the correct answer, drawn from ``np.random.default_rng(seed)``. A
     distribution past :data:`_MULTINOMIAL_MAX_SUM` is drawn from its
     probabilities divided by their sum, every other one as it stands."""
+    import numpy as np
+
     hits = []
     for dist, n, seed in cells:
         rng, wins, probs = np.random.default_rng(seed), 0, dist.probs
@@ -526,6 +539,8 @@ def _forked_hits(cells: list[tuple], trials: int, workers: int) -> list[int]:
     shard 0 raises (an interrupt, say).
     """
     import mmap  # imported only here, as signal is below: a run that never forks skips its 0.5 ms
+
+    import numpy as np
 
     hits = np.frombuffer(mmap.mmap(-1, 8 * len(cells)), dtype=np.int64)
 

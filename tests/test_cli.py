@@ -210,9 +210,10 @@ class TestProcessEntry:
         assert proc.stdout == out and len(out.splitlines()) == 4 and code == 0
 
     def test_bad_input_exits_2_with_one_error_line(self):
-        proc = run_python("-m", "votescale.cli", "exact", "--dist", "0.5,x", "--n", "3")
-        assert proc.returncode == 2 and proc.stdout == ""
-        assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
+        for dist in ("0.5,x", "1e308,1e308"):  # the second overflows math.fsum
+            proc = run_python("-m", "votescale.cli", "exact", "--dist", dist, "--n", "3")
+            assert proc.returncode == 2 and proc.stdout == ""
+            assert proc.stderr.startswith("error: ") and len(proc.stderr.splitlines()) == 1
 
     def test_cap_overflow_exits_3(self):
         proc = run_python("-m", "votescale.cli", "exact", "--dist", "0.5,0.5", "--n", str(N_PAST_EXACT_CAP))
@@ -1090,6 +1091,13 @@ class TestBadLines:
 
         err = self.run_with_line_2(capsys, tmp_path, name, change)
         assert f"{tmp_path / name}: line 2: {message}" in err
+
+    def test_probability_too_large_for_a_double_names_scenario_line(self, capsys, tmp_path):
+        def change(lines):
+            return lines[1].replace('"probs": [0.6,', f'"probs": [{10**400},')
+
+        err = self.run_with_line_2(capsys, tmp_path, "scenario.jsonl", change)
+        assert f"{tmp_path / 'scenario.jsonl'}: line 2: a probability is too large for a double" in err
 
     @pytest.mark.parametrize(
         "name, message",

@@ -51,6 +51,14 @@ class TestAnswerDistribution:
         with pytest.raises(InvalidDistribution, match=f"non-finite probability: {re.escape(named)}$"):
             AnswerDistribution(probs, 0)
 
+    def test_rejects_entry_too_large_for_a_double(self):
+        with pytest.raises(InvalidDistribution, match="^a probability is too large for a double$"):
+            AnswerDistribution((0.5, 10**400), 0)
+
+    def test_rejects_entries_whose_sum_overflows(self):
+        with pytest.raises(InvalidDistribution, match="^probabilities sum to more than the largest double, not 1$"):
+            AnswerDistribution((1e308, 1e308), 0)
+
     def test_rejects_bad_index(self):
         with pytest.raises(InvalidDistribution):
             AnswerDistribution((0.5, 0.5), 2)

@@ -155,6 +155,45 @@ for module in ("numpy.polynomial", "numpy.random"):
     ])
 
 
+def test_imports_help_and_input_errors_load_no_numpy(planted, data, tmp_path):
+    """numpy loads when a command first evaluates cells: importing the package,
+    building the parser, ``--help`` and input rejected before any cell return
+    without it, each error as one ``error:`` line and exit code 2."""
+    for source in (data / "log.jsonl", planted):
+        lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+        (tmp_path / source.name).write_text(lines[0] + "{\n" + "".join(lines[2:]), encoding="utf-8")
+    cases = [
+        (["--help"], 0),
+        (["exact", "--dist", "0.6,0.4"], 2),  # neither --n nor --grid
+        (["analyze", "--log", tmp_path / "log.jsonl", "--truth", data / "truth.jsonl", "--n", "3",
+          "--out", tmp_path / "a"], 2),
+        (["predict", "--scenario", tmp_path / planted.name, "--n", "3", "--out", tmp_path / "p"], 2),
+    ]
+    proc = run_python("-c", """import contextlib, io, json, sys
+def check(step):
+    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+import votescale
+check("import votescale")
+from votescale.cli import build_parser, main
+build_parser()
+check("import votescale.cli and build_parser()")
+for argv, code in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # --help
+            got = exc.code
+    assert got == code, (argv, got, err.getvalue())
+    if code:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
+        assert argv[0] == "exact" or ": line 2: " in lines[0], (argv, lines)
+    check(argv)
+""", json.dumps([([str(a) for a in argv], code) for argv, code in cases]))
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.skipif(len(CPUS) < 2, reason="pinning one CPU needs sched_setaffinity and 2 CPUs")
 def test_monte_carlo_on_one_cpu_gives_the_forked_report(hashed, tmp_path):
     """Cells drawn in one process, without forked workers, give the forked cells' report."""
