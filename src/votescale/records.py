@@ -35,8 +35,10 @@ ground truth and for a repeated key; the error raised is that of the first
 such record in reading order, with file and line.
 :func:`parse_records` and :func:`group_records` are the same steps one
 record at a time. :func:`replay_majority` is exact: the mean vote over
-every n-subset of a pool, from :mod:`votescale.votemath`'s one Levin sum
-over binomial rows (plug-in cells give it Poisson rows).
+every n-subset of a pool, from Levin's sum over binomial rows. Pool cells
+share :mod:`votescale.votemath`'s one batched exact driver with plug-in
+cells, so :func:`mean_replay_accuracy` makes one call for all its pools
+and evaluates each distinct pool key once.
 """
 from __future__ import annotations
 
@@ -57,10 +59,9 @@ from .errors import (
     DuplicateKey,
     MalformedLine,
     MissingGroundTruth,
-    NotEnoughSamples,
     VoteScaleError,
 )
-from .votemath import _pool_majority_prob
+from .votemath import _pool_majority_probs
 
 #: Sentinel stored for unparseable or empty answers.
 UNPARSEABLE = "∅"
@@ -609,10 +610,11 @@ def answer_support(samples: QuestionSamples) -> tuple[str, ...]:
     return tuple(support)
 
 
-def _answer_counts(samples: QuestionSamples) -> tuple[tuple[str, ...], list[int]]:
-    """The pool's :func:`answer_support` and each of its answers' counts."""
+def _answer_counts(samples: QuestionSamples) -> tuple[list[int], int]:
+    """The count of each of the pool's :func:`answer_support` answers, and
+    the correct answer's index among them."""
     support, counts = answer_support(samples), Counter(samples.answers)
-    return support, [counts[answer] for answer in support]
+    return [counts[answer] for answer in support], support.index(samples.correct_answer)
 
 
 def estimate_distribution(
@@ -631,12 +633,12 @@ def estimate_distribution(
         raise ValueError("cannot estimate a distribution from zero samples")
     if not 0 <= smoothing < math.inf:
         raise ValueError("smoothing must be a finite number >= 0")
-    support, counts = _answer_counts(samples)
-    total = len(samples.answers) + smoothing * len(support)
+    counts, correct_index = _answer_counts(samples)
+    total = len(samples.answers) + smoothing * len(counts)
     if not math.isfinite(total):
-        raise ValueError(f"smoothing={smoothing!r} over {len(support)} answers overflows the total count")
+        raise ValueError(f"smoothing={smoothing!r} over {len(counts)} answers overflows the total count")
     probs = tuple((c + smoothing) / total for c in counts)
-    return AnswerDistribution(probs, support.index(samples.correct_answer))
+    return AnswerDistribution(probs, correct_index)
 
 
 def replay_majority(samples: QuestionSamples, n: int) -> float:
@@ -645,12 +647,10 @@ def replay_majority(samples: QuestionSamples, n: int) -> float:
     with uniform tie-breaking, which is unbiased for majority@n accuracy.
     Caps as for :func:`exact_majority_prob` (``CapExceeded``). A draw with
     replacement is a vote over the pool's plug-in distribution, whose exact
-    value is ``exact_majority_prob(estimate_distribution(samples), n)``."""
-    n = check_sampling_time(n)
-    if samples.pool_size < n:
-        raise NotEnoughSamples(f"pool has {samples.pool_size} samples, vote needs {n}")
-    support, counts = _answer_counts(samples)
-    return _pool_majority_prob(counts, support.index(samples.correct_answer), n)
+    value is ``exact_majority_prob(estimate_distribution(samples), n)``.
+    Its pool goes through the one batched exact call that
+    :func:`mean_replay_accuracy` makes for all of its pools."""
+    return _pool_majority_probs([(*_answer_counts(samples), n)])[0].value
 
 
 def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
@@ -666,8 +666,13 @@ def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
 
 
 def mean_replay_accuracy(groups: Iterable[QuestionSamples], n: int) -> float:
-    """Mean of :func:`replay_majority` over (question, strategy) pools."""
-    values = [replay_majority(g, n) for g in groups]
+    """Mean of :func:`replay_majority` over (question, strategy) pools, from
+    one batched exact call: each distinct pool key (the correct answer's
+    count, then the wrong answers' counts in support order) is evaluated
+    once at ``n``. The pools are checked in order, so the first one too
+    small for ``n`` (``NotEnoughSamples``) or beyond a cap
+    (``CapExceeded``) raises before any kernel work."""
+    values = [vp.value for vp in _pool_majority_probs((*_answer_counts(g), n) for g in groups)]
     if not values:
         raise ValueError("no sample pools to replay")
     return float(math.fsum(values) / len(values))

@@ -15,9 +15,10 @@ Three estimators are provided:
   tie-break). Levin's Poisson representation of the multinomial turns that
   sum into, per correct count ``k``, one coefficient of a product of
   truncated Poisson polynomials, so time and memory are polynomial in ``n``
-  and the number of answers. One Levin sum takes Poisson rows for these
-  plug-in cells and binomial rows for a recorded pool's ``n``-subsets
-  (:func:`votescale.records.replay_majority`, the exact mean over them).
+  and the number of answers. One Levin sum, behind one batched driver,
+  takes Poisson rows for these plug-in cells and binomial rows for a
+  recorded pool's ``n``-subsets (:func:`votescale.records.replay_majority`,
+  the exact mean over them).
 * :func:`monte_carlo_majority_prob` simulates complete votes with a seeded
   generator and reports the success fraction with its standard error. A
   cell costs about what its draws cost: the multinomial counts and the
@@ -48,15 +49,20 @@ cache, so sweeping many distributions over a grid of ``n`` reuses it. Its
 Gauss-Legendre nodes come from a constant table of ``leggauss`` values, so
 no exact run calls LAPACK for them or imports ``numpy.polynomial``.
 Nothing is cached per distribution or between calls. The kernel takes a
-leading batch axis: :func:`exact_majority_probs` is the batch entry point
-for many ``(distribution, n)`` cells. It evaluates each distinct kernel
-input (nonzero probabilities, correct first, and ``n``) once per call, in
-chunks of equal nonzero answers and ``n`` whose largest array holds at most
-``_BATCH_ENTRIES`` (2^12) complex entries. :func:`exact_majority_prob` is
-its batch of one.
+leading batch axis, and plug-in and pool cells share one batched driver
+(``_exact_batch``). It evaluates each distinct kernel input once per call,
+in chunks of equal nonzero answers and ``n`` whose largest array holds at
+most ``_BATCH_ENTRIES`` (2^12) complex entries. A plug-in cell's input is
+its nonzero probabilities, correct first, and ``n``:
+:func:`exact_majority_probs` is the batch entry point for many
+``(distribution, n)`` cells, and :func:`exact_majority_prob` its batch of
+one. A pool cell's input is its correct count, then its nonzero wrong
+counts in support order, and ``n``:
+:func:`votescale.records.mean_replay_accuracy` replays all its pools in one
+call, so each distinct pool key is evaluated once.
 
-numpy is imported inside the functions that build arrays (the kernel and
-its plan, the pool sum and the Monte Carlo draws), not when the module is:
+numpy is imported inside the functions that build arrays (the two row
+builders, the kernel plan and the Monte Carlo draws), not when the module is:
 importing the package, or a command that fails before it evaluates a cell,
 skips numpy's import (55 to 75 ms in a fresh interpreter on a 2-CPU VM).
 """
@@ -71,7 +77,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .distribution import AnswerDistribution, VoteProbability, check_sampling_time
-from .errors import CapExceeded, WrongArity
+from .errors import CapExceeded, NotEnoughSamples, WrongArity
 
 #: Exact-path caps on nonzero answers and (by default) ``n``; they bound the kernel's memory.
 EXACT_MAX_ANSWERS = 8
@@ -281,16 +287,16 @@ def exact_majority_probs(
     Special cases and caps are settled per cell, in order, so the first cell
     beyond a cap raises :class:`CapExceeded`; with ``fallback`` such a cell
     gets :func:`normal_approx_prob` instead. The kernel reads only the
-    support (see :func:`_exact_case`) and ``n``, so each distinct ``(support,
-    n)`` among the other cells is evaluated once, for every cell that has
-    it. They go through the kernel grouped by (nonzero answers, ``n``), in
-    chunks whose largest array holds at most ``_BATCH_ENTRIES`` complex
-    entries (or one support). A row's arithmetic is the same in any chunk,
-    so a value does not depend on its batch.
+    support (see :func:`_exact_case`) and ``n``, so :func:`_exact_batch`
+    evaluates each distinct ``(support, n)`` among the other cells once,
+    for every cell that has it, and a value does not depend on its batch.
     """
-    results: list[VoteProbability | None] = []
-    # (nonzero answers, n) -> support -> positions of the cells that need it
-    batches: dict[tuple[int, int], dict[tuple[float, ...], list[int]]] = {}
+    return _exact_batch(_plug_in_cases(cells, max_n, fallback), _exact_kernel)
+
+
+def _plug_in_cases(cells: Iterable[tuple[AnswerDistribution, int]], max_n: int, fallback: bool) -> Iterable:
+    """Each ``(dist, n)`` cell, in order, settled as a :class:`VoteProbability`
+    or as its kernel input ``(support, n)`` (see :func:`_exact_case`)."""
     for dist, n in cells:
         n = check_sampling_time(n)
         try:
@@ -298,22 +304,39 @@ def exact_majority_probs(
         except CapExceeded:
             if not fallback:
                 raise
-            results.append(normal_approx_prob(dist, n))
+            yield normal_approx_prob(dist, n)
             continue
-        if isinstance(case, float):
-            results.append(VoteProbability(case, "exact", n))
-        else:
-            batches.setdefault((len(case), n), {}).setdefault(case, []).append(len(results))
-            results.append(None)
+        yield VoteProbability(case, "exact", n) if isinstance(case, float) else (case, n)
+
+
+def _exact_batch(cases: Iterable, kernel) -> list[VoteProbability]:
+    """Each case's exact value, in order: a :class:`VoteProbability` is
+    settled already, and a ``(key, n)`` pair is an input of ``kernel(keys,
+    n)``, which returns one unclipped value per key of one length ``m >=
+    2``. Each distinct key at each ``n`` is evaluated once, for every case
+    that has it, grouped by (``m``, ``n``) in chunks whose largest array
+    holds at most ``_BATCH_ENTRIES`` complex entries (or one key). A row's
+    arithmetic is the same in any chunk, so a value does not depend on its
+    batch. ``cases`` is read once, in order, so a generated case is dropped
+    once grouped and one that raises does so before any kernel work."""
+    results: list[VoteProbability | None] = []
+    # (key length, n) -> key -> positions of the cases that need it
+    batches: dict[tuple[int, int], dict[tuple, list[int]]] = {}
+    for case in cases:
+        if not isinstance(case, VoteProbability):
+            key, n = case
+            batches.setdefault((len(key), n), {}).setdefault(key, []).append(len(results))
+            case = None  # only the first copy of a key is kept
+        results.append(case)
     for m, n in list(batches):
         waiting = batches.pop((m, n))  # released once its values are in place
-        supports = list(waiting)
+        keys = list(waiting)
         step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
-        for start in range(0, len(supports), step):
-            chunk = supports[start : start + step]
-            for support, value in zip(chunk, _exact_kernel(chunk, n).tolist()):
+        for start in range(0, len(keys), step):
+            chunk = keys[start : start + step]
+            for key, value in zip(chunk, kernel(chunk, n).tolist()):
                 vp = VoteProbability(min(max(value, 0.0), 1.0), "exact", n)
-                for i in waiting[support]:
+                for i in waiting[key]:
                     results[i] = vp
     return results
 
@@ -370,31 +393,54 @@ def _levin_sum(pmf: np.ndarray, n: int, plan: _KernelPlan) -> np.ndarray:
     return total.real
 
 
-def _pool_majority_prob(counts: list[int], correct_index: int, n: int) -> float:
-    """Mean, over every ``n``-subset of a pool of ``K >= n`` samples holding
-    ``counts[j]`` of answer ``j``, of the vote's success (uniform tie-break).
-    A subset's counts are independent Binomial(K_j, n/K) counts conditioned
-    on summing to ``n``: Levin's sum over binomial rows divided by the
-    Binomial(K, n/K) pmf at ``n``. Special cases and caps are
-    :func:`_exact_case`'s for the pool's frequencies."""
+def _pool_majority_probs(cells: Iterable[tuple[list[int], int, int]]) -> list[VoteProbability]:
+    """Per ``(counts, correct_index, n)`` cell, in order, the mean over
+    every ``n``-subset of a pool holding ``counts[j]`` samples of answer
+    ``j`` of the vote's success (uniform tie-break). Each cell is checked
+    and settled in order, so the first bad one raises before any kernel
+    work: ``n`` as :func:`check_sampling_time` checks it, a pool of fewer
+    than ``n`` samples (:class:`NotEnoughSamples`), then the special cases
+    and caps of :func:`_exact_case` for the pool's frequencies, and n equal
+    to the pool size. Each other cell's key is the correct count, then the
+    nonzero wrong counts in support order: :func:`_exact_batch` evaluates
+    each distinct key at each ``n`` once, by :func:`_pool_kernel`."""
+    cases: list = []
+    for counts, correct_index, n in cells:
+        n, pool = check_sampling_time(n), sum(counts)
+        if pool < n:
+            raise NotEnoughSamples(f"pool has {pool} samples, vote needs {n}")
+        case = _exact_case(AnswerDistribution(tuple(c / pool for c in counts), correct_index), n, EXACT_MAX_N)
+        if isinstance(case, tuple) and n == pool:  # the one subset is the pool (and log(1 - n/K) is -inf)
+            top = max(counts)
+            case = 1.0 / counts.count(top) if counts[correct_index] == top else 0.0
+        if isinstance(case, float):
+            cases.append(VoteProbability(case, "exact", n))
+        else:
+            wrong = (c for j, c in enumerate(counts) if j != correct_index and c > 0)
+            cases.append(((counts[correct_index], *wrong), n))
+    return _exact_batch(cases, _pool_kernel)
+
+
+def _pool_kernel(keys: list[tuple[int, ...]], n: int) -> np.ndarray:
+    """The mean vote over the ``n``-subsets of each pool in a batch of keys
+    of one size ``m >= 2`` (counts, correct answer first and every count
+    nonzero, that sum to a pool size ``K > n``), at ``n >= 2``: one
+    unclipped value per key. A subset's counts are independent
+    Binomial(K_j, n/K) counts conditioned on summing to ``n``: Levin's sum
+    over binomial rows divided by the Binomial(K, n/K) pmf at ``n``."""
     import numpy as np
 
-    pool = sum(counts)
-    case = _exact_case(AnswerDistribution(tuple(c / pool for c in counts), correct_index), n, EXACT_MAX_N)
-    if isinstance(case, float):
-        return case
-    if n == pool:  # the one subset is the pool itself (and log(1 - n/K) is -inf)
-        top = max(counts)
-        return 1.0 / counts.count(top) if counts[correct_index] == top else 0.0
-    wrong = [c for j, c in enumerate(counts) if j != correct_index and c > 0]
-    sizes, c = np.array([counts[correct_index], *wrong, pool], dtype=float)[:, None], np.arange(n + 1.0)
+    pools = [sum(key) for key in keys]
+    sizes = np.array([(*key, pool) for key, pool in zip(keys, pools)], dtype=float)[:, :, None]
+    c = np.arange(n + 1.0)
     # log C(K_j, c) as cumulative sums of log((K_j - i) / (i + 1)), -inf past K_j
     ratios = (sizes - c[:-1]) / c[1:]
     steps = np.log(ratios, out=np.full(ratios.shape, -np.inf), where=ratios > 0)
-    log_pmf = np.cumsum(np.hstack([np.zeros_like(sizes), steps]), axis=1) + c * math.log(n / pool)
-    pmf = np.exp(log_pmf + (sizes - c) * math.log1p(-n / pool))
-    value = float(_levin_sum(pmf[None, :-1], n, _kernel_plan(n, len(case)))[0] / pmf[-1, n])
-    return min(max(value, 0.0), 1.0)
+    # log(n/K) and log(1 - n/K) by math: numpy's vectorised log may differ in the last bit
+    logs = np.array([(math.log(n / pool), math.log1p(-n / pool)) for pool in pools])[:, :, None, None]
+    log_pmf = np.cumsum(np.concatenate([np.zeros_like(sizes), steps], axis=2), axis=2) + c * logs[:, 0]
+    pmf = np.exp(log_pmf + (sizes - c) * logs[:, 1])
+    return _levin_sum(pmf[:, :-1], n, _kernel_plan(n, len(keys[0]))) / pmf[:, -1, n]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

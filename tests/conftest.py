@@ -16,13 +16,18 @@ import numpy as np
 
 import votescale
 from votescale import AnswerDistribution
-from votescale.votemath import EXACT_MAX_ANSWERS, EXACT_MAX_N
+from votescale.votemath import _BATCH_ENTRIES, EXACT_MAX_ANSWERS, EXACT_MAX_N, _kernel_plan
 
 #: the smallest sample count beyond the exact estimator's cap
 N_PAST_EXACT_CAP = EXACT_MAX_N + 1
 #: ``CapExceeded``'s messages for ``N_PAST_EXACT_CAP`` and for one answer past the cap
 N_CAP_MESSAGE = f"n={N_PAST_EXACT_CAP} exceeds the exact cap of {EXACT_MAX_N}"
 ANSWER_CAP_MESSAGE = f"{EXACT_MAX_ANSWERS + 1} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}"
+
+
+def chunk_rows(n: int, m: int) -> int:
+    """Distinct kernel inputs of ``m`` answers at ``n`` that one exact-kernel chunk holds."""
+    return max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
 
 
 def answers_at_exact_cap() -> AnswerDistribution:

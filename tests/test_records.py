@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import votescale.records as records_module
 
-from conftest import ANSWER_CAP_MESSAGE, N_CAP_MESSAGE, N_PAST_EXACT_CAP
+from conftest import ANSWER_CAP_MESSAGE, N_CAP_MESSAGE, N_PAST_EXACT_CAP, chunk_rows
 from votescale import (
     CapExceeded,
     CostModel,
@@ -41,6 +41,7 @@ from votescale import (
     replay_majority,
     scaling_curve,
 )
+from votescale import votemath
 from votescale.records import _RECORD_FIELDS, _json_lines
 from votescale.votemath import EXACT_MAX_ANSWERS, _modal_winners, check_trials
 
@@ -733,6 +734,90 @@ class TestReplay:
         groups = [pool(["a", "a", "b"]), pool(["a", "b", "b"])]
         want = math.fsum(replay_majority(g, 3) for g in groups) / 2
         assert mean_replay_accuracy(groups, 3) == mean_replay_accuracy(iter(groups), 3) == want
+
+
+def replayed(groups, n):
+    """``mean_replay_accuracy(groups, n)``, the per-pool values of its one
+    exact call, and each (key, n) row that reached the pool row builder."""
+    real_probs, real_kernel = records_module._pool_majority_probs, votemath._pool_kernel
+    calls, rows = [], []
+
+    def probs(cells):
+        calls.append(real_probs(cells))
+        return calls[-1]
+
+    def kernel(keys, n):
+        rows.extend((key, n) for key in keys)
+        return real_kernel(keys, n)
+
+    with mock.patch.object(records_module, "_pool_majority_probs", probs), mock.patch.object(
+        votemath, "_pool_kernel", kernel
+    ):
+        mean = mean_replay_accuracy(groups, n)
+    [values] = calls
+    assert mean == math.fsum(vp.value for vp in values) / len(values)
+    return [vp.value for vp in values], rows
+
+
+def distinct_pools(rng, n, m, count):
+    """``count`` pools of ``m`` sampled answers and more than ``n`` samples,
+    no two with the same counts."""
+    high = n + 2 * math.ceil(count ** (1 / m)) + 1
+    keys = {}
+    while len(keys) < count:
+        key = tuple(int(c) for c in rng.integers(1, high, size=m))
+        if sum(key) > n:
+            keys[key] = None
+    return [counted_pool(key) for key in keys]
+
+
+class TestBatchedReplay:
+    """mean_replay_accuracy: one exact call for all its pools, each distinct
+    pool key and n built into a row once, a row's value independent of its batch."""
+
+    def test_each_pool_key_and_n_reaches_the_row_builder_once(self):
+        groups = [
+            pool(list("aabacb")),
+            pool(list("xxyxzy"), correct="x"),  # relabelled
+            pool(list("baacab")),  # reordered, wrong answers first seen in the same order
+            pool(list("abab")),
+            counted_pool((9, 7)),
+            pool(list("bbaa")),
+            pool(["a"] * 6),  # unanimous
+            pool(list("bcbcbc")),  # the correct answer is never sampled
+            pool(list("abc")),  # n = K: the one subset is the pool
+        ]
+        counts = [(3, 2, 1), (3, 2, 1), (3, 2, 1), (2, 2), (9, 7), (2, 2), (6,), (0, 3, 3), (1, 1, 1)]
+        values, rows = replayed(groups, 3)
+        assert rows == [((3, 2, 1), 3), ((2, 2), 3), ((9, 7), 3)]
+        assert values[0] == values[1] == values[2] and values[3] == values[5]
+        for got, c in zip(values, counts):
+            assert abs(got - count_mean(c, 3)) <= 1e-14
+        values, rows = replayed(groups, 1)
+        assert rows == []
+        assert values == [c[0] / sum(c) for c in counts]
+
+    @pytest.mark.parametrize("n", [5, 9, 31])
+    def test_a_pool_does_not_depend_on_its_batch(self, n):
+        """More distinct pools of each m than one chunk holds, so every
+        (m, n) spans a chunk boundary."""
+        rng = np.random.default_rng(n)
+        groups = [g for m in (2, 3, 5) for g in distinct_pools(rng, n, m, chunk_rows(n, m) + 2)]
+        rng.shuffle(groups)
+        values, rows = replayed(groups, n)
+        assert len(rows) == len(groups)
+        assert values == [replay_majority(g, n) for g in groups]
+
+    def test_first_bad_pool_in_order_raises_before_any_kernel_work(self):
+        good, small = counted_pool((3, 2)), pool(list("ab"))
+        wide = pool(list(string.ascii_letters[: EXACT_MAX_ANSWERS + 1]))
+        rows = []
+        with mock.patch.object(votemath, "_pool_kernel", lambda keys, n: rows.append(keys)):
+            with pytest.raises(NotEnoughSamples, match="^pool has 2 samples, vote needs 3$"):
+                mean_replay_accuracy([good, small, wide], 3)
+            with pytest.raises(CapExceeded, match=f"^{ANSWER_CAP_MESSAGE}$"):
+                mean_replay_accuracy([good, wide, small], 3)
+        assert rows == []
 
 
 class TestCost:

@@ -20,6 +20,7 @@ from conftest import (
     answers_at_exact_cap,
     answers_past_exact_cap,
     brute_force_vote_prob,
+    chunk_rows,
     constructed_moderate,
     hard_past_exact_cap,
     random_easy,
@@ -51,12 +52,10 @@ from votescale import (
 )
 from votescale import votemath
 from votescale.votemath import (
-    _BATCH_ENTRIES,
     _BLOCK,
     _GAUSS_LEGENDRE,
     EXACT_MAX_ANSWERS,
     EXACT_MAX_N,
-    _kernel_plan,
     _modal_winners,
     canonical_method,
     check_grid,
@@ -330,7 +329,7 @@ class TestBatchedKernel:
             AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))), int(rng.integers(m)))
             for _ in range(3)
         ]
-        step = max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
+        step = chunk_rows(n, m)
         filler = [
             AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))))
             for _ in range(2 * step + 1)
