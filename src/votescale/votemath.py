@@ -44,10 +44,12 @@ method: it evaluates the degree-3/degree-5 polynomials available for
 three-answer spaces at ``n`` in {3, 5}.
 
 The exact kernel's plan (correct-count range, roots of unity, extraction
-and quadrature weights) depends only on ``(n, m)`` and is kept in a bounded
-cache, so sweeping many distributions over a grid of ``n`` reuses it. Its
-Gauss-Legendre nodes come from a constant table of ``leggauss`` values, so
-no exact run calls LAPACK for them or imports ``numpy.polynomial``.
+weights and tie-break shares) depends only on ``(n, m)`` and is kept in a
+bounded cache, so sweeping many distributions over a grid of ``n`` reuses
+it. Its DFT length is the smallest that keeps every coefficient it reads
+free of aliasing. The tie-break share is integrated exactly, as
+sum_t ties_t / (t+1) over the product's parts ties_t with ``t`` wrong
+answers tied, so no exact run imports ``numpy.polynomial``.
 Nothing is cached per distribution or between calls. The kernel takes a
 leading batch axis, and plug-in and pool cells share one batched driver
 (``_exact_batch``). It evaluates each distinct kernel input once per call,
@@ -62,9 +64,10 @@ counts in support order, and ``n``:
 call, so each distinct pool key is evaluated once.
 
 numpy is imported inside the functions that build arrays (the two row
-builders, the kernel plan and the Monte Carlo draws), not when the module is:
-importing the package, or a command that fails before it evaluates a cell,
-skips numpy's import (55 to 75 ms in a fresh interpreter on a 2-CPU VM).
+builders, the Levin sum, the kernel plan and the Monte Carlo draws), not
+when the module is: importing the package, or a command that fails before
+it evaluates a cell, skips numpy's import (55 to 75 ms in a fresh
+interpreter on a 2-CPU VM).
 """
 from __future__ import annotations
 
@@ -83,32 +86,16 @@ from .errors import CapExceeded, NotEnoughSamples, WrongArity
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60
 
-#: ``np.polynomial.legendre.leggauss(g)``, the g Gauss-Legendre nodes and
-#: weights on [-1, 1], for g = 1..ceil(EXACT_MAX_ANSWERS / 2), copied bit for
-#: bit: the kernel needs ceil(m/2) nodes, and a table spares every exact run
-#: a LAPACK eigenvalue call and the ``numpy.polynomial`` import. Tests keep it
-#: equal to ``leggauss``.
-_GAUSS_LEGENDRE = (
-    ((0.0,), (2.0,)),
-    ((-0.5773502691896257, 0.5773502691896257), (1.0, 1.0)),
-    (
-        (-0.7745966692414834, 0.0, 0.7745966692414834),
-        (0.5555555555555557, 0.8888888888888888, 0.5555555555555557),
-    ),
-    (
-        (-0.8611363115940526, -0.33998104358485626, 0.33998104358485626, 0.8611363115940526),
-        (0.34785484513745357, 0.6521451548625464, 0.6521451548625464, 0.34785484513745357),
-    ),
-)
-
 #: Largest array, in complex entries (64 KiB), that one batch of the exact
 #: kernel builds: a batch holds as many cells of one (answers, n) as fit,
 #: and at least one. Fixed at this size so that one batch's temporaries
 #: together stay under glibc's heap trim threshold: freeing them does not
 #: shrink the heap, so later batches reuse its pages instead of faulting
-#: them in again (at 2^13, one log-exact ``analyze`` faulted about 20,000
-#: pages in the kernel; at 2^12, under 300). Larger batches were no faster
-#: and raised peak memory.
+#: them in again: over the 5,400 plug-in cells of one log-exact
+#: ``analyze``, the exact batch faulted about 14,200 pages at 2^13 and 520
+#: at 2^12 (the whole run 18,000 and 5,700). Larger batches were no faster
+#: and raised peak memory; at 2^11 the batch faulted 110 fewer pages but
+#: ran slower.
 _BATCH_ENTRIES = 1 << 12
 
 #: Rows processed per block in vectorized loops (fixed: part of the
@@ -198,15 +185,15 @@ class _KernelPlan:
     A wrong answer's factor for correct count ``k`` is evaluated at the
     roots of unity ``x = w^f`` from prefix sums of ``q(c) w^(f c)`` over
     ``c``. Counts ``k <= n/2`` are *tied*: a wrong answer can also reach
-    ``k`` within degree ``n - k``, so their factor depends on ``y``. Larger
-    counts are *untied* and their factor is one prefix sum. The ceil(m/2)
-    quadrature nodes and weights over ``y`` are read from ``_GAUSS_LEGENDRE``.
+    ``k`` within degree ``n - k``, so the product is a polynomial in the
+    number ``t`` of wrong answers tied at ``k``, whose tie-break share
+    1/(t+1) is folded into ``tied``. Larger counts are *untied* and their
+    factor is one prefix sum.
     """
 
     powers: np.ndarray  # (3, n + 1) rows c, -1, -log c!: log-pmf = (log lam, lam, 1) @ powers
-    roots: np.ndarray  # (F, n//2 + 1) w^(f c) for f = 0..L/2
-    nodes: np.ndarray  # (G, 1, 1, 1) Gauss-Legendre nodes y on [0, 1]
-    tied: np.ndarray  # (G, F, n//2 - k0 + 1) node weight times the x^(n-k) weight at w^f
+    roots: np.ndarray  # (F, n//2 + 1) w^(f c) for f = 0..L//2, w = exp(2 pi i / L)
+    tied: np.ndarray  # (m, F, n//2 - k0 + 1) share 1/(t+1) times the x^(n-k) weight at w^f
     untied: np.ndarray  # (F, n - n//2) the x^(n-k) weight at w^f
     k0: int  # smallest correct count that can be modal: ceil(n / m)
     prefactor: float  # n! / (n^n e^-n)
@@ -220,27 +207,24 @@ def _kernel_plan(n: int, m: int) -> _KernelPlan:
     import numpy as np
 
     k0, half = -(-n // m), n // 2  # below ceil(n/m) the correct answer is never modal
-    # L exceeds every coefficient index n - k, and the product's degree
-    # (m - 1) * min(k, n - k) stays below n - k + L: x^(n-k) never aliases
-    size = 2
-    while size <= n - k0 or 2 * size <= (m - 2) * n:
-        size *= 2
+    # L exceeds every coefficient index n - k, and the product's degree,
+    # (m - 1) k tied or (m - 1)(n - k) untied, stays below n - k + L:
+    # x^(n-k) never aliases
+    size = max(n - k0, m * half - n, (m - 2) * (n - half - 1)) + 1
     freq = np.arange(size // 2 + 1)
     turn = 2j * np.pi / size
-    # real coefficients: the Hermitian half-spectrum counts every inner
-    # frequency twice
-    scale = np.full(freq.size, 2.0 / size)
-    scale[0] = scale[-1] = 1.0 / size
+    # real coefficients: the Hermitian half-spectrum counts every frequency
+    # twice but the self-conjugate ones, f = 0 and (at even L) f = L/2
+    scale = np.where(2 * freq % size, 2.0, 1.0) / size
     extract = scale[:, None] * np.exp(-turn * (np.outer(freq, n - np.arange(k0, n + 1)) % size))
-    nodes, weights = map(np.array, _GAUSS_LEGENDRE[-(-m // 2) - 1])
+    shares = 1.0 / np.arange(1.0, m + 1)  # the tie-break share of t = 0..m-1 tied wrong answers
     log_fact = np.array([math.lgamma(c + 1) for c in range(n + 1)])
-    # the wrong answers' prefix sums, or their tied factors at every node
-    row_entries = (m - 1) * freq.size * max(half + 1, nodes.size * (half + 1 - k0))
+    # the wrong answers' prefix sums, or the tied product per tie count
+    row_entries = freq.size * max((m - 1) * (half + 1), m * (half + 1 - k0))
     return _KernelPlan(
         powers=np.stack([np.arange(n + 1.0), -np.ones(n + 1), -log_fact]),
         roots=np.exp(turn * (np.outer(freq, np.arange(half + 1)) % size)),
-        nodes=((nodes + 1.0) / 2.0).reshape(-1, 1, 1, 1).astype(complex),
-        tied=(weights / 2.0)[:, None, None] * extract[:, : half + 1 - k0],
+        tied=shares[:, None, None] * extract[:, : half + 1 - k0],
         untied=extract[:, half + 1 - k0 :].copy(),
         k0=k0,
         prefactor=math.exp(log_fact[n] - n * math.log(n) + n),
@@ -266,9 +250,10 @@ def exact_majority_prob(
 
     where ``y`` marks a wrong answer tied at ``k`` and the integral of
     ``y^t`` is the tie-break share 1/(t+1). The coefficient is read off the
-    product's values at roots of unity, and the integral is exact at
-    ceil(m/2) Gauss-Legendre nodes, so time and memory are polynomial in
-    ``n`` and ``m``. The value is accurate to about 1e-14 in absolute terms;
+    product's values at roots of unity, and the product is kept as a
+    polynomial in ``y`` of degree ``m - 1``, so the integral is exactly
+    sum_t ties_t / (t+1) and time and memory are polynomial in ``n`` and
+    ``m``. The value is accurate to about 1e-14 in absolute terms;
     values far below that carry no relative accuracy.
 
     This is the batch of one of :func:`exact_majority_probs`.
@@ -380,16 +365,25 @@ def _levin_sum(pmf: np.ndarray, n: int, plan: _KernelPlan) -> np.ndarray:
     over per-answer weight rows ``q_j(c)`` of shape (batch, m, n + 1), correct
     answer first, with ``plan = _kernel_plan(n, m)``. No operation mixes rows
     (axis 0), so a row's value does not depend on the batch."""
+    import numpy as np
+
     waves = pmf[:, 1:, None, : plan.roots.shape[1]] * plan.roots  # q_j(c) w^(f c), wrong answers
     prefix = waves.cumsum(axis=3)
     half, k0 = n // 2, plan.k0
-    # k > n/2: the factor is the sum over c <= n - k, the same at every y
+    # k > n/2: no wrong answer can tie, and its factor is the sum over c <= n - k
     untied = prefix[:, :, :, n - half - 1 :: -1].prod(axis=1)
     total = _row_dots(plan.untied * pmf[:, 0, None, half + 1 :], untied)
     if k0 <= half:
-        # k <= n/2: the sum over c < k plus y times the tie at k
-        tied = prefix[:, None, :, :, k0 - 1 : half] + plan.nodes * waves[:, None, :, :, k0 : half + 1]
-        total += _row_dots(plan.tied * pmf[:, 0, None, None, k0 : half + 1], tied.prod(axis=2))
+        # k <= n/2: a wrong answer stays below k (the sum over c < k) or
+        # ties at k; ties[:, t] is the product's part with t of them tied
+        below, at = prefix[:, :, :, k0 - 1 : half], waves[:, :, :, k0 : half + 1]
+        ties = np.zeros((len(pmf), *plan.tied.shape), complex)
+        ties[:, 0], ties[:, 1] = below[:, 0], at[:, 0]
+        for j in range(1, below.shape[1]):  # in place: one temporary, three passes
+            j_ties = ties[:, : j + 1] * at[:, j, None]
+            ties[:, : j + 2] *= below[:, j, None]
+            ties[:, 1 : j + 2] += j_ties
+        total += _row_dots(plan.tied * pmf[:, 0, None, None, k0 : half + 1], ties)
     return total.real
 
 

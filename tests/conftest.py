@@ -30,6 +30,11 @@ def chunk_rows(n: int, m: int) -> int:
     return max(1, _BATCH_ENTRIES // _kernel_plan(n, m).row_entries)
 
 
+def dft_length(n: int, m: int) -> int:
+    """The exact kernel's DFT length at ``(n, m)``, read off its first root of unity."""
+    return round(2 * math.pi / np.angle(_kernel_plan(n, m).roots[1, 1]))
+
+
 def answers_at_exact_cap() -> AnswerDistribution:
     """As many nonzero answers as the exact cap admits, the correct one first and twice as likely."""
     wrong = 1.0 / (EXACT_MAX_ANSWERS + 1)

@@ -47,7 +47,7 @@ def logs(data):
 @pytest.fixture(scope="session")
 def planted(tmp_path_factory):
     """s0 and s1 over 30 questions with 2 to ``EXACT_MAX_ANSWERS`` answers,
-    so every Gauss-Legendre table entry; s1 lifts the correct answer by 0.2."""
+    so every kernel plan up to the answer cap; s1 lifts the correct answer by 0.2."""
     path = tmp_path_factory.mktemp("planted") / "planted.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
         for s, lift in (("s0", 0.0), ("s1", 0.2)):
@@ -140,8 +140,8 @@ def test_reports_do_not_depend_on_string_hashing(hashed):
 
 
 def test_exact_runs_import_neither_numpy_polynomial_nor_numpy_random(planted, data, tmp_path):
-    """The kernel's Gauss-Legendre nodes come from a constant table, and only Monte Carlo
-    derives seeds."""
+    """The kernel integrates the tie-break share without quadrature nodes, and only Monte
+    Carlo derives seeds."""
     in_child(MAIN_EACH + """from votescale import QuestionSamples, replay_majority
 replay_majority(QuestionSamples("q0", "s0", "a", tuple("aabbbcacbd"), 1.0, 1.0), 5)
 for module in ("numpy.polynomial", "numpy.random"):

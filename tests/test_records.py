@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import votescale.records as records_module
 
-from conftest import ANSWER_CAP_MESSAGE, N_CAP_MESSAGE, N_PAST_EXACT_CAP, chunk_rows
+from conftest import ANSWER_CAP_MESSAGE, N_CAP_MESSAGE, N_PAST_EXACT_CAP, chunk_rows, dft_length
 from votescale import (
     CapExceeded,
     CostModel,
@@ -643,6 +643,20 @@ class TestReplay:
         got = replay_majority(counted_pool(counts), n)
         assert abs(got - count_mean(counts, n)) <= 1e-14
         assert got == pytest.approx(digits, abs=5e-6)
+
+    def test_every_answer_count_at_both_dft_parities(self):
+        """Pools of 2 to ``EXACT_MAX_ANSWERS`` answers, even (so every wrong
+        answer can tie with the correct one) and uneven, against the
+        Fraction mean, over n where the DFT length is odd and, for some m,
+        even."""
+        parities = set()
+        for m in range(2, EXACT_MAX_ANSWERS + 1):
+            for counts in ((2,) * m, (3,) + (2,) * (m - 2) + (1,)):
+                for n in range(2, min(sum(counts), 10)):
+                    parities.add(dft_length(n, m) % 2)
+                    got = replay_majority(counted_pool(counts), n)
+                    assert got == pytest.approx(float(count_mean(counts, n)), abs=1e-12)
+        assert parities == {0, 1}
 
     @pytest.mark.parametrize(
         "answers, n, message",

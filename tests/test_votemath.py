@@ -22,6 +22,7 @@ from conftest import (
     brute_force_vote_prob,
     chunk_rows,
     constructed_moderate,
+    dft_length,
     hard_past_exact_cap,
     random_easy,
     sure_past_exact_cap,
@@ -53,7 +54,6 @@ from votescale import (
 from votescale import votemath
 from votescale.votemath import (
     _BLOCK,
-    _GAUSS_LEGENDRE,
     EXACT_MAX_ANSWERS,
     EXACT_MAX_N,
     _modal_winners,
@@ -277,16 +277,19 @@ class TestPoissonKernel:
         with pytest.raises(CapExceeded):
             exact_majority_prob(answers_past_exact_cap(), 1)
 
-    @pytest.mark.parametrize("nodes", range(1, -(-EXACT_MAX_ANSWERS // 2) + 1))
-    def test_quadrature_table_is_leggauss_bit_for_bit(self, nodes):
-        """The kernel reads ceil(m/2) Gauss-Legendre nodes and weights from a
-        constant table; LAPACK, through numpy's ``leggauss``, stays the judge
-        of every entry an exact cell can reach, so raising the answer cap
-        fails here until the table grows."""
-        assert len(_GAUSS_LEGENDRE) >= nodes
-        want = np.polynomial.legendre.leggauss(nodes)
-        got = [np.array(column) for column in _GAUSS_LEGENDRE[nodes - 1]]
-        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
+    def test_every_answer_count_at_both_dft_parities(self):
+        """Every m from 2 to the cap, uniform (so up to m - 1 wrong answers
+        tie with the correct one) and random, over n where the DFT length
+        is odd and, for some m, even (its Nyquist frequency counted once)."""
+        rng = np.random.default_rng(37)
+        cells = []
+        for m in range(2, EXACT_MAX_ANSWERS + 1):
+            uniform = AnswerDistribution((1.0 / m,) * m)
+            spread = AnswerDistribution(tuple(float(x) for x in rng.dirichlet(np.ones(m))), int(rng.integers(m)))
+            cells += [(dist, n) for dist in (uniform, spread) for n in range(2, 14)]
+        assert {dft_length(n, dist.m) % 2 for dist, n in cells} == {0, 1}
+        for (dist, n), vp in zip(cells, exact_majority_probs(cells)):
+            assert vp.value == pytest.approx(direct_dp_vote_prob(dist, n), abs=1e-12)
 
     @pytest.mark.parametrize("n", [21, 60])
     def test_memory_is_bounded(self, n):
@@ -298,6 +301,20 @@ class TestPoissonKernel:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+    def test_memory_at_scale_is_bounded(self):
+        """Eight answers at n = 200, the kernel plan built within the cell:
+        the tie-count fold and the DFT length at the aliasing bound keep
+        the peak under 32 MiB."""
+        dist = AnswerDistribution((0.3,) + (0.1,) * 7)
+        votemath._kernel_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            exact_majority_prob(dist, 200, max_n=200)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 EASY = AnswerDistribution((0.64, 0.35, 0.01))
