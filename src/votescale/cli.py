@@ -12,6 +12,13 @@ Six subcommands:
 * ``synth``    -- generate a synthetic log plus ground truth from planted
   distributions (test data; round-trips through ``analyze``).
 
+Every command reads its flags from the parsed argparse namespace; the
+point parsers set the evaluation flags they lack (``--trials``, ``--seed``,
+``--fallback``, ``--prices``, ``--budget``) to their defaults. Before any
+input file is opened, one check (:func:`_check_flags`) names the first bad
+flag in a fixed order and returns the grid and the cost model; the other
+flags go from the namespace straight to :class:`votescale.selection.Run`.
+
 The three point commands are one command under three names. A report is a
 list of ``(file name, header, rows)`` tables: ``predict`` builds the
 strategy tables (curves, per-n selection, budget selection), ``analyze``
@@ -59,7 +66,6 @@ import math
 import os
 import sys
 from contextlib import closing
-from dataclasses import dataclass
 from typing import Iterator
 
 from .difficulty import kl_to_uniform
@@ -82,34 +88,6 @@ from .votemath import _MAX_DRAW, check_grid
 DEFAULT_PRICES = (0.15, 0.6)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    grid: tuple[int, ...]
-    method: str
-    trials: int
-    seed: int
-    fallback: bool
-    prices: tuple[float, float]
-    budget: float | None
-    out: str | None
-
-    def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError("--trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError("--seed must be >= 0")
-        if not all(p >= 0 for p in self.prices):
-            raise ValueError("--prices must be >= 0")
-        if self.budget is not None and not self.budget >= 0:
-            raise ValueError("--budget must be >= 0")
-
-    @property
-    def cost_model(self) -> CostModel:
-        return CostModel.from_per_million(*self.prices)
-
-
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
 
@@ -125,9 +103,9 @@ def _parse_floats(text: str, flag: str, expected: int | None = None) -> tuple[fl
 
 
 def _parse_grid(args) -> tuple[int, ...]:
-    if args.grid and args.n is not None:
+    if args.grid is not None and args.n is not None:
         raise ValueError("give either --n or --grid, not both")
-    if args.grid:
+    if args.grid is not None:
         try:
             values = [int(tok) for tok in args.grid.split(",")]
         except ValueError:
@@ -138,18 +116,21 @@ def _parse_grid(args) -> tuple[int, ...]:
     raise ValueError("one of --n or --grid is required")
 
 
-def _config(args) -> RunConfig:
-    prices = getattr(args, "prices", None)
-    return RunConfig(
-        grid=_parse_grid(args),
-        method=args.method,
-        trials=getattr(args, "trials", 100_000),
-        seed=getattr(args, "seed", 0),
-        fallback=getattr(args, "fallback", False),
-        prices=_parse_floats(prices, "--prices", 2) if prices else DEFAULT_PRICES,
-        budget=getattr(args, "budget", None),
-        out=args.out,
-    )
+def _check_flags(args) -> tuple[tuple[int, ...], CostModel]:
+    """The grid and the cost model of an evaluating command's flags. The
+    first bad flag raises, in this order: the grid, the form of --prices,
+    --trials, --seed, the --prices values, --budget."""
+    grid = _parse_grid(args)
+    prices = _parse_floats(args.prices, "--prices", 2) if args.prices else DEFAULT_PRICES
+    if args.trials < 1:
+        raise ValueError("--trials must be >= 1")
+    if args.seed < 0:
+        raise ValueError("--seed must be >= 0")
+    if not all(p >= 0 for p in prices):
+        raise ValueError("--prices must be >= 0")
+    if args.budget is not None and not args.budget >= 0:
+        raise ValueError("--budget must be >= 0")
+    return grid, CostModel.from_per_million(*prices)
 
 
 def _lines(path: str) -> Iterator[str]:
@@ -197,20 +178,18 @@ def _write_report(out: str, tables) -> None:
 
 
 def cmd_point(args) -> int:
-    cfg = _config(args)
+    grid, _ = _check_flags(args)
     dist = AnswerDistribution(_parse_floats(args.dist, "--dist"), args.correct)
-    curve = scaling_curve(
-        dist, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback
-    )
+    curve = scaling_curve(dist, grid, args.method, trials=args.trials, seed=args.seed, fallback=args.fallback)
     header = ["n", "value", "method", "stderr"]
     rows = [
         [vp.n, _fmt(vp.value), vp.method, "" if vp.stderr is None else _fmt(vp.stderr)]
         for vp in curve.points
     ]
-    if cfg.out is None:
+    if args.out is None:
         _write_table(sys.stdout, header, rows)
     else:
-        with open(cfg.out, "w", newline="", encoding="utf-8") as fh:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
             _write_table(fh, header, rows)
     return 0
 
@@ -230,15 +209,15 @@ def _curve_rows(curves) -> list[list]:
     return rows
 
 
-def _run(dss, cfg: RunConfig) -> Run:
-    return Run(dss, cfg.grid, cfg.method, trials=cfg.trials, seed=cfg.seed, fallback=cfg.fallback)
+def _run(dss, args, grid: tuple[int, ...]) -> Run:
+    return Run(dss, grid, args.method, trials=args.trials, seed=args.seed, fallback=args.fallback)
 
 
-def _strategy_tables(run: Run, cfg: RunConfig) -> list[tuple]:
+def _strategy_tables(run: Run, budget: float | None, costs: CostModel) -> list[tuple]:
     """Per-strategy curves, the best strategy per n and, under a budget, the
     best (strategy, n) that fits it."""
     curves = run.curves()
-    picks = [run.best_for_n(n) for n in cfg.grid]
+    picks = [run.best_for_n(n) for n in run.grid]
     tables = [
         ("curves.csv", ["strategy_id", "n", "accuracy", "method"], _curve_rows(curves)),
         (
@@ -247,22 +226,22 @@ def _strategy_tables(run: Run, cfg: RunConfig) -> list[tuple]:
             [[r.chosen_n, r.chosen_strategy, _fmt(r.predicted_accuracy)] for r in picks],
         ),
     ]
-    if cfg.budget is not None:
-        r = run.best_under_cost(cfg.budget, cfg.cost_model)
+    if budget is not None:
+        r = run.best_under_cost(budget, costs)
         tables.append(
             (
                 "budget_selection.csv",
                 ["budget", "chosen_strategy", "chosen_n", "predicted_accuracy"],
-                [[_fmt(cfg.budget), r.chosen_strategy, r.chosen_n, _fmt(r.predicted_accuracy)]],
+                [[_fmt(budget), r.chosen_strategy, r.chosen_n, _fmt(r.predicted_accuracy)]],
             )
         )
     return tables
 
 
 def cmd_predict(args) -> int:
-    cfg = _config(args)
+    grid, costs = _check_flags(args)
     dss = _load_scenario_file(args.scenario)
-    _write_report(cfg.out, _strategy_tables(_run(dss, cfg), cfg))
+    _write_report(args.out, _strategy_tables(_run(dss, args, grid), args.budget, costs))
     return 0
 
 
@@ -278,7 +257,7 @@ def _kl_row(ds: StrategyDataset) -> list:
 
 
 def cmd_analyze(args) -> int:
-    cfg = _config(args)
+    grid, costs = _check_flags(args)
     if not 0 <= args.smoothing < math.inf:
         raise ValueError("--smoothing must be a finite number >= 0")
     truth = _read(args.truth, load_ground_truth)
@@ -288,8 +267,8 @@ def cmd_analyze(args) -> int:
         raise VoteScaleError("log contains no records")
     dss = datasets_from_samples(groups, smoothing=args.smoothing)
 
-    run = _run(dss, cfg)
-    tables = _strategy_tables(run, cfg)
+    run = _run(dss, args, grid)
+    tables = _strategy_tables(run, args.budget, costs)
     oracle_curves = run.oracles()
     overtakes = run.dominance()
 
@@ -341,7 +320,7 @@ def cmd_analyze(args) -> int:
             distribution_rows,
         ),
     ]
-    _write_report(cfg.out, tables)
+    _write_report(args.out, tables)
     return 0
 
 
@@ -448,10 +427,13 @@ def build_parser() -> argparse.ArgumentParser:
                 help="fall back to the normal approximation above caps",
             )
         if name == "mc":
-            p_point.add_argument("--trials", type=int, default=100_000, help="trials per grid point")
-            p_point.add_argument("--seed", type=int, default=0, help="random seed")
+            p_point.add_argument("--trials", type=int, help="trials per grid point")
+            p_point.add_argument("--seed", type=int, help="random seed")
         p_point.add_argument("--out", help="write CSV here instead of stdout")
-        p_point.set_defaults(func=cmd_point, method=name)
+        # the flags a point command lacks take these values, as do mc's when not given
+        p_point.set_defaults(
+            func=cmd_point, method=name, trials=100_000, seed=0, fallback=False, prices=None, budget=None
+        )
 
     p_predict = commands.add_parser(
         "predict", help="accuracy curves and best strategy per n from a scenario file"

@@ -51,15 +51,17 @@ free of aliasing. The tie-break share is integrated exactly, as
 sum_t ties_t / (t+1) over the product's parts ties_t with ``t`` wrong
 answers tied, so no exact run imports ``numpy.polynomial``.
 Nothing is cached per distribution or between calls. The kernel takes a
-leading batch axis, and plug-in and pool cells share one batched driver
-(``_exact_batch``). It evaluates each distinct kernel input once per call,
-in chunks of equal nonzero answers and ``n`` whose largest array holds at
-most ``_BATCH_ENTRIES`` (2^12) complex entries. A plug-in cell's input is
-its nonzero probabilities, correct first, and ``n``:
+leading batch axis, and plug-in and pool cells share one settle step
+(``_exact_case``), which checks a cell's special cases and caps and builds
+its key from a distribution's probabilities or a pool's counts, and one
+batched driver (``_exact_batch``). It evaluates each distinct key once per
+call, in chunks of equal nonzero answers and ``n`` whose largest array
+holds at most ``_BATCH_ENTRIES`` (2^12) complex entries. A plug-in cell's
+key is its nonzero probabilities, correct first:
 :func:`exact_majority_probs` is the batch entry point for many
 ``(distribution, n)`` cells, and :func:`exact_majority_prob` its batch of
-one. A pool cell's input is its correct count, then its nonzero wrong
-counts in support order, and ``n``:
+one. A pool cell's key is its correct count, then its nonzero wrong
+counts in support order:
 :func:`votescale.records.mean_replay_accuracy` replays all its pools in one
 call, so each distinct pool key is evaluated once.
 
@@ -77,7 +79,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .distribution import AnswerDistribution, VoteProbability, check_sampling_time
 from .errors import CapExceeded, NotEnoughSamples, WrongArity
@@ -272,20 +274,20 @@ def exact_majority_probs(
     Special cases and caps are settled per cell, in order, so the first cell
     beyond a cap raises :class:`CapExceeded`; with ``fallback`` such a cell
     gets :func:`normal_approx_prob` instead. The kernel reads only the
-    support (see :func:`_exact_case`) and ``n``, so :func:`_exact_batch`
-    evaluates each distinct ``(support, n)`` among the other cells once,
-    for every cell that has it, and a value does not depend on its batch.
+    key (see :func:`_exact_case`) and ``n``, so :func:`_exact_batch`
+    evaluates each distinct ``(key, n)`` among the other cells once, for
+    every cell that has it, and a value does not depend on its batch.
     """
     return _exact_batch(_plug_in_cases(cells, max_n, fallback), _exact_kernel)
 
 
 def _plug_in_cases(cells: Iterable[tuple[AnswerDistribution, int]], max_n: int, fallback: bool) -> Iterable:
     """Each ``(dist, n)`` cell, in order, settled as a :class:`VoteProbability`
-    or as its kernel input ``(support, n)`` (see :func:`_exact_case`)."""
+    or as its kernel input ``(key, n)`` (see :func:`_exact_case`)."""
     for dist, n in cells:
         n = check_sampling_time(n)
         try:
-            case = _exact_case(dist, n, max_n)
+            case = _exact_case(dist.probs, dist.correct_index, n, max_n)
         except CapExceeded:
             if not fallback:
                 raise
@@ -326,26 +328,27 @@ def _exact_batch(cases: Iterable, kernel) -> list[VoteProbability]:
     return results
 
 
-def _exact_case(dist: AnswerDistribution, n: int, max_n: int) -> float | tuple[float, ...]:
-    """The exact value of a cell that needs no kernel, else the support the
-    kernel takes: the correct probability, then the nonzero wrong ones.
-    Zero-probability answers do not count against the caps."""
-    p_correct = dist.correct_prob
-    if p_correct == 0.0:
+def _exact_case(weights: Sequence[float], correct_index: int, n: int, max_n: int, total=1.0) -> float | tuple:
+    """The exact value of a cell that needs no kernel, else the key the
+    kernel takes: the correct weight, then the nonzero wrong weights in
+    support order. ``weights`` are a distribution's probabilities (with
+    ``total`` 1.0, not their sum) or a pool's counts (with ``total`` the
+    pool size), and at n = 1 the value is the correct weight over
+    ``total``. Zero weights do not count against the caps."""
+    top = weights[correct_index]
+    if top == 0:
         # the correct answer is never sampled, so it can never reach the modal set
         return 0.0
-    support = (p_correct,) + tuple(
-        p for j, p in enumerate(dist.probs) if j != dist.correct_index and p > 0.0
-    )
-    if len(support) == 1:
+    key = (top, *(w for j, w in enumerate(weights) if j != correct_index and w > 0))
+    if len(key) == 1:
         return 1.0
-    if len(support) > EXACT_MAX_ANSWERS:
-        raise CapExceeded(f"{len(support)} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}")
+    if len(key) > EXACT_MAX_ANSWERS:
+        raise CapExceeded(f"{len(key)} nonzero answers exceed the cap of {EXACT_MAX_ANSWERS}")
     if n > max_n:
         raise CapExceeded(f"n={n} exceeds the exact cap of {max_n}")
     if n == 1:
-        return p_correct  # one sample is the vote
-    return support
+        return top / total  # one sample is the vote
+    return key
 
 
 def _exact_kernel(supports: list[tuple[float, ...]], n: int) -> np.ndarray:
@@ -394,8 +397,8 @@ def _pool_majority_probs(cells: Iterable[tuple[list[int], int, int]]) -> list[Vo
     and settled in order, so the first bad one raises before any kernel
     work: ``n`` as :func:`check_sampling_time` checks it, a pool of fewer
     than ``n`` samples (:class:`NotEnoughSamples`), then the special cases
-    and caps of :func:`_exact_case` for the pool's frequencies, and n equal
-    to the pool size. Each other cell's key is the correct count, then the
+    and caps of :func:`_exact_case` for the pool's counts, and n equal to
+    the pool size. Each other cell's key is the correct count, then the
     nonzero wrong counts in support order: :func:`_exact_batch` evaluates
     each distinct key at each ``n`` once, by :func:`_pool_kernel`."""
     cases: list = []
@@ -403,15 +406,11 @@ def _pool_majority_probs(cells: Iterable[tuple[list[int], int, int]]) -> list[Vo
         n, pool = check_sampling_time(n), sum(counts)
         if pool < n:
             raise NotEnoughSamples(f"pool has {pool} samples, vote needs {n}")
-        case = _exact_case(AnswerDistribution(tuple(c / pool for c in counts), correct_index), n, EXACT_MAX_N)
+        case = _exact_case(counts, correct_index, n, EXACT_MAX_N, pool)
         if isinstance(case, tuple) and n == pool:  # the one subset is the pool (and log(1 - n/K) is -inf)
             top = max(counts)
             case = 1.0 / counts.count(top) if counts[correct_index] == top else 0.0
-        if isinstance(case, float):
-            cases.append(VoteProbability(case, "exact", n))
-        else:
-            wrong = (c for j, c in enumerate(counts) if j != correct_index and c > 0)
-            cases.append(((counts[correct_index], *wrong), n))
+        cases.append(VoteProbability(case, "exact", n) if isinstance(case, float) else (case, n))
     return _exact_batch(cases, _pool_kernel)
 
 

@@ -161,6 +161,18 @@ class TestPointCommands:
         code, _, _ = run(capsys, ["exact", "--dist", "0.6,0.4", "--grid", "3,1"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n", "3", "--grid", ""], "give either --n or --grid, not both"),
+            (["--grid", ""], "--grid expects comma-separated integers, got ''"),
+        ],
+        ids=["with-n", "alone"],
+    )
+    def test_empty_grid_is_a_given_grid(self, capsys, flags, message):
+        code, out, err = run(capsys, ["exact", "--dist", "0.6,0.4", *flags])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_cap_exit_3_and_fallback(self, capsys):
         argv = ["exact", "--dist", "0.6,0.4", "--n", str(N_PAST_EXACT_CAP)]
         code, _, err = run(capsys, argv)
@@ -1204,6 +1216,56 @@ class TestBadLines:
         assert code == 2
         assert err.startswith(f"error: {log_b}: line 2: ")
         assert len(opened) == 3 and all(fh.closed for fh in opened)
+
+
+class TestFlagsBeforeInputs:
+    """A bad flag exits 2 with its own message before any input file is
+    opened, so a missing input does not mask it and no report is started.
+    Where two flags are bad, the first in checking order is named: the grid,
+    the form of --prices, --trials, --seed, the --prices values, --budget
+    and (``analyze``) --smoothing."""
+
+    def check(self, capsys, tmp_path, command, flags, message):
+        missing = str(tmp_path / "missing.jsonl")
+        inputs = ["--scenario", missing] if command == "predict" else ["--log", missing, "--truth", missing]
+        grid = [] if "--grid" in flags else ["--n", "3"]
+        out_dir = tmp_path / "r"
+        code, out, err = run(capsys, [command, *inputs, *grid, *flags, "--out", str(out_dir)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("command", ["predict", "analyze"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--grid", "1,x"], "--grid expects comma-separated integers, got '1,x'"),
+            (["--trials", "0"], "--trials must be >= 1"),
+            (["--seed", "-1"], "--seed must be >= 0"),
+            (["--prices", "a,b"], "--prices expects comma-separated numbers, got 'a,b'"),
+            (["--prices=-1,0.6"], "--prices must be >= 0"),
+            (["--budget", "-1"], "--budget must be >= 0"),
+            (["--trials", "0", "--prices", "a,b"], "--prices expects comma-separated numbers, got 'a,b'"),
+            (["--prices=-1,0.6", "--seed", "-1"], "--seed must be >= 0"),
+            (["--budget", "-1", "--prices=-1,0.6"], "--prices must be >= 0"),
+        ],
+        ids=[
+            "grid", "trials", "seed", "prices-text", "prices-negative", "budget",
+            "prices-text-before-trials", "seed-before-prices-values", "prices-values-before-budget",
+        ],
+    )
+    def test_bad_flag_with_missing_input(self, capsys, tmp_path, command, flags, message):
+        self.check(capsys, tmp_path, command, flags, message)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--smoothing", "-1"], "--smoothing must be a finite number >= 0"),
+            (["--smoothing", "-1", "--budget", "-1"], "--budget must be >= 0"),
+        ],
+        ids=["smoothing", "budget-before-smoothing"],
+    )
+    def test_bad_smoothing_with_missing_input(self, capsys, tmp_path, flags, message):
+        self.check(capsys, tmp_path, "analyze", flags, message)
 
 
 class TestDeterminism:
