@@ -8,142 +8,20 @@ a given sampling time. On top of that sit the difficulty taxonomy
 (:mod:`votescale.records`), and dataset-level curves, selection, and
 oracle bounds (:mod:`votescale.selection`). The ``votescale`` console
 script exposes the lot.
+
+Each module lists its public names in its own ``__all__``; the package
+re-exports exactly those, and its ``__all__`` is their concatenation.
 """
-from .distribution import AnswerDistribution, VoteProbability
-from .errors import (
-    CapExceeded,
-    DuplicateKey,
-    IdMismatch,
-    InvalidDistribution,
-    MalformedLine,
-    MissingGroundTruth,
-    NoFeasibleChoice,
-    NotEnoughSamples,
-    NoWrongMass,
-    VoteScaleError,
-    WrongArity,
-)
-from .difficulty import (
-    Difficulty,
-    DifficultyLabel,
-    classify,
-    crossover_condition,
-    kl_to_uniform,
-    limit_prob,
-)
-from .records import (
-    CostModel,
-    QuestionSamples,
-    SampleRecord,
-    UNPARSEABLE,
-    answer_support,
-    cost_of,
-    estimate_distribution,
-    group_logs,
-    group_records,
-    load_ground_truth,
-    mean_replay_accuracy,
-    parse_records,
-    replay_majority,
-)
-from .selection import (
-    CrossoverVerdict,
-    ExtremePerformance,
-    QuestionEntry,
-    Run,
-    SelectionResult,
-    StrategyDataset,
-    accuracy_curve,
-    adaptive_curve,
-    adaptive_limit,
-    best_for_n,
-    best_under_cost,
-    combined_curve,
-    dataset_sample_cost,
-    datasets_from_samples,
-    dominance_count,
-    dynamic_curve,
-    extreme_performance,
-    find_crossover_n,
-    load_scenario,
-    scaling_curve,
-)
-from .votemath import (
-    ScalingCurve,
-    closed_form_majority_prob,
-    exact_majority_prob,
-    exact_majority_probs,
-    monte_carlo_majority_prob,
-    monte_carlo_majority_probs,
-    normal_approx_prob,
-    standard_normal_cdf,
-    vote_probabilities,
-    vote_probability,
-)
+from .distribution import *
+from .errors import *
+from .difficulty import *
+from .records import *
+from .selection import *
+from .votemath import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnswerDistribution",
-    "VoteProbability",
-    "VoteScaleError",
-    "InvalidDistribution",
-    "CapExceeded",
-    "WrongArity",
-    "NoWrongMass",
-    "MalformedLine",
-    "DuplicateKey",
-    "MissingGroundTruth",
-    "NotEnoughSamples",
-    "NoFeasibleChoice",
-    "IdMismatch",
-    "Difficulty",
-    "DifficultyLabel",
-    "CrossoverVerdict",
-    "classify",
-    "limit_prob",
-    "crossover_condition",
-    "find_crossover_n",
-    "kl_to_uniform",
-    "SampleRecord",
-    "QuestionSamples",
-    "CostModel",
-    "UNPARSEABLE",
-    "parse_records",
-    "group_records",
-    "group_logs",
-    "load_ground_truth",
-    "answer_support",
-    "estimate_distribution",
-    "replay_majority",
-    "mean_replay_accuracy",
-    "cost_of",
-    "QuestionEntry",
-    "Run",
-    "StrategyDataset",
-    "SelectionResult",
-    "ExtremePerformance",
-    "accuracy_curve",
-    "adaptive_curve",
-    "adaptive_limit",
-    "best_for_n",
-    "best_under_cost",
-    "combined_curve",
-    "dataset_sample_cost",
-    "datasets_from_samples",
-    "dominance_count",
-    "dynamic_curve",
-    "extreme_performance",
-    "load_scenario",
-    "ScalingCurve",
-    "exact_majority_prob",
-    "exact_majority_probs",
-    "closed_form_majority_prob",
-    "monte_carlo_majority_prob",
-    "monte_carlo_majority_probs",
-    "normal_approx_prob",
-    "standard_normal_cdf",
-    "scaling_curve",
-    "vote_probabilities",
-    "vote_probability",
-]
+__all__ = (
+    distribution.__all__ + errors.__all__ + difficulty.__all__
+    + records.__all__ + selection.__all__ + votemath.__all__
+)

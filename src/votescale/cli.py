@@ -12,9 +12,10 @@ Six subcommands:
 * ``synth``    -- generate a synthetic log plus ground truth from planted
   distributions (test data; round-trips through ``analyze``).
 
-Every command reads its flags from the parsed argparse namespace; the
-point parsers set the evaluation flags they lack (``--trials``, ``--seed``,
-``--fallback``, ``--prices``, ``--budget``) to their defaults. Before any
+Every command reads its flags from the parsed argparse namespace. The
+evaluation flags (``--trials``, ``--seed``, ``--fallback``, ``--prices``,
+``--budget``) take their defaults from one table, ``_EVAL_DEFAULTS``, which
+also sets the ones a point parser lacks. Before any
 input file is opened, one check (:func:`_check_flags`) names the first bad
 flag in a fixed order and returns the grid and the cost model; the other
 flags go from the namespace straight to :class:`votescale.selection.Run`.
@@ -87,6 +88,10 @@ from .votemath import _MAX_DRAW, check_grid
 #: cost examples use this quote.
 DEFAULT_PRICES = (0.15, 0.6)
 
+#: The evaluation flags' defaults; a command that lacks one of these flags
+#: (or ``mc``, when its ``--trials`` or ``--seed`` is not given) takes it from here.
+_EVAL_DEFAULTS = {"trials": 100_000, "seed": 0, "fallback": False, "prices": None, "budget": None}
+
 
 def _fmt(value: float) -> str:
     return format(float(value), ".12g")
@@ -121,7 +126,7 @@ def _check_flags(args) -> tuple[tuple[int, ...], CostModel]:
     first bad flag raises, in this order: the grid, the form of --prices,
     --trials, --seed, the --prices values, --budget."""
     grid = _parse_grid(args)
-    prices = _parse_floats(args.prices, "--prices", 2) if args.prices else DEFAULT_PRICES
+    prices = DEFAULT_PRICES if args.prices is None else _parse_floats(args.prices, "--prices", 2)
     if args.trials < 1:
         raise ValueError("--trials must be >= 1")
     if args.seed < 0:
@@ -352,7 +357,10 @@ def cmd_synth(args) -> int:
         for q in ds.questions:
             prompt_tokens = int(round(q.mean_prompt_tokens))
             completion_tokens = int(round(q.mean_completion_tokens))
-            draws = rng.choice(q.dist.m, size=args.samples, p=q.dist.probs)
+            try:
+                draws = rng.choice(q.dist.m, size=args.samples, p=q.dist.probs)
+            except MemoryError:
+                raise ValueError(f"--samples {args.samples} is more draws than fit in memory") from None
             for sample_index, answer_index in enumerate(draws):
                 log_lines.append(
                     json.dumps(
@@ -396,13 +404,14 @@ def _add_eval_flags(sub, *, default_method: str) -> None:
         default=default_method,
         help=f"per-question estimator (default {default_method})",
     )
-    sub.add_argument("--trials", type=int, default=100_000, help="Monte Carlo trials per point")
-    sub.add_argument("--seed", type=int, default=0, help="random seed")
+    sub.add_argument("--trials", type=int, help="Monte Carlo trials per point")
+    sub.add_argument("--seed", type=int, help="random seed")
     sub.add_argument(
         "--fallback",
         action="store_true",
         help="answer above-cap exact queries with the normal approximation",
     )
+    sub.set_defaults(**_EVAL_DEFAULTS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -430,10 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
             p_point.add_argument("--trials", type=int, help="trials per grid point")
             p_point.add_argument("--seed", type=int, help="random seed")
         p_point.add_argument("--out", help="write CSV here instead of stdout")
-        # the flags a point command lacks take these values, as do mc's when not given
-        p_point.set_defaults(
-            func=cmd_point, method=name, trials=100_000, seed=0, fallback=False, prices=None, budget=None
-        )
+        p_point.set_defaults(func=cmd_point, method=name, **_EVAL_DEFAULTS)
 
     p_predict = commands.add_parser(
         "predict", help="accuracy curves and best strategy per n from a scenario file"

@@ -29,6 +29,11 @@ from .distribution import AnswerDistribution
 from .errors import NoWrongMass
 from .votemath import _margin_and_spread
 
+__all__ = [
+    "Difficulty", "DifficultyLabel", "classify", "limit_prob", "crossover_condition",
+    "kl_to_uniform",
+]
+
 #: Absolute tolerance when testing membership in the modal set.
 TIE_TOLERANCE = 1e-12
 

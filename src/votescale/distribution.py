@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidDistribution
 
+__all__ = ["AnswerDistribution", "VoteProbability"]
+
 #: Absolute slack allowed on the sum-to-one invariant.
 SUM_TOLERANCE = 1e-9
 

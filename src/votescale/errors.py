@@ -1,5 +1,11 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "VoteScaleError", "InvalidDistribution", "CapExceeded", "WrongArity", "NoWrongMass",
+    "MalformedLine", "DuplicateKey", "MissingGroundTruth", "NotEnoughSamples", "NoFeasibleChoice",
+    "IdMismatch",
+]
+
 
 class VoteScaleError(Exception):
     """Base class for all votescale errors."""

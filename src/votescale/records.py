@@ -63,6 +63,12 @@ from .errors import (
 )
 from .votemath import _pool_majority_probs
 
+__all__ = [
+    "UNPARSEABLE", "SampleRecord", "QuestionSamples", "CostModel", "parse_records",
+    "load_ground_truth", "group_records", "group_logs", "answer_support", "estimate_distribution",
+    "replay_majority", "cost_of", "mean_replay_accuracy",
+]
+
 #: Sentinel stored for unparseable or empty answers.
 UNPARSEABLE = "∅"
 

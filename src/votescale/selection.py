@@ -55,6 +55,14 @@ from .records import CostModel, QuestionSamples, estimate_distribution
 from .records import _json_lines, _number, _text
 from .votemath import ScalingCurve, canonical_method, check_grid, vote_probabilities
 
+__all__ = [
+    "QuestionEntry", "StrategyDataset", "SelectionResult", "ExtremePerformance",
+    "CrossoverVerdict", "Run", "accuracy_curve", "adaptive_curve", "dynamic_curve",
+    "combined_curve", "extreme_performance", "adaptive_limit", "dominance_count", "scaling_curve",
+    "find_crossover_n", "best_for_n", "dataset_sample_cost", "best_under_cost", "load_scenario",
+    "datasets_from_samples",
+]
+
 _SCENARIO_FIELDS = frozenset(
     {
         "strategy_id",

@@ -84,6 +84,12 @@ from typing import Iterable, Sequence
 from .distribution import AnswerDistribution, VoteProbability, check_sampling_time
 from .errors import CapExceeded, NotEnoughSamples, WrongArity
 
+__all__ = [
+    "standard_normal_cdf", "ScalingCurve", "exact_majority_prob", "exact_majority_probs",
+    "closed_form_majority_prob", "monte_carlo_majority_prob", "monte_carlo_majority_probs",
+    "normal_approx_prob", "vote_probabilities", "vote_probability",
+]
+
 #: Exact-path caps on nonzero answers and (by default) ``n``; they bound the kernel's memory.
 EXACT_MAX_ANSWERS = 8
 EXACT_MAX_N = 60

@@ -344,10 +344,14 @@ class TestPredict:
             (["mc", "--dist", "0.6,0.4", "--seed", "-1"], "--seed must be >= 0"),
             (["synth", "--samples", "0"], "--samples must be >= 1"),
             (["synth", "--samples", "5", "--seed", "-1"], "--seed must be >= 0"),
+            # 10^17 float64 draws need 711 PiB, more than 57-bit virtual
+            # addresses reach (128 PiB), so the allocation fails at once
+            (["synth", "--samples", str(10**17)], f"--samples {10**17} is more draws than fit in memory"),
         ],
         ids=[
             "budget-nan", "prices-nan", "prices-text", "prices-one", "grid-text",
             "mc-trials-0", "mc-seed-negative", "synth-samples-0", "synth-seed-negative",
+            "synth-samples-past-memory",
         ],
     )
     def test_bad_flag_exits_2_with_one_error_line(self, capsys, tmp_path, argv, message):
@@ -1242,6 +1246,7 @@ class TestFlagsBeforeInputs:
             (["--trials", "0"], "--trials must be >= 1"),
             (["--seed", "-1"], "--seed must be >= 0"),
             (["--prices", "a,b"], "--prices expects comma-separated numbers, got 'a,b'"),
+            (["--prices", ""], "--prices expects comma-separated numbers, got ''"),
             (["--prices=-1,0.6"], "--prices must be >= 0"),
             (["--budget", "-1"], "--budget must be >= 0"),
             (["--trials", "0", "--prices", "a,b"], "--prices expects comma-separated numbers, got 'a,b'"),
@@ -1249,7 +1254,7 @@ class TestFlagsBeforeInputs:
             (["--budget", "-1", "--prices=-1,0.6"], "--prices must be >= 0"),
         ],
         ids=[
-            "grid", "trials", "seed", "prices-text", "prices-negative", "budget",
+            "grid", "trials", "seed", "prices-text", "prices-empty", "prices-negative", "budget",
             "prices-text-before-trials", "seed-before-prices-values", "prices-values-before-budget",
         ],
     )
