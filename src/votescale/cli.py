@@ -30,13 +30,14 @@ every strategy covers the same questions (so a mismatch exits 2, not 3,
 before any cell is evaluated). Its curves evaluate every grid cell in
 one estimator call, and the selections and oracles reduce those cells,
 evaluating at most the hard questions' n = 1 cells in one more call. Every
-input file is streamed a block at a time and split into lines, and the one
-line reader of :mod:`votescale.records` names the file and line of the
-first bad or repeated line in reading order. The logs go through one pass
-(:func:`votescale.records.group_logs`) straight into per-pool samples; once
-reading ends it checks the pools, and names the line of a record key
-repeated across log lines or files, or of a logged question without ground
-truth, from the line numbers kept per sample.
+input file is opened once, and the open file goes straight to the readers
+of :mod:`votescale.records`, which take its lines as it streams them and
+name the file and line of the first bad or repeated line in reading order.
+The logs go through one pass (:func:`votescale.records.group_logs`)
+straight into per-pool samples; once reading ends it checks the pools, and
+names the line of a record key repeated across log lines or files, or of a
+logged question without ground truth, from the line numbers kept per
+sample.
 
 No module of the package imports numpy when it is imported: the
 estimators and :class:`votescale.selection.Run` import it when a command
@@ -67,7 +68,7 @@ import math
 import os
 import sys
 from contextlib import closing
-from typing import Iterator
+from typing import Iterator, TextIO
 
 from .difficulty import kl_to_uniform
 from .distribution import AnswerDistribution
@@ -138,34 +139,26 @@ def _check_flags(args) -> tuple[tuple[int, ...], CostModel]:
     return grid, CostModel.from_per_million(*prices)
 
 
-def _lines(path: str) -> Iterator[str]:
-    """Lines of a UTF-8 file split at \\n, \\r\\n or \\r, without their line
-    breaks. Bytes that are not UTF-8 arrive as lone surrogates, which the
-    line reader of :mod:`votescale.records` reports with the line's number.
-    Close the generator (``contextlib.closing``) to close the file when a
-    reader stops early.
-    """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline=None) as fh:
-        for line in fh:
-            yield line.removesuffix("\n")
-
-
 def _read(path: str, parse):
-    """``parse`` applied to the lines of one input file; a malformed or
-    repeated line is reported with the file's name."""
+    """``parse`` applied to one input file, open as UTF-8 text whose lines
+    end in \\n, \\r\\n or \\r, as the readers of :mod:`votescale.records`
+    take it. Bytes that are not UTF-8 arrive as lone surrogates, which those
+    readers report with the line's number; a malformed or repeated line is
+    reported with the file's name."""
     try:
-        with closing(_lines(path)) as lines:
-            return parse(lines)
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            return parse(fh)
     except (MalformedLine, DuplicateKey) as exc:
         raise VoteScaleError(f"{path}: {exc}") from None
 
 
-def _log_sources(paths) -> Iterator[tuple[str, Iterator[str]]]:
-    """``(path, lines)`` of each log, each file closed once its lines are
-    read or the generator is closed."""
+def _log_sources(paths) -> Iterator[tuple[str, TextIO]]:
+    """``(path, open file)`` of each log, opened as :func:`_read` opens one
+    once the generator reaches it, and closed once it is read or the
+    generator is closed."""
     for path in paths:
-        with closing(_lines(path)) as lines:
-            yield path, lines
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield path, fh
 
 
 def _write_table(fh, header: list[str], rows) -> None:

@@ -12,7 +12,11 @@ as wrong votes instead of silently inflating accuracy. Logs, ground truth
 and the scenario files of :mod:`votescale.selection` all go through this
 module's one line reader and typed field checks, so every bad line raises
 an error carrying its number, one holding a file's bad bytes (read as lone
-surrogates) included.
+surrogates) included. Every reader takes lines as a text file opened in the
+default newline mode yields them, so a caller may pass the open file, or
+lines without their breaks (a list, ``str.split``, ``str.splitlines``).
+Each line loses one trailing ``"\\n"`` and nothing else; that mode has
+already turned ``"\\r\\n"`` and ``"\\r"`` into ``"\\n"``.
 
 Logs are the large input, so they are read a chunk of lines at a time, by
 the first of three routes that vouches for the whole chunk. A chunk of
@@ -54,7 +58,7 @@ from itertools import groupby, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
-from .distribution import AnswerDistribution, check_sampling_time
+from .distribution import AnswerDistribution
 from .errors import (
     DuplicateKey,
     MalformedLine,
@@ -66,7 +70,7 @@ from .votemath import _pool_majority_probs
 __all__ = [
     "UNPARSEABLE", "SampleRecord", "QuestionSamples", "CostModel", "parse_records",
     "load_ground_truth", "group_records", "group_logs", "answer_support", "estimate_distribution",
-    "replay_majority", "cost_of", "mean_replay_accuracy",
+    "replay_majority", "mean_replay_accuracy",
 ]
 
 #: Sentinel stored for unparseable or empty answers.
@@ -146,10 +150,6 @@ class QuestionSamples:
     mean_prompt_tokens: float
     mean_completion_tokens: float
 
-    @property
-    def pool_size(self) -> int:
-        return len(self.answers)
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -177,8 +177,10 @@ def _json_lines(
     """The one reader of line-delimited JSON input: ``(line number, object)``
     for each nonblank line that holds one JSON object with exactly
     ``fields``; anything else, a line that is not UTF-8 included, is a
-    :class:`MalformedLine`. Lines are numbered from ``start``."""
+    :class:`MalformedLine`. Lines are numbered from ``start``, and each is
+    read without one trailing ``"\\n"``."""
     for line_number, line in enumerate(lines, start=start):
+        line = line.removesuffix("\n")
         if not line.strip():
             continue
         if not line.isascii():
@@ -269,9 +271,9 @@ def _log_rows(chunk: list[str], start: int, offset: int = 0) -> tuple[list[tuple
 
 
 def _chunks(lines: Iterable[str], size: int) -> Iterator[list[str]]:
-    """``lines`` in lists of ``size``."""
+    """``lines`` in lists of ``size``, each line without one trailing ``"\\n"``."""
     it = iter(lines)
-    while chunk := list(islice(it, size)):
+    while chunk := [line.removesuffix("\n") for line in islice(it, size)]:
         yield chunk
 
 
@@ -657,18 +659,6 @@ def replay_majority(samples: QuestionSamples, n: int) -> float:
     Its pool goes through the one batched exact call that
     :func:`mean_replay_accuracy` makes for all of its pools."""
     return _pool_majority_probs([(*_answer_counts(samples), n)])[0].value
-
-
-def cost_of(samples: QuestionSamples, n: int, model: CostModel) -> float:
-    """Inference cost of n samples at the recorded mean token usage.
-
-    Linear in n; only valid for strategies whose per-sample context does
-    not grow with the round number.
-    """
-    n = check_sampling_time(n)
-    return n * model.sample_cost(
-        samples.mean_prompt_tokens, samples.mean_completion_tokens
-    )
 
 
 def mean_replay_accuracy(groups: Iterable[QuestionSamples], n: int) -> float:

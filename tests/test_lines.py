@@ -1,10 +1,12 @@
 """The one line reader behind logs, ground truth and scenarios: a bad line in
-any of the three formats raises a VoteScaleError carrying its line number.
-The chunked log parser, through its pattern and its JSON array routes,
-agrees with a line-by-line parse, and input files streamed through the
-buffered reader split into the lines of one whole-file read."""
+any of the three formats raises a VoteScaleError carrying its line number,
+with or without the line's break. The chunked log parser, through its
+pattern and its JSON array routes, agrees with a line-by-line parse, and an
+input file opened as the CLI opens it reads as the lines of one whole-file
+read."""
 import io
 import json
+from contextlib import closing
 from unittest import mock
 
 import pytest
@@ -17,6 +19,7 @@ from votescale import (
     SampleRecord,
     VoteScaleError,
     cli,
+    group_logs,
     load_ground_truth,
     load_scenario,
     parse_records,
@@ -25,6 +28,7 @@ from votescale.records import (
     _CANONICAL_RECORD,
     _CHUNK_LINES,
     _RECORD_FIELDS,
+    _chunks,
     _count,
     _json_lines,
     _text,
@@ -102,15 +106,18 @@ def mutated_lines(draw, fields: dict) -> str:
 
 def check_mutated(loader, k: int, line: str) -> None:
     """After ``k`` valid lines, ``line`` either parses into UTF-8 text only or
-    raises a VoteScaleError that names line k+1."""
+    raises a VoteScaleError that names line k+1; the same lines each ending
+    in "\\n", as a text file yields them, give the same result or error."""
     fields, kept = FORMATS[loader]
+    lines = valid_lines(fields, k) + [line]
     try:
-        result = loader(valid_lines(fields, k) + [line])
+        result = loader(lines)
     except VoteScaleError as exc:
         assert exc.line_number == k + 1, exc
     else:
         for text in kept(result):
             text.encode("utf-8")
+    assert outcome(loader, [text + "\n" for text in lines]) == outcome(loader, lines)
 
 
 class TestMutatedLines:
@@ -119,6 +126,7 @@ class TestMutatedLines:
     @example(k=2, line=raw_line(RECORD, "answer", DEEP))
     @example(k=1, line=raw_line(RECORD, "answer", SURROGATE))
     @example(k=0, line=raw_line(RECORD, "prompt_tokens", str(10**400)))
+    @example(k=1, line=json.dumps(RECORD)[:18])  # cut inside the first string
     def test_log(self, k, line):
         check_mutated(parse_records, k, line)
 
@@ -126,6 +134,7 @@ class TestMutatedLines:
     @given(k=st.integers(0, 3), line=mutated_lines(TRUTH))
     @example(k=2, line=raw_line(TRUTH, "correct_answer", DEEP))
     @example(k=1, line=raw_line(TRUTH, "correct_answer", SURROGATE))
+    @example(k=1, line=json.dumps(TRUTH)[:18])
     def test_ground_truth(self, k, line):
         check_mutated(load_ground_truth, k, line)
 
@@ -133,6 +142,7 @@ class TestMutatedLines:
     @given(k=st.integers(0, 3), line=mutated_lines(SCENARIO))
     @example(k=2, line=raw_line(SCENARIO, "probs", DEEP))
     @example(k=1, line=raw_line(SCENARIO, "strategy_id", SURROGATE))
+    @example(k=1, line=json.dumps(SCENARIO)[:18])
     def test_scenario(self, k, line):
         check_mutated(load_scenario, k, line)
 
@@ -366,7 +376,17 @@ class TestChunkedRecords:
             records = parse_records(lines)
         assert loads.call_count == 0
         assert records == line_by_line_records(lines)
-        assert list(cli._lines(str(data / "log.jsonl"))) == lines
+        # the open file, each line with its break, reads as its lines do
+        truth = load_ground_truth((data / "truth.jsonl").read_text(encoding="utf-8").splitlines())
+        groups = group_logs([("log", lines)], truth)
+        with open(data / "log.jsonl", encoding="utf-8") as fh:
+            with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+                assert parse_records(fh) == records
+        assert loads.call_count == 0
+        with open(data / "log.jsonl", encoding="utf-8") as fh:
+            with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+                assert group_logs([("log", fh)], truth) == groups
+        assert loads.call_count == 0
         # str.split ends the text with an empty line, which the pattern route
         # skips as well
         split = (data / "log.jsonl").read_text(encoding="utf-8").split("\n")
@@ -396,14 +416,15 @@ class TestChunkedRecords:
             text = (data / name).read_text(encoding="utf-8")
             assert "ü" in text and "\\u" not in text
             (escaped / name).write_text("".join(json.dumps(json.loads(line)) + "\n" for line in text.splitlines()))
-        lines = list(cli._lines(str(data / "log.jsonl")))
-        assert len(lines) == 2 * 30 * 40
-        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
-            records = parse_records(lines)
+        with open(data / "log.jsonl", encoding="utf-8") as fh:
+            with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+                records = parse_records(fh)
+        assert len(records) == 2 * 30 * 40
         assert loads.call_count == 0
-        with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
-            assert parse_records(cli._lines(str(escaped / "log.jsonl"))) == records
-        assert loads.call_count == -(-len(lines) // _CHUNK_LINES)  # one JSON array per chunk
+        with open(escaped / "log.jsonl", encoding="utf-8") as fh:
+            with mock.patch("votescale.records.json.loads", wraps=json.loads) as loads:
+                assert parse_records(fh) == records
+        assert loads.call_count == -(-len(records) // _CHUNK_LINES)  # one JSON array per chunk
         reports = {}
         for source in (data, escaped):
             out = tmp_path / f"report-{source.name}"
@@ -421,20 +442,24 @@ class TestChunkedRecords:
 
 def whole_file_lines(path) -> list[str]:
     """The file's lines from one read, decode and split, bad bytes as lone
-    surrogates and without the empty line after a final line break: the
-    reader that _lines streams."""
+    surrogates and without the empty line after a final line break: what
+    the log reader must see in the streamed file."""
     text = path.read_bytes().decode("utf-8", errors="surrogateescape")
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     return lines[:-1] if lines[-1] == "" else lines
 
 
 def streamed_lines(path) -> list[str]:
-    return list(cli._lines(str(path)))
+    """The lines that the log reader's chunks hold, read from the file as
+    the CLI opens it."""
+    with closing(cli._log_sources([str(path)])) as sources:
+        _, fh = next(sources)
+        return [line for chunk in _chunks(fh, _CHUNK_LINES) for line in chunk]
 
 
 class TestStreamedLines:
-    """cli._lines reads the file in buffered chunks and yields the lines of
-    one whole-file read."""
+    """A file opened as the CLI opens it is read in buffered blocks, and the
+    log reader sees the lines of one whole-file read."""
 
     def test_blocks_split_inside_characters_and_line_breaks(self, tmp_path):
         block = io.DEFAULT_BUFFER_SIZE
@@ -472,7 +497,7 @@ class TestStreamedLines:
 
         def first_line(lines):
             kept.append(lines)  # alive after the call, so only closing it closes the file
-            return next(lines)
+            return next(lines).removesuffix("\n")
 
         monkeypatch.setattr(cli, "open", recording_open, raising=False)
         assert cli._read(str(path), first_line) == "a"

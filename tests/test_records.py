@@ -29,7 +29,6 @@ from votescale import (
     VoteScaleError,
     answer_support,
     classify,
-    cost_of,
     estimate_distribution,
     exact_majority_prob,
     group_logs,
@@ -172,7 +171,7 @@ class TestGrouping:
         assert g.correct_answer == "42"
         assert g.mean_prompt_tokens == pytest.approx(100.0)
         assert g.mean_completion_tokens == pytest.approx(50.0)
-        assert g.pool_size == 3
+        assert len(g.answers) == 3
 
     def test_duplicate_key(self):
         lines = [record_line(idx=0), record_line(idx=0)]
@@ -451,7 +450,7 @@ class TestGroupLogs:
         peaks at about 9.2 MiB here, the one pass at about 1.9 MiB."""
         groups, peak = traced_log_exact_grouping()
         assert len(groups) == 900
-        assert all(g.pool_size == 64 for g in groups.values())
+        assert all(len(g.answers) == 64 for g in groups.values())
         assert peak < 6 * 2**20
 
     def test_memory_per_sample_at_the_log_exact_shape(self):
@@ -558,7 +557,7 @@ def sampled_replay(samples, n, trials, seed):
     support = answer_support(samples)
     index = {answer: code for code, answer in enumerate(support)}
     codes = np.array([index[a] for a in samples.answers], dtype=np.int64)
-    pool_size, m = samples.pool_size, len(support)
+    pool_size, m = len(samples.answers), len(support)
     rng = np.random.default_rng(seed)
     block_rows = max(1, _REPLAY_BLOCK_CELLS // pool_size)
     hits = done = 0
@@ -837,24 +836,16 @@ class TestBatchedReplay:
 class TestCost:
     def test_default_style_prices(self):
         model = CostModel.from_per_million(0.15, 0.60)
-        p = pool(["a"], pt=1000.0, ct=500.0)
-        assert cost_of(p, 1, model) == pytest.approx(0.00045, abs=1e-15)
-        assert cost_of(p, 10, model) == pytest.approx(0.0045, abs=1e-15)
-
-    def test_linear_in_n(self):
-        model = CostModel(2e-7, 8e-7)
-        p = pool(["a"], pt=321.0, ct=123.0)
-        assert cost_of(p, 7, model) == pytest.approx(7 * cost_of(p, 1, model))
+        assert model.sample_cost(1000.0, 500.0) == pytest.approx(0.00045, abs=1e-15)
+        assert model.sample_cost(10 * 1000.0, 10 * 500.0) == pytest.approx(0.0045, abs=1e-15)
 
     def test_zero_prices(self):
         model = CostModel(0.0, 0.0)
-        assert cost_of(pool(["a"]), 5, model) == 0.0
+        assert model.sample_cost(5 * 100.0, 5 * 50.0) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CostModel(-1e-6, 0.0)
-        with pytest.raises(ValueError):
-            cost_of(pool(["a"]), 0, CostModel(1e-6, 1e-6))
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from conftest import (
 from votescale import (
     AnswerDistribution,
     CapExceeded,
-    CostModel,
     QuestionEntry,
     QuestionSamples,
     Run,
@@ -39,7 +38,6 @@ from votescale import (
     VoteProbability,
     WrongArity,
     closed_form_majority_prob,
-    cost_of,
     exact_majority_prob,
     exact_majority_probs,
     monte_carlo_majority_prob,
@@ -899,9 +897,8 @@ _POOL = QuestionSamples("q0", "s0", "a", ("a", "b", "a", "c"), 10.0, 5.0)
         lambda n: check_grid([n]),
         lambda n: VoteProbability(0.5, "exact", n),
         lambda n: replay_majority(_POOL, n),
-        lambda n: cost_of(_POOL, n, CostModel(1.0, 2.0)),
     ],
-    ids=["exact", "approx", "mc", "curve", "grid", "point", "replay", "cost"],
+    ids=["exact", "approx", "mc", "curve", "grid", "point", "replay"],
 )
 def test_sampling_times_must_be_integers(call):
     """Python and numpy integers give the same result; other numbers are
