@@ -39,11 +39,11 @@ names the line of a record key repeated across log lines or files, or of a
 logged question without ground truth, from the line numbers kept per
 sample.
 
-No module of the package imports numpy when it is imported: the
-estimators and :class:`votescale.selection.Run` import it when a command
-first evaluates cells, and ``synth`` when it draws samples. ``--help``,
-usage errors and input rejected before any cell is evaluated return
-without loading it.
+No module of the package imports numpy when it is imported: the exact
+and Monte Carlo estimators import it when they first build arrays, and
+``synth`` when it draws samples. ``--help``, usage errors, input rejected
+before any cell is evaluated and every normal-approximation run
+(``approx``, ``predict``'s default) return without loading it.
 
 Exit codes: 0 success, 2 invalid input, 3 exact-path cap exceeded without
 ``--fallback``. All output is deterministic given inputs and ``--seed``:

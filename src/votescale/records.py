@@ -54,7 +54,7 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import eq, itemgetter
 from typing import Iterable, Iterator, Sequence
 
@@ -177,10 +177,9 @@ def _json_lines(
     """The one reader of line-delimited JSON input: ``(line number, object)``
     for each nonblank line that holds one JSON object with exactly
     ``fields``; anything else, a line that is not UTF-8 included, is a
-    :class:`MalformedLine`. Lines are numbered from ``start``, and each is
-    read without one trailing ``"\\n"``."""
+    :class:`MalformedLine`. Lines are numbered from ``start`` and hold no
+    line break, as :func:`_chunks` and :func:`_unbroken` give them."""
     for line_number, line in enumerate(lines, start=start):
-        line = line.removesuffix("\n")
         if not line.strip():
             continue
         if not line.isascii():
@@ -275,6 +274,12 @@ def _chunks(lines: Iterable[str], size: int) -> Iterator[list[str]]:
     it = iter(lines)
     while chunk := [line.removesuffix("\n") for line in islice(it, size)]:
         yield chunk
+
+
+def _unbroken(lines: Iterable[str]) -> Iterator[str]:
+    """``lines`` one at a time as :func:`_chunks` gives them, so that every
+    reader drops a line's break in one place."""
+    return chain.from_iterable(_chunks(lines, _CHUNK_LINES))
 
 
 def _record_row(line_number: int, obj: dict) -> tuple:
@@ -397,7 +402,7 @@ def load_ground_truth(lines: Iterable[str]) -> dict[str, str]:
     with the repeating line's number.
     """
     truth: dict[str, str] = {}
-    for line_number, obj in _json_lines(lines, _TRUTH_FIELDS):
+    for line_number, obj in _json_lines(_unbroken(lines), _TRUTH_FIELDS):
         question_id = _text(line_number, obj, "question_id")
         correct = _text(line_number, obj, "correct_answer")
         if correct in ("", UNPARSEABLE):

@@ -21,7 +21,7 @@ every reduction compares means over one question set. A reduction
 evaluates the cells it reads that are still missing in one
 :func:`votescale.votemath.vote_probabilities` call (for exact cells, one
 kernel batch that evaluates each distinct kernel input once), takes each
-question's best strategy with ``argmax`` and averages with ``math.fsum``.
+question's best strategy with ``max`` and averages with ``math.fsum``.
 The free functions (:func:`accuracy_curve`, :func:`dominance_count`,
 ...) each evaluate a one-off run, only the cells they read, and keep
 nothing; :func:`scaling_curve` and :func:`find_crossover_n` are runs of
@@ -32,17 +32,20 @@ not depend on the rest of its grid -- and the documented dominance
 relations between curves survive sampling noise. A dataset point is
 tagged with the least exact estimator among its cells.
 
-numpy is imported in :class:`Run`'s methods that hold its arrays, as in
-:mod:`votescale.votemath`, so that importing this module does not load it.
+This module builds no array and imports no numpy: a run keeps each cell
+as the :class:`VoteProbability` its estimator returned, and only the
+estimators of :mod:`votescale.votemath` that build arrays import numpy. So
+a normal-approximation run never loads it.
 """
 from __future__ import annotations
 
 import math
 import zlib
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple
 
-from .distribution import METHODS, AnswerDistribution, VoteProbability
+from .distribution import METHODS, AnswerDistribution, VoteProbability, check_sampling_time
 from .difficulty import Difficulty, classify, crossover_condition
 from .errors import (
     DuplicateKey,
@@ -52,7 +55,7 @@ from .errors import (
     NoFeasibleChoice,
 )
 from .records import CostModel, QuestionSamples, estimate_distribution
-from .records import _json_lines, _number, _text
+from .records import _json_lines, _number, _text, _unbroken
 from .votemath import ScalingCurve, canonical_method, check_grid, vote_probabilities
 
 __all__ = [
@@ -73,6 +76,7 @@ _SCENARIO_FIELDS = frozenset(
         "mean_completion_tokens",
     }
 )
+_VALUE = attrgetter("value")
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,10 @@ class Run:
     Every strategy of a run covers the same questions: this is checked when
     the run is built, and :class:`IdMismatch` names a question one strategy
     lacks. Grid and method are checked once, and each question is classified
-    once (``labels``, per strategy in dataset order). The run owns one
-    (strategy, n, question, 3) array of (value, estimator index in
-    ``METHODS``, standard error) rows over the grid and n = 1, NaN until
-    evaluated, and one (strategy, question) hard-question mask; their
+    once (``labels``, per strategy in dataset order). Per strategy and n of
+    the grid and n = 1, the run keeps one list of cells, each the
+    :class:`VoteProbability` its estimator returned or None until
+    evaluated, and per strategy a hard and an easy question mask; their
     question axis follows the first dataset.
     :meth:`curves` fills every grid cell in one estimator call, so the
     oracles and selections after it evaluate at most the hard questions'
@@ -169,8 +173,6 @@ class Run:
         seed: int = 0,
         fallback: bool = False,
     ):
-        import numpy as np
-
         self.grid = check_grid(grid)
         self.method = canonical_method(method)
         self.datasets = tuple(datasets)
@@ -195,37 +197,36 @@ class Run:
         self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
         # per strategy, where each of the first dataset's questions sits in its own dataset
         where = [{question_id: qi for qi, question_id in enumerate(own)} for own in ids]
-        self._own = np.array([[positions[question_id] for question_id in order] for positions in where])
-        hard = np.array([[lb.kind is Difficulty.HARD for lb in labels] for labels in self.labels], bool)
-        self._hard = np.take_along_axis(hard, self._own, axis=1)
-        self._index = {n: i for i, n in enumerate(sorted({1, *self.grid}))}
-        self._cells = np.full((len(self.datasets), len(self._index), len(order), 3), np.nan)
+        self._own = [[positions[question_id] for question_id in order] for positions in where]
+        hard = [[label.kind is Difficulty.HARD for label in labels] for labels in self.labels]
+        self._hard = [[flags[qi] for qi in own] for flags, own in zip(hard, self._own)]
+        self._easy = [[not flag for flag in flags] for flags in self._hard]
+        self._cells = {(s, n): [None] * len(order) for s in range(len(ids)) for n in {1, *self.grid}}
 
     def _fill(self, requests) -> None:
         """Evaluate the missing cells of non-overlapping ``(strategy, n, rows)``
         requests (``rows`` a question mask, or True), in order, in one
         :func:`vote_probabilities` call; a cell's distribution and Monte Carlo
         sub-seed use its position in its own dataset."""
-        import numpy as np
-
         todo = []
         for s, n, rows in requests:
-            columns = np.flatnonzero(np.isnan(self._cells[s, self._index[n], :, 0]) & rows)
-            if len(columns):
-                todo.append((s, n, columns))
+            cells = self._cells[s, n]
+            columns = [q for q, cell in enumerate(cells) if cell is None and (rows is True or rows[q])]
+            if columns:
+                todo.append((s, n, cells, columns))
         if not todo:
             return
         # generated, so that a large batch's cells are not held twice; a
         # Monte Carlo cell's generator is seeded with the entropy tuple
-        cells = (
+        requested = (
             (self.datasets[s].questions[qi].dist, n, (self.seed, self._crc[s], qi, n))
-            for s, n, columns in todo
-            for qi in self._own[s, columns].tolist()
+            for s, n, _, columns in todo
+            for qi in [self._own[s][q] for q in columns]
         )
-        values = iter(vote_probabilities(cells, self.method, trials=self.trials, fallback=self.fallback))
-        for s, n, columns in todo:
-            rows = [(vp.value, METHODS.index(vp.method), vp.stderr or 0.0) for _, vp in zip(columns, values)]
-            self._cells[s, self._index[n], columns] = rows
+        values = iter(vote_probabilities(requested, self.method, trials=self.trials, fallback=self.fallback))
+        for _, _, cells, columns in todo:
+            for q, vp in zip(columns, values):
+                cells[q] = vp
 
     def _curve(self, strategies, ns, adaptive: bool, curve_id: str) -> ScalingCurve:
         """The one reduction: per n of ``ns`` and question, the best of
@@ -233,25 +234,23 @@ class Run:
         strategy's hard questions if ``adaptive`` -- averaged over questions
         with ``math.fsum``, and tagged with the least exact cell's estimator.
         Evaluates the cells it reads that are missing first."""
-        import numpy as np
-
-        strategies = list(strategies)
-        requests = [(s, n, ~self._hard[s] if adaptive else True) for s in strategies for n in ns]
+        requests = [(s, n, self._easy[s] if adaptive else True) for s in strategies for n in ns]
         self._fill(requests + [(s, 1, self._hard[s]) for s in strategies if adaptive])
-        table = self._cells[np.ix_(strategies, [self._index[n] for n in ns])]  # (strategy, n, question, 3)
-        if adaptive:
-            one = self._cells[strategies, self._index[1]]  # (strategy, question, 3)
-            table = np.where(self._hard[strategies][:, None, :, None], one[:, None], table)
-        best = table[..., 0].argmax(axis=0)  # the first maximum wins ties
-        winners = np.take_along_axis(table, best[None, :, :, None], axis=0)[0]
-        count = table.shape[2]
         points = []
-        for n, (values, codes, stderrs) in zip(ns, winners.transpose(0, 2, 1)):
-            tag = METHODS[int(codes.max())]  # the least exact cell's estimator
-            mean = math.fsum(values.tolist()) / count
+        for n in ns:
+            columns = [self._cells[s, n] for s in strategies]
+            if adaptive:  # a hard question's cell at n = 1
+                columns = [
+                    [one if hard else cell for cell, one, hard in zip(col, self._cells[s, 1], self._hard[s])]
+                    for s, col in zip(strategies, columns)
+                ]
+            # one strategy's cells win as they stand; max keeps the first maximum
+            winners = columns[0] if len(columns) == 1 else [max(cells, key=_VALUE) for cells in zip(*columns)]
+            tag = max({vp.method for vp in winners}, key=METHODS.index)  # the least exact cell's estimator
             stderr = None
             if tag == "monte_carlo":
-                stderr = math.sqrt(math.fsum(e**2 for e in stderrs.tolist())) / count
+                stderr = math.sqrt(math.fsum(vp.stderr**2 for vp in winners)) / len(winners)
+            mean = math.fsum(map(_VALUE, winners)) / len(winners)
             points.append(VoteProbability(mean, tag, n, stderr=stderr))
         return ScalingCurve(tuple(points), self.method, curve_id=curve_id)
 
@@ -288,7 +287,7 @@ class Run:
         """Per ordered strategy pair (a, b), the questions where
         ``crossover_condition`` holds for a's distribution against b's,
         matched on the run's question axis; the diagonal reads 0 unevaluated."""
-        dists = [[ds.questions[qi].dist for qi in own] for ds, own in zip(self.datasets, self._own.tolist())]
+        dists = [[ds.questions[qi].dist for qi in own] for ds, own in zip(self.datasets, self._own)]
         return [
             [0 if a == b else sum(map(crossover_condition, behind, ahead)) for b, ahead in enumerate(dists)]
             for a, behind in enumerate(dists)
@@ -311,7 +310,7 @@ class Run:
 
     def best_for_n(self, n: int) -> SelectionResult:
         """Best strategy at the grid point ``n``; ties keep the earliest."""
-        if n not in self.grid:
+        if (n := check_sampling_time(n)) not in self.grid:
             raise ValueError(f"n={n!r} is not on the run's grid")
         return self._best([(s, n) for s in range(len(self.datasets))], ("samples", float(n)))
 
@@ -410,13 +409,12 @@ def extreme_performance(ds: StrategyDataset) -> ExtremePerformance:
 def adaptive_limit(ds: StrategyDataset) -> float:
     """Large-n limit of the adaptive oracle: hard questions keep their
     single-sample success probability instead of decaying to zero."""
-    if not ds.questions:
-        raise ValueError("dataset has no questions")
-    terms = []
-    for q in ds.questions:
-        label = classify(q.dist)
-        terms.append(q.dist.correct_prob if label.kind is Difficulty.HARD else label.limit)
-    return math.fsum(terms) / len(ds.questions)
+    labels = Run([ds], [1]).labels[0]
+    terms = [
+        q.dist.correct_prob if label.kind is Difficulty.HARD else label.limit
+        for q, label in zip(ds.questions, labels)
+    ]
+    return math.fsum(terms) / len(terms)
 
 
 def dominance_count(ds_a: StrategyDataset, ds_b: StrategyDataset) -> int:
@@ -531,7 +529,7 @@ def load_scenario(lines: Iterable[str]) -> list[StrategyDataset]:
     """
     by_strategy: dict[str, list[QuestionEntry]] = {}
     seen: set[tuple[str, str]] = set()
-    for line_number, obj in _json_lines(lines, _SCENARIO_FIELDS):
+    for line_number, obj in _json_lines(_unbroken(lines), _SCENARIO_FIELDS):
         strategy_id = _text(line_number, obj, "strategy_id")
         question_id = _text(line_number, obj, "question_id")
         probs = obj["probs"]

@@ -67,9 +67,9 @@ call, so each distinct pool key is evaluated once.
 
 numpy is imported inside the functions that build arrays (the two row
 builders, the Levin sum, the kernel plan and the Monte Carlo draws), not
-when the module is: importing the package, or a command that fails before
-it evaluates a cell, skips numpy's import (55 to 75 ms in a fresh
-interpreter on a 2-CPU VM).
+when the module is: importing the package, a command that fails before it
+evaluates a cell, and every normal-approximation run skip numpy's import
+(55 to 75 ms in a fresh interpreter on a 2-CPU VM).
 """
 from __future__ import annotations
 

@@ -156,9 +156,10 @@ for module in ("numpy.polynomial", "numpy.random"):
 
 
 def test_imports_help_and_input_errors_load_no_numpy(planted, data, tmp_path):
-    """numpy loads when a command first evaluates cells: importing the package,
+    """numpy loads only where arrays are built: importing the package,
     building the parser, ``--help`` and input rejected before any cell return
-    without it, each error as one ``error:`` line and exit code 2."""
+    without it, each error as one ``error:`` line and exit code 2, and so do
+    normal-approximation runs, through the CLI and the library."""
     for source in (data / "log.jsonl", planted):
         lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
         (tmp_path / source.name).write_text(lines[0] + "{\n" + "".join(lines[2:]), encoding="utf-8")
@@ -168,6 +169,8 @@ def test_imports_help_and_input_errors_load_no_numpy(planted, data, tmp_path):
         (["analyze", "--log", tmp_path / "log.jsonl", "--truth", data / "truth.jsonl", "--n", "3",
           "--out", tmp_path / "a"], 2),
         (["predict", "--scenario", tmp_path / planted.name, "--n", "3", "--out", tmp_path / "p"], 2),
+        (["predict", "--scenario", planted, "--method", "approx", *REPORT, "--out", tmp_path / "approx"], 0),
+        (["approx", "--dist", "0.64,0.35,0.01", "--grid", "1,3,5"], 0),
     ]
     proc = run_python("-c", """import contextlib, io, json, sys
 def check(step):
@@ -190,7 +193,22 @@ for argv, code in json.loads(sys.argv[1]):
         assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
         assert argv[0] == "exact" or ": line 2: " in lines[0], (argv, lines)
     check(argv)
-""", json.dumps([([str(a) for a in argv], code) for argv, code in cases]))
+from votescale import (CostModel, accuracy_curve, adaptive_limit, best_under_cost, dominance_count,
+                       dynamic_curve, extreme_performance, load_scenario)
+with open(sys.argv[2], encoding="utf-8") as fh:
+    dss = load_scenario(fh)
+model = CostModel.from_per_million(0.15, 0.6)
+for step, call in {
+    "accuracy_curve": lambda: accuracy_curve(dss[0], [1, 3, 5], "approx"),
+    "dynamic_curve": lambda: dynamic_curve(dss, [1, 3, 5], "approx"),
+    "best_under_cost": lambda: best_under_cost(dss, 0.05, model, [1, 3, 5], "approx"),
+    "extreme_performance": lambda: extreme_performance(dss[0]),
+    "dominance_count": lambda: dominance_count(*dss),
+    "adaptive_limit": lambda: adaptive_limit(dss[1]),
+}.items():
+    call()
+    check(step)
+""", json.dumps([([str(a) for a in argv], code) for argv, code in cases]), str(planted))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -32,6 +32,7 @@ from votescale.records import (
     _count,
     _json_lines,
     _text,
+    _unbroken,
 )
 
 RECORD = {
@@ -190,6 +191,19 @@ def test_raw_lone_surrogate_is_not_utf8(loader):
         loader(lines)
 
 
+def test_every_reader_drops_one_line_break():
+    """Each reader drops exactly one trailing "\\n" per line, whatever the
+    route: a string cut by a second one is a raw control character, not an
+    unterminated string."""
+    line = '{"question_id": "q\n\n'
+    messages = set()
+    for read in [*FORMATS, lambda lines: group_logs([("log", lines)], {})]:
+        with pytest.raises(VoteScaleError) as err:
+            read([line])
+        messages.add(str(err.value).removeprefix("log: "))
+    assert messages == {"line 1: invalid JSON: Invalid control character at"}
+
+
 @pytest.mark.parametrize("field", ["sample_index", "prompt_tokens", "completion_tokens"])
 def test_count_too_large_for_a_double_names_the_line(field):
     lines = valid_lines(RECORD, 1) + [raw_line(RECORD, field, str(10**400))]
@@ -218,7 +232,7 @@ def line_by_line_records(lines) -> list[SampleRecord]:
     """parse_records as one loop over the lines: one json.loads and one set
     of field checks per line. The chunked parser must agree with it."""
     records = []
-    for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+    for line_number, obj in _json_lines(_unbroken(lines), _RECORD_FIELDS):
         if obj["answer"] is not None and not isinstance(obj["answer"], str):
             raise MalformedLine(line_number, "answer must be a string or null")
         records.append(

@@ -41,7 +41,7 @@ from votescale import (
     scaling_curve,
 )
 from votescale import votemath
-from votescale.records import _RECORD_FIELDS, _json_lines
+from votescale.records import _RECORD_FIELDS, _json_lines, _unbroken
 from votescale.votemath import EXACT_MAX_ANSWERS, _modal_winners, check_trials
 
 
@@ -234,7 +234,7 @@ def record_at_a_time(logs, truth, truth_name):
         pass
     seen = {}
     for name, lines in logs:
-        for line_number, obj in _json_lines(lines, _RECORD_FIELDS):
+        for line_number, obj in _json_lines(_unbroken(lines), _RECORD_FIELDS):
             where = f"{name}: line {line_number}"
             question_id = obj["question_id"]
             if question_id not in truth:

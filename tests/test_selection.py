@@ -258,6 +258,10 @@ class TestBestForN:
         assert pick.chosen_strategy == "late"
         assert pick.predicted_accuracy == pytest.approx(0.769, abs=5e-4)
         assert pick.budget == ("samples", 5.0)
+        # a bool or numpy integer is read as the grid point it stands for
+        for n in (True, np.int64(5)):
+            for pick in (best_for_n(dss, n), Run(dss, [1, 5]).best_for_n(n)):
+                assert type(pick.chosen_n) is int and pick.chosen_n == int(n)
 
     def test_tie_keeps_input_order(self):
         dss = [dataset("first", [EARLY]), dataset("second", [EARLY])]
