@@ -484,8 +484,8 @@ def run() -> None:
     script): :func:`main`, then exit with its code."""
     code = main()
     # teardown's collections skip frozen objects (47-57 ms -> 10-21 ms after
-    # a benchmark workload's run on a 2-CPU VM); os._exit would be quicker
-    # still, but skips atexit handlers and flushes
+    # a benchmark workload's run on a 2-CPU VM); leaving without teardown
+    # would be quicker still, but skips atexit handlers and flushes
     gc.freeze()
     sys.exit(code)
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable, NamedTuple
 
 from .distribution import METHODS, AnswerDistribution, VoteProbability, check_sampling_time
@@ -152,9 +152,10 @@ class Run:
 
     Every strategy of a run covers the same questions: this is checked when
     the run is built, and :class:`IdMismatch` names a question one strategy
-    lacks. Grid and method are checked once, and each question is classified
-    once (``labels``, per strategy in dataset order). Per strategy and n of
-    the grid and n = 1, the run keeps one list of cells, each the
+    lacks. Grid, method and seed (an integer >= 0) are checked once, and
+    each question is classified once (``labels``, per strategy in dataset
+    order). Per strategy and n of the grid and n = 1, the run keeps one
+    list of cells, each the
     :class:`VoteProbability` its estimator returned or None until
     evaluated, and per strategy a hard and an easy question mask; their
     question axis follows the first dataset.
@@ -175,6 +176,12 @@ class Run:
     ):
         self.grid = check_grid(grid)
         self.method = canonical_method(method)
+        try:
+            seed = index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self.datasets = tuple(datasets)
         if not self.datasets:
             raise ValueError("need at least one strategy dataset")

@@ -24,11 +24,12 @@ Three estimators are provided:
   cell costs about what its draws cost: the multinomial counts and the
   tie-break scores. Votes are simulated and wins counted one block of
   ``_BLOCK`` (2^19) trials at a time, so memory is bounded by one block
-  whatever ``trials`` is. :func:`monte_carlo_majority_probs` is the batch
-  entry point: it draws many ``(distribution, n, seed)`` cells in forked
-  workers, one per CPU the process may use, which write their win counts
-  into one array shared with the parent. Each cell draws from its own
-  seed, so values do not depend on the number of CPUs.
+  per drawing thread whatever ``trials`` is.
+  :func:`monte_carlo_majority_probs` is the batch entry point: it draws
+  many ``(distribution, n, seed)`` cells on worker threads, one per CPU the
+  process may use, each taking the next undrawn cell; numpy's multinomial
+  draw releases the GIL. Each cell draws from its own seed, so values do
+  not depend on the number of CPUs.
 * :func:`normal_approx_prob` compares the correct count against the
   strongest wrong answer through a normal approximation, giving an O(1)
   predictor whose error vanishes as ``n`` grows.
@@ -117,11 +118,12 @@ _BLOCK = 1 << 19
 _MULTINOMIAL_MAX_SUM = 1.0 + 1e-12 - 4 * 2.0**-52
 
 #: Fewest trials, summed over a Monte Carlo batch's cells, for which the
-#: batch is split over forked workers. Forking and reaping a worker took 3
-#: to 6 ms at an ``analyze`` run's memory on a 2-CPU VM, and a trial 0.35 to
-#: 0.6 us, so the half of 2^16 trials that a worker draws (11 to 20 ms)
-#: pays for it about twice over.
-_FORK_TRIALS = 1 << 16
+#: batch is split over worker threads. Starting and joining a thread took
+#: about 80 us on a 2-CPU VM, but a worker thread's temporaries come from
+#: its own glibc malloc arena: a split batch of 24 cells of 1,000 to 2,700
+#: trials peaked 0.1 to 0.4 MB higher. Below 2^16 trials (10 to 40 ms of
+#: draws there) a split saves at most a few ms.
+_THREAD_TRIALS = 1 << 16
 
 #: Largest count numpy draws (the int64 maximum): bounds Monte Carlo n and
 #: synthetic sample counts.
@@ -514,28 +516,24 @@ def monte_carlo_majority_probs(cells: Iterable[tuple], trials: int) -> list[Vote
     """:func:`monte_carlo_majority_prob` of each ``(dist, n, seed)`` cell, in order.
 
     Every ``n`` and ``trials`` are checked before any cell is drawn. The
-    cells are then dealt into strided shards (``cells[i::k]``; cells often
-    come in order of ``n``, so halves would be uneven), one per CPU the
-    process may use: shard 0 is drawn in process and each other one in a
-    forked worker that writes its win counts into an array shared with the
-    parent. A batch is drawn in process alone when it has one cell, holds
-    fewer than ``_FORK_TRIALS`` trials in all, or another thread is running.
-    A shard whose worker cannot be forked or exits nonzero is drawn again in
-    process. Each cell draws from its own seed, so values do not depend on
-    the number of CPUs.
+    cells are then drawn on one thread per CPU the process may use, the
+    caller among them, each taking the next undrawn cell in turn; numpy's
+    multinomial draw, most of a cell's cost, releases the GIL. A batch is
+    drawn by the caller alone when it has one cell or holds fewer than
+    ``_THREAD_TRIALS`` trials in all. When a cell raises, or the caller is
+    interrupted, the other threads stop after the cell in hand; every
+    thread is joined before the batch returns or raises, and it raises the
+    failure of the earliest failed cell. Each cell draws from its own seed,
+    so values do not depend on the number of CPUs.
     """
     cells = [(dist, check_sampling_time(n), seed) for dist, n, seed in cells]
     trials = check_trials(trials)
     for _, n, _ in cells:
         if n > _MAX_DRAW:
             raise ValueError(f"Monte Carlo needs n <= 2^63 - 1, got {n}")
-    workers = min(_cpu_count(), len(cells))
-    if workers > 1 and len(cells) * trials >= _FORK_TRIALS and threading.active_count() == 1:
-        hits = _forked_hits(cells, trials, workers)
-    else:
-        hits = _shard_hits(cells, trials)
+    workers = min(_cpu_count(), len(cells)) if len(cells) * trials >= _THREAD_TRIALS else 1
     results = []
-    for (_, n, _), wins in zip(cells, hits):
+    for (_, n, _), wins in zip(cells, _threaded_hits(cells, trials, workers)):
         value = wins / trials
         stderr = math.sqrt(value * (1.0 - value) / trials)
         results.append(VoteProbability(value, "monte_carlo", n, stderr=stderr))
@@ -543,88 +541,71 @@ def monte_carlo_majority_probs(cells: Iterable[tuple], trials: int) -> list[Vote
 
 
 def _cpu_count() -> int:
-    """CPUs this process may run on (1 where the platform cannot tell)."""
+    """CPUs this process may run on (the machine's, where the platform cannot tell)."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
-    return 1
+    return os.cpu_count() or 1
 
 
-def _shard_hits(cells: list[tuple], trials: int) -> list[int]:
-    """Per ``(dist, n, seed)`` cell, the votes out of ``trials`` that pick
-    the correct answer, drawn from ``np.random.default_rng(seed)``. A
-    distribution past :data:`_MULTINOMIAL_MAX_SUM` is drawn from its
-    probabilities divided by their sum, every other one as it stands."""
+def _cell_hits(dist: AnswerDistribution, n: int, seed, trials: int) -> int:
+    """The votes out of ``trials`` that pick the correct answer, drawn from
+    ``np.random.default_rng(seed)``. A distribution past
+    :data:`_MULTINOMIAL_MAX_SUM` is drawn from its probabilities divided by
+    their sum, every other one as it stands."""
     import numpy as np
 
-    hits = []
-    for dist, n, seed in cells:
-        rng, wins, probs = np.random.default_rng(seed), 0, dist.probs
-        if math.fsum(probs[:-1]) > _MULTINOMIAL_MAX_SUM:
-            total = math.fsum(probs)
-            probs = [p / total for p in probs]
-        for start in range(0, trials, _BLOCK):
-            # each block's multinomial counts are drawn before its tie-break scores
-            winners = _modal_winners(rng.multinomial(n, probs, size=min(_BLOCK, trials - start)), rng)
-            wins += np.count_nonzero(winners == dist.correct_index)
-            del winners  # not alive while the next block is simulated
-        hits.append(int(wins))
-    return hits
+    rng, wins, probs = np.random.default_rng(seed), 0, dist.probs
+    if math.fsum(probs[:-1]) > _MULTINOMIAL_MAX_SUM:
+        total = math.fsum(probs)
+        probs = [p / total for p in probs]
+    for start in range(0, trials, _BLOCK):
+        # each block's multinomial counts are drawn before its tie-break scores
+        winners = _modal_winners(rng.multinomial(n, probs, size=min(_BLOCK, trials - start)), rng)
+        wins += np.count_nonzero(winners == dist.correct_index)
+        del winners  # not alive while the next block is simulated
+    return int(wins)
 
 
-def _forked_hits(cells: list[tuple], trials: int, workers: int) -> list[int]:
-    """:func:`_shard_hits` of ``cells`` dealt into ``workers`` strided shards,
-    shard 0 drawn in process and the others in forked workers.
+def _threaded_hits(cells: list[tuple], trials: int, workers: int) -> list[int]:
+    """:func:`_cell_hits` of each cell, in order, drawn by the caller and
+    ``workers - 1`` threads that take cells from one shared iterator. A
+    failure is kept per cell and stops every thread before its next cell;
+    the earliest failed cell's is raised once all are joined. A thread that
+    cannot be started leaves its cells to the others."""
+    hits: list[int] = [0] * len(cells)
+    failures: dict[int, BaseException] = {}
+    undrawn, claim, stop = iter(enumerate(cells)), threading.Lock(), threading.Event()
 
-    The counts go into one anonymous shared int64 array, each shard's into
-    its own stride. A worker writes its shard there and leaves through
-    ``os._exit``: status 0 once written, 1 on any exception. Its exit status
-    alone decides: a shard whose worker could not be forked or did not exit
-    0 is drawn again in process, whatever the worker wrote. Every worker is
-    reaped before this returns or raises, and killed first when drawing
-    shard 0 raises (an interrupt, say).
-    """
-    import mmap  # imported only here, as signal is below: a run that never forks skips its 0.5 ms
-
-    import numpy as np
-
-    hits = np.frombuffer(mmap.mmap(-1, 8 * len(cells)), dtype=np.int64)
-
-    def draw(i: int) -> None:
-        shard = hits[i::workers]
-        # reshape raises on a wrong length, which a plain slice assignment would broadcast
-        shard[:] = np.reshape(_shard_hits(cells[i::workers], trials), shard.shape)
-
-    forked: dict[int, int] = {}  # shard -> worker pid
-    redraw = set(range(1, workers))
-    try:
-        for i in range(1, workers):
+    def draw() -> None:
+        while not stop.is_set():
+            with claim:
+                item = next(undrawn, None)
+            if item is None:
+                return
+            i, (dist, n, seed) = item
             try:
-                pid = os.fork()
-            except OSError:
-                continue  # drawn in process below
-            if pid == 0:
-                status = 1
-                try:
-                    draw(i)
-                    status = 0
-                finally:
-                    # no atexit handlers, no flush of buffers copied from the parent
-                    os._exit(status)
-            forked[i] = pid
-        draw(0)
-    except BaseException:
-        import signal  # imported only here: at module level it costs every run 1.5 ms
+                hits[i] = _cell_hits(dist, n, seed, trials)
+            except BaseException as exc:  # an interrupt of the caller included
+                failures[i] = exc
+                stop.set()
 
-        for pid in forked.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
+    threads = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=draw)
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had
+                break
+            threads.append(thread)
+        draw()
     finally:
-        for i, pid in forked.items():
-            if os.waitpid(pid, 0)[1] == 0:
-                redraw.discard(i)
-    for i in redraw:
-        draw(i)
-    return hits.tolist()
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failures:
+        raise failures[min(failures)]
+    return hits
 
 
 def normal_approx_prob(dist: AnswerDistribution, n: int) -> VoteProbability:

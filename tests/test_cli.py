@@ -2,7 +2,7 @@
 import csv
 import json
 import math
-import os
+import threading
 from unittest import mock
 
 import numpy as np
@@ -213,7 +213,7 @@ class TestProcessEntry:
     """``python -m votescale.cli`` exits with main's code, its output whole."""
 
     def test_point_command_exits_0_with_complete_output(self, capsys):
-        # enough trials that the three points are drawn in a forked worker
+        # enough trials that the three points are split over worker threads
         # where the process may use two CPUs
         argv = ["mc", "--dist", "0.6,0.2,0.2", "--grid", "1,3,5", "--trials", "30000", "--seed", "7"]
         proc = run_python("-m", "votescale.cli", *argv)
@@ -758,8 +758,8 @@ class TestSynthAnalyze:
     @pytest.mark.parametrize("grid, batches", [("1,3,5", 1), ("3,5", 2)])
     def test_analyze_draws_its_cells_in_one_batch(self, capsys, tmp_path, monkeypatch, grid, batches):
         """On two CPUs, every Monte Carlo cell of a report is drawn in one
-        batch, split over one forked worker; a grid without 1 adds a batch
-        for the hard pool's n = 1 cell."""
+        batch, split over the caller and one worker thread; a grid without 1
+        adds a batch for the hard pool's n = 1 cell."""
         import votescale.votemath as votemath
 
         data = self.synth(capsys, tmp_path, samples=40)
@@ -776,13 +776,13 @@ class TestSynthAnalyze:
         argv = ["analyze", "--log", str(data / "log.jsonl"), "--truth", str(data / "truth.jsonl"),
                 "--grid", grid, "--method", "mc", "--trials", "9000", "--budget", "1",
                 "--out", str(tmp_path / "report")]
-        with mock.patch("os.fork", wraps=os.fork) as fork:
+        with mock.patch.object(votemath.threading, "Thread", wraps=threading.Thread) as thread:
             code, _, err = run(capsys, argv)
         assert code == 0, err
         # 2 strategies x 2 questions per grid point, then s1's hard q1 at n = 1
         assert sizes == ([12] if batches == 1 else [8, 1])
-        # a one-cell batch is drawn in process
-        assert fork.call_count == 1
+        # a one-cell batch is drawn by the caller alone
+        assert thread.call_count == 1
 
     def test_analyze_sends_each_kernel_input_once(self, capsys, tmp_path, monkeypatch):
         """An exact report makes one exact batch, which sends each distinct

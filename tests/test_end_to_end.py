@@ -213,8 +213,8 @@ for step, call in {
 
 
 @pytest.mark.skipif(len(CPUS) < 2, reason="pinning one CPU needs sched_setaffinity and 2 CPUs")
-def test_monte_carlo_on_one_cpu_gives_the_forked_report(hashed, tmp_path):
-    """Cells drawn in one process, without forked workers, give the forked cells' report."""
+def test_monte_carlo_on_one_cpu_gives_the_threaded_report(hashed, tmp_path):
+    """Cells drawn by the caller alone, without worker threads, give the threaded cells' report."""
     pin = f"import os\nos.sched_setaffinity(0, {{{CPUS[0]}}})\n"
     in_child(pin + MAIN_EACH, [["analyze", *logs(hashed["1"] / "data"), *REPORT, *MC, "--out", tmp_path]])
     assert tree(tmp_path) == tree(hashed["1"] / "report-mc")

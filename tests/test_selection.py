@@ -242,6 +242,21 @@ class TestAccuracyCurve:
         with pytest.raises(CapExceeded):
             Run([wide], [5]).curves()
 
+    @pytest.mark.parametrize("seed, message", [
+        (1.5, r"^seed must be an integer, got 1\.5$"),
+        ("7", r"^seed must be an integer, got '7'$"),
+        (-1, r"^seed must be >= 0, got -1$"),
+    ])
+    def test_a_run_rejects_a_seed_that_is_not_an_integer_at_least_0(self, monkeypatch, seed, message):
+        calls = counted_cells(monkeypatch)
+        ds = dataset("s", [EARLY, LATE])
+        with pytest.raises(ValueError, match=message):
+            Run([ds], [1, 3], "mc", seed=seed).curves()
+        assert calls == []
+        # a numpy integer is an integer, and draws the same cells
+        got = Run([ds], [3], "mc", trials=200, seed=np.int64(3)).curves()
+        assert got == Run([ds], [3], "mc", trials=200, seed=3).curves()
+
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
         mc = accuracy_curve(ds, [5], "mc", trials=100_000, seed=3)

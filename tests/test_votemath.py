@@ -1,8 +1,8 @@
 """Estimator correctness against an independent sequence-enumeration oracle."""
-import errno
+import contextlib
 import math
 import os
-import signal
+import sys
 import threading
 import time
 import tracemalloc
@@ -598,7 +598,7 @@ class TestSimulation:
 
 def one_by_one(cells, trials):
     """Each cell's own :func:`monte_carlo_majority_prob`: a batch of one,
-    which never forks."""
+    which starts no thread."""
     return [monte_carlo_majority_prob(dist, n, trials, seed) for dist, n, seed in cells]
 
 
@@ -614,9 +614,24 @@ def drawn_cells(draw):
     return cells
 
 
+@contextlib.contextmanager
+def split_over(workers):
+    """Every batch of more than one cell is split over ``workers`` threads,
+    the caller among them."""
+    with mock.patch.object(votemath, "_cpu_count", return_value=workers), \
+            mock.patch.object(votemath, "_THREAD_TRIALS", 0):
+        yield
+
+
+def counting_threads():
+    """A patch that counts the threads the batches construct."""
+    return mock.patch.object(votemath.threading, "Thread", wraps=threading.Thread)
+
+
 class TestMonteCarloBatch:
-    """The batch splits its cells over forked workers; a cell's value is
-    the one it has alone, whatever the worker count or failure."""
+    """The batch draws its cells on worker threads; a cell's value is the
+    one it has alone, whatever the thread count, and a failure stops and
+    joins every thread."""
 
     CELLS = [(AnswerDistribution((0.5, 0.3, 0.2), j % 3), n, 10 + n) for j, n in enumerate((1, 3, 5, 9, 15))]
 
@@ -624,105 +639,141 @@ class TestMonteCarloBatch:
     @given(cells=drawn_cells(), trials=st.integers(1, 300), workers=st.sampled_from([1, 2, 3]))
     def test_matches_cell_by_cell(self, cells, trials, workers):
         expected = one_by_one(cells, trials)
-        with mock.patch.object(votemath, "_cpu_count", return_value=workers), \
-                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
-                mock.patch("os.fork", wraps=os.fork) as fork:
+        with split_over(workers), counting_threads() as thread:
             batch = monte_carlo_majority_probs(cells, trials)
-        assert fork.call_count == min(workers, len(cells)) - 1
+        assert thread.call_count == min(workers, len(cells)) - 1
         assert batch == expected
 
-    def test_a_failed_fork_draws_in_process(self):
+    def test_more_threads_than_cpus_draw_each_cell_once(self):
+        cells = [(d, n + 1, seed) for seed, (d, n, _) in enumerate(self.CELLS * 12)]
+        expected = one_by_one(cells, 50)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with split_over(8), mock.patch.object(votemath, "_cell_hits", wraps=votemath._cell_hits) as draw:
+                assert monte_carlo_majority_probs(cells, 50) == expected
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(call.args[2] for call in draw.call_args_list) == list(range(len(cells)))
+
+    def test_cpu_count_falls_back_to_the_machine_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert votemath._cpu_count() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert votemath._cpu_count() == 1
+
+    def test_a_thread_that_cannot_start_leaves_its_cells_to_the_others(self):
         expected = one_by_one(self.CELLS, 400)
-        with mock.patch.object(votemath, "_cpu_count", return_value=3), \
-                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
-                mock.patch("os.fork", side_effect=OSError(errno.EAGAIN, "no processes")) as fork:
+        with split_over(3), \
+                mock.patch("threading.Thread.start", side_effect=RuntimeError("can't start new thread")) as start:
             assert monte_carlo_majority_probs(self.CELLS, 400) == expected
-        assert fork.call_count == 2
+        assert start.call_count == 1
 
-    @pytest.mark.parametrize("failure", ["raises", "short", "killed"])
-    def test_a_failed_worker_is_redrawn_in_process(self, failure):
-        """A worker that exits nonzero before writing, writes too few
-        counts, or writes wrong counts and is then killed, leaves its shard
-        to the parent: the exit status decides, not what was written."""
-        expected = one_by_one(self.CELLS, 400)
-        parent, real = os.getpid(), votemath._shard_hits
+    def test_the_earliest_failed_cell_raises_once_every_thread_is_joined(self):
+        """Cell 3 fails while cell 1 is in hand on the other thread; cell 1
+        then fails too, and its failure is the one raised."""
+        real, late = votemath._cell_hits, threading.Event()
+        alive = set(threading.enumerate())
 
-        def failing_in_workers(cells, trials):
-            if os.getpid() == parent:
-                return real(cells, trials)
-            if failure == "raises":
-                raise RuntimeError("worker fails")
-            if failure == "killed":
-                return [trials + 1] * len(cells)
-            return real(cells, trials)[:-1]
+        def failing(dist, n, seed, trials):
+            if n == 3:
+                assert late.wait(10)
+                raise RuntimeError("cell 1 fails")
+            if n == 9:
+                late.set()
+                raise RuntimeError("cell 3 fails")
+            return real(dist, n, seed, trials)
 
-        def killed_on_exit(status):
-            # the worker inherits this patch; it never returns to the test
-            os.kill(os.getpid(), signal.SIGKILL)
+        with split_over(2), mock.patch.object(votemath, "_cell_hits", failing):
+            with pytest.raises(RuntimeError, match="^cell 1 fails$"):
+                monte_carlo_majority_probs(self.CELLS, 400)
+        assert set(threading.enumerate()) == alive
 
-        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
-                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
-                mock.patch.object(votemath, "_shard_hits", failing_in_workers), \
-                mock.patch("os._exit", killed_on_exit if failure == "killed" else os._exit), \
-                mock.patch("os.fork", wraps=os.fork) as fork:
-            assert monte_carlo_majority_probs(self.CELLS, 400) == expected
-        assert fork.call_count == 1
+    def test_a_failure_stops_the_other_threads_after_the_cell_in_hand(self):
+        d, drawn, failed = AnswerDistribution((0.6, 0.4)), [], threading.Event()
+        cells = [(d, 3, seed) for seed in range(40)]
 
-    def test_an_interrupt_kills_and_reaps_the_workers(self):
-        parent, real = os.getpid(), votemath._shard_hits
+        def failing(dist, n, seed, trials):
+            drawn.append(seed)
+            if seed == 0:
+                failed.set()
+                raise RuntimeError("cell 0 fails")
+            assert failed.wait(10)
+            return 0
 
-        def interrupted(cells, trials):
-            if os.getpid() == parent:
+        with split_over(2), mock.patch.object(votemath, "_cell_hits", failing):
+            with pytest.raises(RuntimeError, match="^cell 0 fails$"):
+                monte_carlo_majority_probs(cells, 100)
+        assert len(drawn) < len(cells)
+
+    def test_an_interrupt_stops_and_joins_the_workers(self):
+        """The caller's interrupt is raised once the worker has finished the
+        cell in hand; the worker draws no other cell."""
+        caller, real, in_workers = threading.current_thread(), votemath._cell_hits, []
+        alive = set(threading.enumerate())
+
+        def interrupted(dist, n, seed, trials):
+            if threading.current_thread() is caller:
                 raise KeyboardInterrupt
-            time.sleep(60)
-            return real(cells, trials)
+            in_workers.append(n)
+            time.sleep(0.2)
+            return real(dist, n, seed, trials)
 
-        start = time.perf_counter()
-        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
-                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
-                mock.patch.object(votemath, "_shard_hits", interrupted), \
-                mock.patch("os.fork", wraps=os.fork) as fork, \
-                mock.patch("os.kill", wraps=os.kill) as kill:
+        with split_over(2), mock.patch.object(votemath, "_cell_hits", interrupted):
             with pytest.raises(KeyboardInterrupt):
                 monte_carlo_majority_probs(self.CELLS, 400)
-        assert time.perf_counter() - start < 30
-        assert fork.call_count == kill.call_count == 1
-        pid, sent = kill.call_args.args
-        assert sent == signal.SIGKILL
-        with pytest.raises(ChildProcessError):  # reaped already
-            os.waitpid(pid, os.WNOHANG)
+        assert set(threading.enumerate()) == alive
+        assert len(in_workers) <= 1
 
-    def test_no_fork_for_one_cell_a_small_batch_or_a_running_thread(self):
+    def test_no_worker_threads_for_one_cell_or_a_small_batch(self):
         d = AnswerDistribution((0.6, 0.4))
-        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
-                mock.patch("os.fork", wraps=os.fork) as fork:
-            monte_carlo_majority_probs([(d, 3, 0), (d, 5, 1)], votemath._FORK_TRIALS // 2 - 1)
-            with mock.patch.object(votemath, "_FORK_TRIALS", 0):
+        with mock.patch.object(votemath, "_cpu_count", return_value=2), counting_threads() as thread:
+            monte_carlo_majority_probs([(d, 3, 0), (d, 5, 1)], votemath._THREAD_TRIALS // 2 - 1)
+            with mock.patch.object(votemath, "_THREAD_TRIALS", 0):
                 monte_carlo_majority_probs([(d, 3, 0)], 100)
-                release = threading.Event()
-                thread = threading.Thread(target=release.wait)
-                thread.start()
-                try:
-                    monte_carlo_majority_probs(self.CELLS, 100)
-                finally:
-                    release.set()
-                    thread.join(timeout=10)
-                assert not thread.is_alive()
                 monte_carlo_majority_probs(self.CELLS, 100)
-        assert fork.call_count == 1  # the last batch only
+        assert thread.call_count == 1  # the last batch only
 
-    def test_arguments_are_checked_before_any_fork(self):
+    def test_a_batch_beside_a_running_thread_draws_on_worker_threads(self):
+        release = threading.Event()
+        running = threading.Thread(target=release.wait)
+        running.start()
+        try:
+            with split_over(2), counting_threads() as thread:
+                assert monte_carlo_majority_probs(self.CELLS, 400) == one_by_one(self.CELLS, 400)
+        finally:
+            release.set()
+            running.join(timeout=10)
+        assert thread.call_count == 1 and not running.is_alive()
+
+    def test_batches_on_two_caller_threads_each_get_their_own_values(self):
+        batches = [self.CELLS, [(d, n + 2, seed + 1) for d, n, seed in reversed(self.CELLS)]]
+        expected = [one_by_one(cells, 3000) for cells in batches]
+        got = [None, None]
+
+        def caller(i):
+            got[i] = monte_carlo_majority_probs(batches[i], 3000)
+
+        with split_over(2):
+            callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=60)
+        assert got == expected
+
+    def test_arguments_are_checked_before_any_draw(self):
         d = AnswerDistribution((0.6, 0.4))
-        with mock.patch.object(votemath, "_cpu_count", return_value=2), \
-                mock.patch.object(votemath, "_FORK_TRIALS", 0), \
-                mock.patch("os.fork", wraps=os.fork) as fork:
+        with split_over(2), counting_threads() as thread, \
+                mock.patch.object(votemath, "_cell_hits", wraps=votemath._cell_hits) as draw:
             with pytest.raises(ValueError, match=r"^Monte Carlo needs n <= 2\^63 - 1, got 9223372036854775808$"):
                 monte_carlo_majority_probs([(d, 3, 0), (d, 2**63, 1)], 100)
             with pytest.raises(ValueError, match="trials must be >= 1"):
                 monte_carlo_majority_probs([(d, 3, 0), (d, 5, 1)], 0)
             with pytest.raises(ValueError, match="sampling times must be integers"):
                 monte_carlo_majority_probs([(d, 3, 0), (d, 2.5, 1)], 100)
-        assert fork.call_count == 0
+        assert thread.call_count == draw.call_count == 0
 
 
 class TestNormalApprox:
