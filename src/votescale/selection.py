@@ -13,15 +13,18 @@ computes three oracle curves that bound what smarter sampling could do:
 * dynamic   -- pick the best strategy per question;
 * combined  -- both at once.
 
-Every curve, selection and oracle is a reduction over the (strategy,
-question, effective n) cells of a :class:`Run`, which holds strategy
-datasets on one grid under one estimator setting. Every strategy of a run
-covers the same questions, which is checked when the run is built, so
-every reduction compares means over one question set. A reduction
-evaluates the cells it reads that are still missing in one
+Every curve, selection and oracle reads the (strategy, question,
+effective n) cells of a :class:`Run`, which holds strategy datasets on one
+grid under one estimator setting. Every strategy of a run covers the same
+questions, which is checked when the run is built, so every reduction
+compares means over one question set. A curve or a selection evaluates the
+cells it reads that are still missing in one
 :func:`votescale.votemath.vote_probabilities` call (for exact cells, one
-kernel batch that evaluates each distinct kernel input once), takes each
-question's best strategy with ``max`` and averages with ``math.fsum``.
+kernel batch that evaluates each distinct kernel input once). Then each of
+its points is one ``Run._point``, the one reduction: per question the best
+strategy's cell, taken with ``max``, averaged with ``math.fsum``. A curve is
+its points on the grid, and a pick is the best of its candidates' points,
+whose estimator and standard error it keeps.
 The free functions (:func:`accuracy_curve`, :func:`dominance_count`,
 ...) each evaluate a one-off run, only the cells they read, and keep
 nothing; :func:`scaling_curve` and :func:`find_crossover_n` are runs of
@@ -56,7 +59,7 @@ from .errors import (
 )
 from .records import CostModel, QuestionSamples, estimate_distribution
 from .records import _json_lines, _number, _text, _unbroken
-from .votemath import ScalingCurve, canonical_method, check_grid, vote_probabilities
+from .votemath import ScalingCurve, canonical_method, check_grid, check_trials, vote_probabilities
 
 __all__ = [
     "QuestionEntry", "StrategyDataset", "SelectionResult", "ExtremePerformance",
@@ -110,12 +113,18 @@ class SelectionResult:
     ``budget`` is (kind, value) with kind 'samples' (fixed n) or 'cost'
     (currency ceiling on the dataset total). When kind is 'cost',
     ``chosen_n`` is feasible under the cost model by construction.
+    ``method`` and ``stderr`` are those of the chosen curve point: the least
+    exact estimator among the cells it averages, and its standard error,
+    present exactly when ``method`` is ``monte_carlo``. A selection made
+    without a point leaves both None.
     """
 
     budget: tuple[str, float]
     chosen_strategy: str
     chosen_n: int
     predicted_accuracy: float
+    method: str | None = None
+    stderr: float | None = None
 
     def __post_init__(self):
         kind, _ = self.budget
@@ -123,6 +132,10 @@ class SelectionResult:
             raise ValueError(f"unknown budget kind {kind!r}")
         if not 0.0 <= self.predicted_accuracy <= 1.0:
             raise ValueError("predicted accuracy must lie in [0, 1]")
+        if self.method is not None and self.method not in METHODS:
+            raise ValueError(f"unknown method {self.method!r}")
+        if (self.stderr is not None) != (self.method == "monte_carlo"):
+            raise ValueError("stderr is present iff method is monte_carlo")
 
 
 class ExtremePerformance(NamedTuple):
@@ -152,16 +165,17 @@ class Run:
 
     Every strategy of a run covers the same questions: this is checked when
     the run is built, and :class:`IdMismatch` names a question one strategy
-    lacks. Grid, method and seed (an integer >= 0) are checked once, and
-    each question is classified once (``labels``, per strategy in dataset
-    order). Per strategy and n of the grid and n = 1, the run keeps one
-    list of cells, each the
+    lacks. Grid, method, trials (an integer >= 1) and seed (an integer
+    >= 0) are checked once, and each question is classified once
+    (``labels``, per strategy in dataset order). Per strategy and n of the
+    grid and n = 1, the run keeps one list of cells, each the
     :class:`VoteProbability` its estimator returned or None until
     evaluated, and per strategy a hard and an easy question mask; their
     question axis follows the first dataset.
     :meth:`curves` fills every grid cell in one estimator call, so the
     oracles and selections after it evaluate at most the hard questions'
-    n = 1 cells, in one more.
+    n = 1 cells, in one more. Every curve point, oracle point and pick is
+    one :meth:`_point`, the one reduction over those cells.
     """
 
     def __init__(
@@ -176,6 +190,7 @@ class Run:
     ):
         self.grid = check_grid(grid)
         self.method = canonical_method(method)
+        self.trials = check_trials(trials)
         try:
             seed = index(seed)
         except TypeError:
@@ -199,7 +214,7 @@ class Run:
                 )
         if not order:
             raise ValueError("dataset has no questions")
-        self.trials, self.seed, self.fallback = trials, seed, fallback
+        self.seed, self.fallback = seed, fallback
         self._crc = [zlib.crc32(ds.strategy_id.encode("utf-8")) for ds in self.datasets]
         self.labels = [[classify(q.dist) for q in ds.questions] for ds in self.datasets]
         # per strategy, where each of the first dataset's questions sits in its own dataset
@@ -235,31 +250,33 @@ class Run:
             for q, vp in zip(columns, values):
                 cells[q] = vp
 
+    def _point(self, strategies, n: int, adaptive: bool) -> VoteProbability:
+        """The one reduction, over filled cells: per question the best of
+        ``strategies``' cells at ``n`` (the first maximum wins ties) -- at
+        n = 1 for a strategy's hard questions if ``adaptive`` -- averaged with
+        ``math.fsum``, tagged with the least exact cell's estimator and, when
+        that is Monte Carlo, carrying the standard error of the mean."""
+        columns = [self._cells[s, n] for s in strategies]
+        if adaptive:  # a hard question's cell at n = 1
+            columns = [
+                [one if hard else cell for cell, one, hard in zip(col, self._cells[s, 1], self._hard[s])]
+                for s, col in zip(strategies, columns)
+            ]
+        # one strategy's cells win as they stand; max keeps the first maximum
+        winners = columns[0] if len(columns) == 1 else [max(cells, key=_VALUE) for cells in zip(*columns)]
+        tag = max({vp.method for vp in winners}, key=METHODS.index)  # the least exact cell's estimator
+        stderr = None
+        if tag == "monte_carlo":
+            stderr = math.sqrt(math.fsum(vp.stderr**2 for vp in winners)) / len(winners)
+        return VoteProbability(math.fsum(map(_VALUE, winners)) / len(winners), tag, n, stderr=stderr)
+
     def _curve(self, strategies, ns, adaptive: bool, curve_id: str) -> ScalingCurve:
-        """The one reduction: per n of ``ns`` and question, the best of
-        ``strategies``' cells (the earliest on ties) -- at n = 1 for a
-        strategy's hard questions if ``adaptive`` -- averaged over questions
-        with ``math.fsum``, and tagged with the least exact cell's estimator.
-        Evaluates the cells it reads that are missing first."""
+        """The :meth:`_point` of ``strategies`` at each n of ``ns``, after the
+        cells those points read that are missing are evaluated in one call."""
         requests = [(s, n, self._easy[s] if adaptive else True) for s in strategies for n in ns]
         self._fill(requests + [(s, 1, self._hard[s]) for s in strategies if adaptive])
-        points = []
-        for n in ns:
-            columns = [self._cells[s, n] for s in strategies]
-            if adaptive:  # a hard question's cell at n = 1
-                columns = [
-                    [one if hard else cell for cell, one, hard in zip(col, self._cells[s, 1], self._hard[s])]
-                    for s, col in zip(strategies, columns)
-                ]
-            # one strategy's cells win as they stand; max keeps the first maximum
-            winners = columns[0] if len(columns) == 1 else [max(cells, key=_VALUE) for cells in zip(*columns)]
-            tag = max({vp.method for vp in winners}, key=METHODS.index)  # the least exact cell's estimator
-            stderr = None
-            if tag == "monte_carlo":
-                stderr = math.sqrt(math.fsum(vp.stderr**2 for vp in winners)) / len(winners)
-            mean = math.fsum(map(_VALUE, winners)) / len(winners)
-            points.append(VoteProbability(mean, tag, n, stderr=stderr))
-        return ScalingCurve(tuple(points), self.method, curve_id=curve_id)
+        points = tuple(self._point(strategies, n, adaptive) for n in ns)
+        return ScalingCurve(points, self.method, curve_id=curve_id)
 
     def curves(self) -> list[ScalingCurve]:
         """Each strategy's accuracy curve; every grid cell in one call."""
@@ -303,17 +320,15 @@ class Run:
     def _best(self, candidates, budget) -> SelectionResult | None:
         """The (strategy, n) candidate of highest predicted accuracy, the
         earliest on ties, or None: the candidates' cells are evaluated in one
-        call, and each strategy's n's are scored by one curve."""
-        grids: dict[int, list[int]] = {}
-        for s, n in candidates:
-            grids.setdefault(s, []).append(n)
+        call, and each candidate is scored by its one-strategy :meth:`_point`,
+        whose estimator and standard error the pick keeps."""
         self._fill([(s, n, True) for s, n in candidates])
-        curves = {s: self._curve([s], ns, False, "") for s, ns in grids.items()}
-        scored = [(curves[s].value_at(n), self.datasets[s].strategy_id, n) for s, n in candidates]
+        scored = [(self._point([s], n, False), s, n) for s, n in candidates]
         if not scored:
             return None
-        value, strategy_id, n = max(scored, key=lambda score: score[0])
-        return SelectionResult(budget, strategy_id, n, value)
+        point, s, n = max(scored, key=lambda score: score[0].value)
+        strategy_id = self.datasets[s].strategy_id
+        return SelectionResult(budget, strategy_id, n, point.value, point.method, point.stderr)
 
     def best_for_n(self, n: int) -> SelectionResult:
         """Best strategy at the grid point ``n``; ties keep the earliest."""

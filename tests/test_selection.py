@@ -83,6 +83,19 @@ class TestDatasets:
             SelectionResult(("tokens", 1.0), "s", 1, 0.5)
         with pytest.raises(ValueError):
             SelectionResult(("samples", 1.0), "s", 1, 1.5)
+        # a pick's point label: a known estimator, and a standard error exactly under Monte Carlo
+        for method, stderr, message in [
+            ("approx", None, "unknown method 'approx'"),
+            ("exact", 0.01, "stderr is present iff method is monte_carlo"),
+            ("monte_carlo", None, "stderr is present iff method is monte_carlo"),
+            (None, 0.01, "stderr is present iff method is monte_carlo"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                SelectionResult(("samples", 1.0), "s", 1, 0.5, method, stderr)
+        unlabelled = SelectionResult(("samples", 1.0), "s", 1, 0.5)
+        assert (unlabelled.method, unlabelled.stderr) == (None, None)
+        drawn = SelectionResult(("cost", 2.0), "s", 3, 0.5, "monte_carlo", 0.01)
+        assert (drawn.method, drawn.stderr) == ("monte_carlo", 0.01)
 
 
 def counted_cells(monkeypatch):
@@ -257,6 +270,22 @@ class TestAccuracyCurve:
         got = Run([ds], [3], "mc", trials=200, seed=np.int64(3)).curves()
         assert got == Run([ds], [3], "mc", trials=200, seed=3).curves()
 
+    @pytest.mark.parametrize("trials, message", [
+        (0, r"^trials must be >= 1$"),
+        (-3, r"^trials must be >= 1$"),
+        (1.5, r"^trials must be an integer, got 1\.5$"),
+    ])
+    def test_a_run_rejects_trials_that_are_not_an_integer_at_least_1(self, monkeypatch, trials, message):
+        calls = counted_cells(monkeypatch)
+        ds = dataset("s", [EARLY, LATE])
+        for method in ("mc", "exact", "approx"):
+            with pytest.raises(ValueError, match=message):
+                Run([ds], [1, 3], method, trials=trials)
+        assert calls == []
+        # a numpy integer is an integer, and draws the same cells
+        got = Run([ds], [3], "mc", trials=np.int64(200), seed=3).curves()
+        assert got == Run([ds], [3], "mc", trials=200, seed=3).curves()
+
     def test_mc_matches_exact_within_error(self):
         ds = dataset("s", [EARLY, LATE])
         mc = accuracy_curve(ds, [5], "mc", trials=100_000, seed=3)
@@ -281,6 +310,45 @@ class TestBestForN:
     def test_tie_keeps_input_order(self):
         dss = [dataset("first", [EARLY]), dataset("second", [EARLY])]
         assert best_for_n(dss, 3).chosen_strategy == "first"
+
+    @pytest.mark.parametrize("method, kwargs", [
+        ("exact", dict(fallback=True)),
+        ("mc", dict(trials=500, seed=2)),
+    ])
+    def test_a_pick_is_its_curve_point_bit_for_bit(self, monkeypatch, method, kwargs):
+        """Each pick of a filled run, at a fixed n and under a budget, keeps
+        the value, estimator and standard error of its strategy's curve
+        point, and builds no curve to find it."""
+        import votescale.selection as selection
+
+        model = CostModel.from_per_million(0.15, 0.60)
+        dss = [
+            dataset("wide", [answers_past_exact_cap(), EARLY], pt=100.0, ct=50.0),
+            dataset("early", [EARLY, EARLY], pt=200.0, ct=100.0),
+            dataset("late", [LATE, LATE], pt=300.0, ct=100.0),
+        ]
+        grid, budget = [1, 3, 5, 9], 9 * dataset_sample_cost(dss[0], model)
+        run = Run(dss, grid, method, **kwargs)
+        points = {(curve.curve_id, p.n): p for curve in run.curves() for p in curve.points}
+        built = []
+        real = selection.ScalingCurve
+
+        def spy(*args, **kw):
+            built.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(selection, "ScalingCurve", spy)
+        picks = [run.best_for_n(n) for n in grid] + [run.best_under_cost(budget, model)]
+        assert built == []
+        for pick in picks:
+            point = points[pick.chosen_strategy, pick.chosen_n]
+            assert pick.predicted_accuracy == point.value
+            assert (pick.method, pick.stderr) == (point.method, point.stderr)
+        # runs of their own pick the same points
+        alone = [best_for_n(dss, n, method, **kwargs) for n in grid]
+        assert alone + [best_under_cost(dss, budget, model, grid, method, **kwargs)] == picks
+        tags = {"exact": {"exact", "normal_approx"}, "mc": {"monte_carlo"}}[method]
+        assert {pick.method for pick in picks} == tags
 
     def test_approx_agrees_with_exact_at_large_n(self):
         dss = [dataset("early", [EARLY]), dataset("late", [LATE])]
@@ -344,20 +412,10 @@ class TestBudgetSelection:
         assert pick.chosen_n == 1
 
     @pytest.mark.parametrize("method", ["exact", "mc"])
-    def test_one_curve_per_dataset_scores_every_candidate(self, monkeypatch, method):
-        """Each dataset's feasible n's are scored by one curve, with the
-        values and the earliest-on-ties choice of one curve per candidate;
-        only the feasible points' cells are evaluated."""
-        import votescale.selection as selection
-
-        real = selection.Run._curve
-        grids = []
-
-        def counting(run, strategies, ns, *args):
-            grids.append((tuple(run.datasets[s].strategy_id for s in strategies), tuple(ns)))
-            return real(run, strategies, ns, *args)
-
-        monkeypatch.setattr(selection.Run, "_curve", counting)
+    def test_every_candidate_is_scored_as_its_own_curve_point(self, monkeypatch, method):
+        """Each feasible (strategy, n) is scored with the value and the
+        earliest-on-ties choice of one curve per candidate; only the
+        feasible points' cells are evaluated."""
         calls = counted_cells(monkeypatch)
         dss = [
             dataset("a", [EARLY, LATE], pt=100.0, ct=50.0),
@@ -368,7 +426,6 @@ class TestBudgetSelection:
         budget = 9 * dataset_sample_cost(dss[0], self.MODEL)
         kwargs = dict(trials=500, seed=4)
         pick = best_under_cost(dss, budget, self.MODEL, grid, method, **kwargs)
-        assert grids == [(("a",), (1, 3, 5, 9)), (("b",), (1, 3)), (("c",), (1, 3, 5, 9))]
         # 2 questions at each of the 10 feasible points
         assert len(calls) == 20
         scored = [
@@ -666,13 +723,13 @@ def reference_reduce(dss, ns, method, trials, seed, fallback, cells, *, adaptive
 def reference_best(candidates, budget, method, trials, seed, fallback, cells):
     scored = [
         (reference_reduce([ds], [n], method, trials, seed, fallback, cells, adaptive=False, curve_id="")
-         .values[0], ds.strategy_id, n)
+         .points[0], ds.strategy_id, n)
         for ds, n in candidates
     ]
     if not scored:
         raise NoFeasibleChoice("no candidate")
-    value, strategy_id, n = max(scored, key=lambda score: score[0])
-    return SelectionResult(budget, strategy_id, n, value)
+    point, strategy_id, n = max(scored, key=lambda score: score[0].value)
+    return SelectionResult(budget, strategy_id, n, point.value, point.method, point.stderr)
 
 
 JUDGE_POOL = (
